@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test verify lint fuzz-short bench bench-cache chaos-short
+.PHONY: build test verify lint fuzz-short bench bench-cache benchmark chaos-short loc
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,19 @@ bench:
 # under the "cache" key via `make bench`.
 bench-cache:
 	$(GO) run ./cmd/tssbench -run cache
+
+# benchmark runs the repository benchmark (BENCHMARK.json, benchmark/):
+# five workloads on the real in-process stack, twelve end-to-end metrics
+# each plus the per-layer trace, written to benchmark/out/result.json.
+# Compare two results with `go run ./benchmark -compare base.json new.json`.
+benchmark:
+	$(GO) run ./benchmark
+
+# loc prints non-test Go lines per package — the number CHANGES.md
+# records per PR (ROADMAP aim 2: the expected direction is down).
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | \
+	while read pkg files; do echo "$$(cat $$files </dev/null | wc -l) $$pkg"; done
 
 # chaos-short runs the quick chaos sweep: every canned fault timeline
 # (partitions, flapping, slowness, corruption, torn writes,

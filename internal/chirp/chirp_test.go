@@ -10,6 +10,7 @@ import (
 
 	"tss/internal/acl"
 	"tss/internal/auth"
+	"tss/internal/chirp/proto"
 	"tss/internal/netsim"
 	"tss/internal/vfs"
 )
@@ -281,6 +282,31 @@ func TestACLFileIsUnreachable(t *testing.T) {
 	}
 	if err := c.Rename("/"+ACLFileName, "/stolen"); vfs.AsErrno(err) != vfs.EACCES {
 		t.Errorf("rename .__acl = %v, want EACCES", err)
+	}
+	// Dispatch guards every path argument the verb table declares; a
+	// refused body verb has its body drained, so the stream stays framed.
+	for _, v := range proto.Verbs {
+		for _, f := range v.Args {
+			if f != proto.ArgPath && f != proto.ArgPath2 {
+				continue
+			}
+			req := &proto.Request{Verb: v.Name, Path: "/a", Path2: "/b", Length: 4}
+			if f == proto.ArgPath {
+				req.Path = "/d/" + ACLFileName
+			} else {
+				req.Path2 = "/d/" + ACLFileName
+			}
+			var body []byte
+			if v.Body == proto.BodyLength || v.Body == proto.BodyTrailer {
+				body = []byte("body")
+			}
+			if _, err := c.rpc(req, body, nil); vfs.AsErrno(err) != vfs.EACCES {
+				t.Errorf("%s naming .__acl = %v, want EACCES", v.Name, err)
+			}
+			if _, err := c.Whoami(); err != nil {
+				t.Fatalf("stream out of sync after refused %s: %v", v.Name, err)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package chirp
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -61,12 +62,6 @@ type Client struct {
 	mRPCErrors  *obs.Counter
 	mReconnects *obs.Counter
 
-	// extraHist holds lazily registered histograms for verbs outside
-	// rpcVerbs, so an unlisted verb is still observed instead of
-	// falling into a nil map entry.
-	histMu    sync.Mutex
-	extraHist map[string]*obs.Histogram
-
 	mu      sync.Mutex
 	conn    net.Conn
 	br      *bufio.Reader
@@ -79,20 +74,11 @@ type Client struct {
 	// would block behind whatever RPC currently holds the connection.
 	connected atomic.Bool
 
-	// noSums records that the server answered EINVAL to a digest verb:
-	// it predates them, so verified transfers stop probing and use the
-	// plain verbs for the rest of this client's life.
-	noSums atomic.Bool
-
-	// noLeases records that the server answered EINVAL to a lease verb:
-	// it predates them, so the caching tier stops probing and falls
-	// back to TTL-only expiry for the rest of this client's life.
-	noLeases atomic.Bool
-
-	// noDeadlines records that the server answered EINVAL to the
-	// deadline verb: it predates deadline propagation, so RPCs stop
-	// sending the pipelined prefix for the rest of this client's life.
-	noDeadlines atomic.Bool
+	// refused is the proto.Feature mask of verb groups the connected
+	// server answered EINVAL to: it predates them, so this client stops
+	// probing and takes each group's fallback (plain transfers, TTL-only
+	// caching, no deadline prefix) until the next Reconnect.
+	refused atomic.Uint32
 }
 
 var (
@@ -111,9 +97,9 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	}
 	c := &Client{cfg: cfg}
 	if reg := cfg.Metrics; reg != nil {
-		c.rpcHist = make(map[string]*obs.Histogram, len(rpcVerbs))
-		for _, v := range rpcVerbs {
-			c.rpcHist[v] = reg.Histogram("chirp_client.rpc." + v)
+		c.rpcHist = make(map[string]*obs.Histogram, len(proto.Verbs))
+		for _, v := range proto.Verbs {
+			c.rpcHist[v.Name] = reg.Histogram("chirp_client.rpc." + v.Name)
 		}
 		c.mRPCErrors = reg.Counter("chirp_client.rpc_errors")
 		c.mReconnects = reg.Counter("chirp_client.reconnects")
@@ -125,38 +111,40 @@ func Dial(cfg ClientConfig) (*Client, error) {
 }
 
 // observeRPC times one round trip into the per-verb histogram and
-// counts failures. No-op when metrics are disabled.
+// counts failures. No-op when metrics are disabled, and for a verb
+// outside proto.Verbs — AppendTo refuses to send one.
 func (c *Client) observeRPC(verb string, start time.Time, err error) {
 	if c.rpcHist == nil {
 		return
 	}
-	h, ok := c.rpcHist[verb]
-	if !ok {
-		// A verb missing from rpcVerbs used to index the map to a nil
-		// histogram and silently drop the observation; register one on
-		// first use instead.
-		h = c.histFor(verb)
-	}
-	h.Observe(time.Since(start))
+	c.rpcHist[verb].Observe(time.Since(start))
 	if err != nil {
 		c.mRPCErrors.Inc()
 	}
 }
 
-// histFor lazily registers the round-trip histogram for a verb that is
-// not in the pre-resolved set.
-func (c *Client) histFor(verb string) *obs.Histogram {
-	c.histMu.Lock()
-	defer c.histMu.Unlock()
-	if h, ok := c.extraHist[verb]; ok {
-		return h
+// supports reports whether the connected server is still believed to
+// speak feature group f.
+func (c *Client) supports(f proto.Feature) bool {
+	return c.refused.Load()&f.Bit() == 0
+}
+
+// refuse memoizes that the connected server predates feature group f.
+func (c *Client) refuse(f proto.Feature) {
+	for {
+		old := c.refused.Load()
+		if c.refused.CompareAndSwap(old, old|f.Bit()) {
+			return
+		}
 	}
-	h := c.cfg.Metrics.Histogram("chirp_client.rpc." + verb)
-	if c.extraHist == nil {
-		c.extraHist = make(map[string]*obs.Histogram)
-	}
-	c.extraHist[verb] = h
-	return h
+}
+
+// legacyRefusal reports whether err is how a server that predates a
+// verb answers it: EINVAL before any data phase, the stream in sync.
+// A supporting server can answer EINVAL too (a genuinely bad argument),
+// so callers with a plain-verb fallback memoize only once it succeeds.
+func legacyRefusal(err error) bool {
+	return vfs.AsErrno(err) == vfs.EINVAL && !errors.Is(err, vfs.ErrIntegrity)
 }
 
 // DialTCP is a convenience for connecting over TCP.
@@ -198,6 +186,8 @@ func (c *Client) Reconnect() error {
 	c.bw = bw
 	c.subject = subject
 	c.connected.Store(true)
+	// What the previous peer refused says nothing about this one.
+	c.refused.Store(0)
 	c.gen++
 	if c.gen > 1 {
 		// The first connection is a dial; everything after is a repair.
@@ -295,7 +285,7 @@ func putLineBuf(v *[]byte) { lineBufPool.Put(v) }
 // No prefix is sent without a timeout, or once the server is known to
 // predate the verb.
 func (c *Client) appendDeadlinePrefix(dst []byte) ([]byte, bool) {
-	if c.cfg.Timeout <= 0 || c.noDeadlines.Load() {
+	if c.cfg.Timeout <= 0 || !c.supports(proto.Deadline) {
 		return dst, false
 	}
 	ms := c.cfg.Timeout.Milliseconds()
@@ -319,7 +309,7 @@ func (c *Client) readDeadlineCode() error {
 		return err
 	}
 	if vfs.FromCode(int(code)) == vfs.EINVAL {
-		c.noDeadlines.Store(true)
+		c.refuse(proto.Deadline)
 	}
 	return nil
 }
@@ -571,13 +561,14 @@ func (c *Client) getFilePlain(path string, w io.Writer) (int64, error) {
 }
 
 // putStream writes one put-style request and streams its body on the
-// serialized connection: the shared core of putfile and putfilesum.
-// When twoPhase is set the server answers a ready line before the data
-// phase, so a refusal — notably EINVAL from a server that predates the
-// verb — arrives with the stream in sync and not one byte consumed
-// from r, which is what makes blind negotiation safe. trailer, when
-// non-nil, appends a final protocol line after the body.
-func (c *Client) putStream(req *proto.Request, size int64, r io.Reader, twoPhase bool, trailer func([]byte) []byte) (rpcErr error) {
+// serialized connection: the shared core of putfile, putfilesum and
+// putpart. For a verb declared two-phase the server answers a ready
+// line before the data phase, so a refusal — notably EINVAL from a
+// server that predates the verb — arrives with the stream in sync and
+// not one byte consumed from r, which is what makes blind negotiation
+// safe. trailer, when non-nil, appends a final protocol line after the
+// body.
+func (c *Client) putStream(req *proto.Request, size int64, r io.Reader, trailer func([]byte) []byte) (rpcErr error) {
 	if c.rpcHist != nil {
 		defer func(start time.Time) { c.observeRPC(req.Verb, start, rpcErr) }(time.Now())
 	}
@@ -601,7 +592,7 @@ func (c *Client) putStream(req *proto.Request, size int64, r io.Reader, twoPhase
 	if _, err := c.bw.Write(line); err != nil {
 		return c.failLocked(err)
 	}
-	if twoPhase {
+	if proto.Lookup(req.Verb).Body == proto.BodyTwoPhase {
 		//lint:ignore lockheld the ready line must be read before the body is streamed, under the same connection-owning critical section
 		if err := c.bw.Flush(); err != nil {
 			return c.failLocked(err)
@@ -656,7 +647,7 @@ func (c *Client) putStream(req *proto.Request, size int64, r io.Reader, twoPhase
 // with getFilePlain.
 func (c *Client) putFilePlain(path string, mode uint32, size int64, r io.Reader) error {
 	return c.putStream(&proto.Request{Verb: "putfile", Path: path, Mode: int64(mode), Length: size},
-		size, r, false, nil)
+		size, r, nil)
 }
 
 // clientFile is an open remote file. The fd is valid only for the

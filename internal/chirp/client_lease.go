@@ -24,7 +24,7 @@ var _ vfs.Leaser = (*Client)(nil)
 // a server that predates the verb it fails with EINVAL and remembers,
 // so a caching layer stops probing after the first refusal.
 func (c *Client) Lease(path string) (vfs.Lease, error) {
-	if c.noLeases.Load() {
+	if !c.supports(proto.Leases) {
 		return vfs.Lease{}, vfs.EINVAL
 	}
 	var l vfs.Lease
@@ -47,8 +47,8 @@ func (c *Client) Lease(path string) (vfs.Lease, error) {
 			return nil
 		})
 	if err != nil {
-		if vfs.AsErrno(err) == vfs.EINVAL {
-			c.noLeases.Store(true)
+		if legacyRefusal(err) {
+			c.refuse(proto.Leases)
 		}
 		return vfs.Lease{}, err
 	}
@@ -63,12 +63,12 @@ func (c *Client) Lease(path string) (vfs.Lease, error) {
 // writer, or granted on a connection that died) answers EBADF, which
 // callers treat as already-released.
 func (c *Client) LeaseBreak(id int64) error {
-	if c.noLeases.Load() {
+	if !c.supports(proto.Leases) {
 		return vfs.EINVAL
 	}
 	_, err := c.rpc(&proto.Request{Verb: "leasebreak", FD: id}, nil, nil)
-	if err != nil && vfs.AsErrno(err) == vfs.EINVAL {
-		c.noLeases.Store(true)
+	if legacyRefusal(err) {
+		c.refuse(proto.Leases)
 	}
 	return err
 }

@@ -125,13 +125,13 @@ func (c *Client) PutBegin(path string, mode uint32, size int64) error {
 func (c *Client) PutPart(path string, off, length int64, algo string, r io.Reader) (string, error) {
 	req := &proto.Request{Verb: "putpart", Path: path, Offset: off, Length: length, Algo: algo}
 	if algo == "" {
-		return "", c.putStream(req, length, r, false, nil)
+		return "", c.putStream(req, length, r, nil)
 	}
 	h, err := vfs.NewHash(algo)
 	if err != nil {
 		return "", err
 	}
-	err = c.putStream(req, length, io.TeeReader(r, h), false,
+	err = c.putStream(req, length, io.TeeReader(r, h),
 		func(dst []byte) []byte {
 			return append(proto.AppendDigestTrailer(dst, algo, h.Sum(nil)), '\n')
 		})

@@ -37,7 +37,7 @@ func (c *Client) Checksum(path, algo string) (string, error) {
 	if algo == "" {
 		algo = c.algo()
 	}
-	if c.noSums.Load() {
+	if !c.supports(proto.Sums) {
 		return c.hashRemote(path, algo)
 	}
 	var sum string
@@ -60,17 +60,15 @@ func (c *Client) Checksum(path, algo string) (string, error) {
 			return nil
 		})
 	if err != nil {
-		if vfs.AsErrno(err) == vfs.EINVAL {
+		if legacyRefusal(err) {
 			// Either the server does not know the verb or the argument
 			// was genuinely invalid; hashing the plain read path answers
 			// both, and only a success proves the verb was the problem.
-			fallback, herr := c.hashRemote(path, algo)
-			if herr == nil {
-				c.noSums.Store(true)
+			if sum, err = c.hashRemote(path, algo); err == nil {
+				c.refuse(proto.Sums)
 			}
-			return fallback, herr
 		}
-		return "", err
+		return sum, err
 	}
 	if badTrailer {
 		return "", fmt.Errorf("chirp: checksum %s: malformed digest trailer: %w",
@@ -96,17 +94,16 @@ func (c *Client) hashRemote(path, algo string) (string, error) {
 // digest trailer against the received bytes; a server that predates
 // the verb triggers one plain-getfile fallback and is remembered.
 func (c *Client) GetFile(path string, w io.Writer) (int64, error) {
-	if !c.cfg.Verify || c.noSums.Load() {
+	if !c.cfg.Verify || !c.supports(proto.Sums) {
 		return c.getFilePlain(path, w)
 	}
 	n, err := c.getFileSum(path, w)
-	if err != nil && vfs.AsErrno(err) == vfs.EINVAL && !errors.Is(err, vfs.ErrIntegrity) {
+	if legacyRefusal(err) {
 		// Refused before the data phase: nothing was written to w. Only
 		// a successful plain retry proves the verb — not the argument —
 		// was the problem.
-		n, err = c.getFilePlain(path, w)
-		if err == nil {
-			c.noSums.Store(true)
+		if n, err = c.getFilePlain(path, w); err == nil {
+			c.refuse(proto.Sums)
 		}
 	}
 	return n, err
@@ -169,14 +166,13 @@ func (c *Client) getFileSum(path string, w io.Writer) (int64, error) {
 // (so an old server's EINVAL consumes nothing from r), then verifies
 // the digest trailer and unlinks the file on mismatch.
 func (c *Client) PutFile(path string, mode uint32, size int64, r io.Reader) error {
-	if !c.cfg.Verify || c.noSums.Load() {
+	if !c.cfg.Verify || !c.supports(proto.Sums) {
 		return c.putFilePlain(path, mode, size, r)
 	}
 	err := c.putFileSum(path, mode, size, r)
-	if err != nil && vfs.AsErrno(err) == vfs.EINVAL && !errors.Is(err, vfs.ErrIntegrity) {
-		err = c.putFilePlain(path, mode, size, r)
-		if err == nil {
-			c.noSums.Store(true)
+	if legacyRefusal(err) {
+		if err = c.putFilePlain(path, mode, size, r); err == nil {
+			c.refuse(proto.Sums)
 		}
 	}
 	return err
@@ -191,7 +187,7 @@ func (c *Client) putFileSum(path string, mode uint32, size int64, r io.Reader) e
 	}
 	err = c.putStream(
 		&proto.Request{Verb: "putfilesum", Path: path, Mode: int64(mode), Length: size, Algo: algo},
-		size, io.TeeReader(r, h), true,
+		size, io.TeeReader(r, h),
 		func(dst []byte) []byte {
 			return append(proto.AppendDigestTrailer(dst, algo, h.Sum(nil)), '\n')
 		})

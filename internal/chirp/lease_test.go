@@ -146,37 +146,6 @@ func TestLeaseBreakCounting(t *testing.T) {
 	}
 }
 
-// TestLeaseLegacyDowngrade runs a lease-issuing client against a server
-// that predates the verbs: the first probe gets EINVAL, the client
-// memoizes the downgrade, and the connection stays framed for normal
-// traffic.
-func TestLeaseLegacyDowngrade(t *testing.T) {
-	ts := startServer(t, nil)
-	ts.srv.legacyLeases.Store(true)
-	c := ts.client(t, "owner.sim")
-	if err := vfs.WriteFile(c, "/f", []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Lease("/f"); vfs.AsErrno(err) != vfs.EINVAL {
-		t.Fatalf("lease against legacy server = %v, want EINVAL", err)
-	}
-	if !c.noLeases.Load() {
-		t.Fatal("client did not remember the lease downgrade")
-	}
-	// Later calls short-circuit without touching the wire.
-	reqs := ts.srv.Stats.Requests.Load()
-	if _, err := c.Lease("/f"); vfs.AsErrno(err) != vfs.EINVAL {
-		t.Fatal("memoized lease probe should fail EINVAL")
-	}
-	if got := ts.srv.Stats.Requests.Load(); got != reqs {
-		t.Fatalf("memoized lease probe issued %d RPCs", got-reqs)
-	}
-	// The refusal left the stream in sync.
-	if _, err := c.Stat("/f"); err != nil {
-		t.Fatalf("connection unusable after lease refusal: %v", err)
-	}
-}
-
 // TestLeaseSessionCleanup closes a lease-holding connection and checks
 // the server forgot its grants: a second client's grant on the same
 // path is then the only live lease, so one write breaks exactly one.

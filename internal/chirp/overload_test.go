@@ -477,28 +477,6 @@ func TestDeadlineAbortsMidStream(t *testing.T) {
 	}
 }
 
-// A client with a timeout pipelines the deadline prefix; an old server
-// answers EINVAL with its framing intact, the client remembers the
-// downgrade, and every RPC still works.
-func TestLegacyDeadlinesFallback(t *testing.T) {
-	ts := startServer(t, nil)
-	ts.srv.legacyDeadlines.Store(true)
-	c := ts.client(t, "owner.sim") // Timeout 5s: prefix on by default
-	if err := vfs.WriteFile(c, "/old", []byte("interop"), 0o644); err != nil {
-		t.Fatalf("write against legacy server: %v", err)
-	}
-	data, err := vfs.ReadFile(c, "/old")
-	if err != nil || string(data) != "interop" {
-		t.Fatalf("read against legacy server: %q, %v", data, err)
-	}
-	if !c.noDeadlines.Load() {
-		t.Error("client did not remember the deadline downgrade")
-	}
-	if ts.srv.Stats.DeadlineRejects.Load() != 0 {
-		t.Errorf("legacy downgrade produced %d deadline rejects", ts.srv.Stats.DeadlineRejects.Load())
-	}
-}
-
 // Against a current server the prefix negotiates silently: RPCs
 // succeed, the client keeps sending budgets, and nothing is rejected
 // while the budgets are generous.
@@ -511,7 +489,7 @@ func TestDeadlinePrefixNegotiated(t *testing.T) {
 	if _, err := vfs.ReadFile(c, "/f"); err != nil {
 		t.Fatal(err)
 	}
-	if c.noDeadlines.Load() {
+	if !c.supports(proto.Deadline) {
 		t.Error("client downgraded against a deadline-capable server")
 	}
 	if got := ts.srv.Stats.DeadlineRejects.Load(); got != 0 {

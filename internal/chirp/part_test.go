@@ -181,39 +181,6 @@ func TestMultipartSingleMemberPool(t *testing.T) {
 	}
 }
 
-// TestLegacyPartsFallback runs the engine against a server that answers
-// EINVAL to every part verb, as a pre-multipart server would. Both
-// directions must degrade to positional I/O, still verified, and the
-// negotiation probes must leave the connection framing intact.
-func TestLegacyPartsFallback(t *testing.T) {
-	ts := startServer(t, nil)
-	ts.srv.legacyParts.Store(true)
-	c := ts.client(t, "owner.sim")
-
-	data := partPayload(150_000)
-	opts := vfs.CopyOptions{Concurrency: 4, ChunkSize: 32 << 10, Verify: true}
-
-	src := localEndpoint(t, "legacy.bin", data)
-	if _, err := vfs.Copy(context.Background(), vfs.Loc{FS: c, Path: "/legacy"}, src, opts); err != nil {
-		t.Fatalf("put against legacy server: %v", err)
-	}
-	dst := localEndpoint(t, "back.bin", nil)
-	if _, err := vfs.Copy(context.Background(), dst, vfs.Loc{FS: c, Path: "/legacy"}, opts); err != nil {
-		t.Fatalf("get against legacy server: %v", err)
-	}
-	got, err := vfs.ReadFile(dst.FS, dst.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("payload mismatch after legacy fallback")
-	}
-	// The EINVAL probes must not desync the stream.
-	if err := vfs.WriteFile(c, "/after", []byte("ok"), 0o644); err != nil {
-		t.Fatalf("connection unusable after legacy negotiation: %v", err)
-	}
-}
-
 // TestPutpartRejectsBadDigest sends a chunk whose trailer lies about
 // the body. The server must answer EBADMSG, zero the chunk's range
 // (restoring the pre-sized hole — zero wrong bytes at rest), keep the
@@ -234,7 +201,7 @@ func TestPutpartRejectsBadDigest(t *testing.T) {
 	err := c.putStream(
 		&proto.Request{Verb: "putpart", Path: "/chunked", Offset: int64(len(good)),
 			Length: int64(len(evil)), Algo: "crc32c"},
-		int64(len(evil)), bytes.NewReader(evil), false,
+		int64(len(evil)), bytes.NewReader(evil),
 		func(dst []byte) []byte {
 			return append(proto.AppendDigestTrailer(dst, "crc32c", wrong), '\n')
 		})

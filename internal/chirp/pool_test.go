@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tss/internal/auth"
+	"tss/internal/chirp/proto"
 	"tss/internal/netsim"
 	"tss/internal/obs"
 	"tss/internal/vfs"
@@ -345,42 +346,57 @@ func TestPoolIdleReap(t *testing.T) {
 	f.Close()
 }
 
-// An RPC verb missing from the pre-resolved rpcVerbs set must still be
-// observed: the old code indexed the histogram map to a nil entry and
-// silently dropped the sample.
+// A request line whose verb is not in proto.Verbs is answered EINVAL
+// with the stream in sync and counted in chirp_server.rpc_unknown; the
+// client never sends one — AppendTo refuses a verb outside the table.
 func TestObserveRPCUnknownVerb(t *testing.T) {
-	ts := startServer(t, nil)
-	reg := obs.NewRegistry()
+	sreg, creg := obs.NewRegistry(), obs.NewRegistry()
+	ts := startServerCfg(t, ServerConfig{Metrics: sreg})
 	c, err := Dial(ClientConfig{
 		Dial: func() (net.Conn, error) {
 			return ts.net.DialFrom("owner.sim", "fs.sim", netsim.Loopback)
 		},
 		Credentials: []auth.Credential{auth.HostnameCredential{}},
-		Timeout:     5 * time.Second,
-		Metrics:     reg,
+		Metrics:     creg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	start := time.Now()
-	c.observeRPC("frobnicate", start, nil)
-	c.observeRPC("frobnicate", start, nil) // cached lazy histogram
-	snap := reg.Snapshot()
-	h, ok := snap.Histograms["chirp_client.rpc.frobnicate"]
-	if !ok {
-		t.Fatal("unknown verb was not lazily registered")
+	reqs := ts.srv.Stats.Requests.Load()
+	c.mu.Lock()
+	c.bw.WriteString("frobnicate /x 1\n")
+	c.bw.Flush()
+	code, err := proto.ReadCode(c.br)
+	c.mu.Unlock()
+	if err != nil || vfs.FromCode(int(code)) != vfs.EINVAL {
+		t.Fatalf("unknown verb answered %d, %v; want EINVAL", code, err)
 	}
-	if h.Count != 2 {
-		t.Errorf("unknown-verb observations = %d, want 2", h.Count)
+	if got := sreg.Snapshot().Counters["chirp_server.rpc_unknown"]; got != 1 {
+		t.Errorf("rpc_unknown = %d after one unknown verb, want 1", got)
 	}
-	// Known verbs still take the pre-resolved path.
+	if got := ts.srv.Stats.Requests.Load() - reqs; got != 1 {
+		t.Errorf("unknown verb counted as %d requests, want 1", got)
+	}
+
+	// The client refuses the same verb before the wire, metrics on.
+	if _, err := c.rpc(&proto.Request{Verb: "frobnicate"}, nil, nil); vfs.AsErrno(err) != vfs.EINVAL {
+		t.Errorf("client sent an undeclared verb: %v", err)
+	}
+	// Known verbs are observed on both sides, on the same connection.
 	if _, err := c.Stat("/"); err != nil {
-		t.Fatal(err)
+		t.Fatalf("connection unusable after unknown verb: %v", err)
 	}
-	if snap := reg.Snapshot(); snap.Histograms["chirp_client.rpc.stat"].Count == 0 {
-		t.Error("known verb not observed")
+	if creg.Snapshot().Histograms["chirp_client.rpc.stat"].Count != 1 {
+		t.Error("known verb not observed by the client")
+	}
+	ssnap := sreg.Snapshot()
+	if ssnap.Histograms["chirp_server.rpc.stat"].Count != 1 {
+		t.Error("known verb not observed by the server")
+	}
+	if got := ssnap.Counters["chirp_server.rpc_unknown"]; got != 1 {
+		t.Errorf("rpc_unknown = %d after a known verb, want 1", got)
 	}
 }
 

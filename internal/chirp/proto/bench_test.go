@@ -103,6 +103,26 @@ func TestEncodeAllocationGuards(t *testing.T) {
 		t.Errorf("AppendStat allocates %.1f/op, want 0", n)
 	}
 
+	// The table-driven parser may not cost more than the per-verb switch
+	// it replaced: the bounds are that parser's allocations per line,
+	// measured at the commit before the table (tokenizer slice growth
+	// plus the Request itself).
+	for _, g := range []struct {
+		line string
+		max  float64
+	}{
+		{"pread 7 65536 1073741824", 4},
+		{"stat /data/experiment/run-0042/events.dat", 3},
+	} {
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := ParseRequest(g.line); err != nil {
+				t.Fatal(err)
+			}
+		}); n > g.max {
+			t.Errorf("ParseRequest(%q) allocates %.1f/op, want <= %.0f", g.line, n, g.max)
+		}
+	}
+
 	// Escaping only pays when a byte actually needs escaping.
 	if n := testing.AllocsPerRun(200, func() {
 		if Escape("/plain/path/no-escapes") != "/plain/path/no-escapes" {

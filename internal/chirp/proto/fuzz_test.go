@@ -22,6 +22,13 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add("whoami")
 	f.Add("open %GG 0 0")
 	f.Add("stat %2")
+	eachSample(func(v *Verb, q *Request) {
+		line, err := q.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+	})
 	f.Fuzz(func(t *testing.T, line string) {
 		q, err := ParseRequest(line)
 		if err != nil {
@@ -52,18 +59,18 @@ func FuzzEncodeDecode(f *testing.F) {
 	f.Add(uint8(9), "/a b", "/c\td", "", "", int64(0), int64(0), int64(0), int64(0), int64(0), int64(0))
 	f.Add(uint8(17), "/", "", "unix:alice", "rwla", int64(0), int64(0), int64(0), int64(0), int64(0), int64(0))
 	f.Add(uint8(13), "/data/%00", "", "", "", int64(0), int64(9), int64(0), int64(0), int64(0755), int64(0))
+	for i := range Verbs {
+		f.Add(uint8(i), "/a b", "/c\td", "crc32c", "0a1b2c3d", int64(3), int64(4096), int64(8192), int64(2), int64(0644), int64(5000))
+	}
 	f.Fuzz(func(t *testing.T, verbSel uint8, path, path2, subject, rights string,
 		fd, length, offset, flags, mode, size int64) {
-		verbs := []string{
-			"open", "pread", "pwrite", "fstat", "fsync", "ftruncate",
-			"close", "stat", "unlink", "rename", "mkdir", "rmdir",
-			"getdir", "getfile", "putfile", "truncate", "chmod",
-			"getacl", "setacl", "statfs", "whoami",
-		}
+		// The verb comes from the table; the extension verbs' algo, sum
+		// and budget arguments ride on subject, rights and size.
 		q := &Request{
-			Verb: verbs[int(verbSel)%len(verbs)], Path: path, Path2: path2,
+			Verb: Verbs[int(verbSel)%len(Verbs)].Name, Path: path, Path2: path2,
 			Subject: subject, Rights: rights, FD: fd, Length: length,
 			Offset: offset, Flags: flags, Mode: mode, Size: size,
+			Algo: subject, Sum: rights, Budget: size,
 		}
 		enc, err := q.Encode()
 		if err != nil {

@@ -10,7 +10,9 @@
 // connection as control, so a single TCP window serves both (the paper
 // contrasts this with FTP's separate data connections).
 //
-// Requests:
+// Requests (the verbs, their argument layouts, request bodies and
+// feature groups are declared once, in Verbs; this is the same list
+// with what each answers):
 //
 //	open <path> <flags> <mode>          -> fd, then stat line
 //	pread <fd> <length> <offset>        -> n, then n raw bytes
@@ -284,119 +286,45 @@ func UnmarshalDirEntry(line string) (vfs.DirEntry, error) {
 	return vfs.DirEntry{Name: name, IsDir: f[1] == "1"}, nil
 }
 
-// Request is a parsed protocol request. Fields are used according to
-// the verb; unused fields are zero.
+// Request is a parsed protocol request. Which fields a verb uses is its
+// argument layout in Verbs; unused fields are zero.
 type Request struct {
 	Verb    string
-	Path    string // open, stat, unlink, mkdir, rmdir, getdir, getfile, putfile, truncate, chmod, getacl, setacl, rename (old)
-	Path2   string // rename (new)
-	Subject string // setacl
-	Rights  string // setacl
-	FD      int64  // pread, pwrite, fstat, fsync, ftruncate, close, leasebreak (lease ID)
-	Length  int64  // pread, pwrite, putfile, getpart, putpart
-	Offset  int64  // pread, pwrite, getpart, putpart
-	Flags   int64  // open
-	Mode    int64  // open, mkdir, putfile, chmod
-	Size    int64  // truncate, ftruncate, putbegin, putcomplete
-	Algo    string // checksum, getfilesum, putfilesum, getpart, putpart, putcomplete
-	Sum     string // putcomplete (lowercase hex digest; empty when Algo is empty)
-	Budget  int64  // deadline (remaining budget in milliseconds)
+	Path    string
+	Path2   string // rename's new name
+	Subject string
+	Rights  string
+	FD      int64 // a descriptor; for leasebreak, the lease ID
+	Length  int64
+	Offset  int64
+	Flags   int64
+	Mode    int64
+	Size    int64
+	Algo    string
+	Sum     string // lowercase hex digest; empty when Algo is empty
+	Budget  int64  // remaining budget in milliseconds
 }
 
 // AppendTo appends the request as a protocol line (without newline) to
 // dst and returns the extended slice. It is the allocation-free encoder
 // the client uses on the RPC hot path: with a recycled dst, encoding
-// performs no heap allocation.
+// performs no heap allocation. The line is the verb followed by the
+// arguments its Verbs entry lays out.
 func (q *Request) AppendTo(dst []byte) ([]byte, error) {
-	appendInt := func(b []byte, v int64) []byte {
-		return strconv.AppendInt(append(b, ' '), v, 10)
+	v := Lookup(q.Verb)
+	if v == nil {
+		return dst, fmt.Errorf("proto: unknown verb %q", q.Verb)
 	}
-	appendOctal := func(b []byte, v int64) []byte {
-		return strconv.AppendInt(append(b, ' '), v, 8)
+	dst = append(dst, v.Name...)
+	for _, f := range v.Args {
+		dst = append(dst, ' ')
+		if s, n := q.arg(f); s != nil {
+			dst = AppendEscape(dst, *s)
+		} else {
+			dst = strconv.AppendInt(dst, *n, f.base())
+		}
 	}
-	appendPath := func(b []byte, s string) []byte {
-		return AppendEscape(append(b, ' '), s)
-	}
-	switch q.Verb {
-	case "open":
-		dst = append(dst, "open"...)
-		dst = appendPath(dst, q.Path)
-		dst = appendInt(dst, q.Flags)
-		return appendOctal(dst, q.Mode), nil
-	case "pread", "pwrite":
-		dst = append(dst, q.Verb...)
-		dst = appendInt(dst, q.FD)
-		dst = appendInt(dst, q.Length)
-		return appendInt(dst, q.Offset), nil
-	case "fstat", "fsync", "close":
-		dst = append(dst, q.Verb...)
-		return appendInt(dst, q.FD), nil
-	case "ftruncate":
-		dst = append(dst, "ftruncate"...)
-		dst = appendInt(dst, q.FD)
-		return appendInt(dst, q.Size), nil
-	case "stat", "unlink", "rmdir", "getdir", "getfile", "getacl", "lease":
-		dst = append(dst, q.Verb...)
-		return appendPath(dst, q.Path), nil
-	case "leasebreak":
-		dst = append(dst, "leasebreak"...)
-		return appendInt(dst, q.FD), nil
-	case "rename":
-		dst = append(dst, "rename"...)
-		dst = appendPath(dst, q.Path)
-		return appendPath(dst, q.Path2), nil
-	case "mkdir", "chmod":
-		dst = append(dst, q.Verb...)
-		dst = appendPath(dst, q.Path)
-		return appendOctal(dst, q.Mode), nil
-	case "putfile":
-		dst = append(dst, "putfile"...)
-		dst = appendPath(dst, q.Path)
-		dst = appendOctal(dst, q.Mode)
-		return appendInt(dst, q.Length), nil
-	case "checksum", "getfilesum":
-		dst = append(dst, q.Verb...)
-		dst = appendPath(dst, q.Path)
-		return AppendEscape(append(dst, ' '), q.Algo), nil
-	case "putfilesum":
-		dst = append(dst, "putfilesum"...)
-		dst = appendPath(dst, q.Path)
-		dst = appendOctal(dst, q.Mode)
-		dst = appendInt(dst, q.Length)
-		return AppendEscape(append(dst, ' '), q.Algo), nil
-	case "putbegin":
-		dst = append(dst, "putbegin"...)
-		dst = appendPath(dst, q.Path)
-		dst = appendOctal(dst, q.Mode)
-		return appendInt(dst, q.Size), nil
-	case "getpart", "putpart":
-		dst = append(dst, q.Verb...)
-		dst = appendPath(dst, q.Path)
-		dst = appendInt(dst, q.Offset)
-		dst = appendInt(dst, q.Length)
-		return AppendEscape(append(dst, ' '), q.Algo), nil
-	case "putcomplete":
-		dst = append(dst, "putcomplete"...)
-		dst = appendPath(dst, q.Path)
-		dst = appendInt(dst, q.Size)
-		dst = AppendEscape(append(dst, ' '), q.Algo)
-		return AppendEscape(append(dst, ' '), q.Sum), nil
-	case "truncate":
-		dst = append(dst, "truncate"...)
-		dst = appendPath(dst, q.Path)
-		return appendInt(dst, q.Size), nil
-	case "setacl":
-		dst = append(dst, "setacl"...)
-		dst = appendPath(dst, q.Path)
-		dst = AppendEscape(append(dst, ' '), q.Subject)
-		return AppendEscape(append(dst, ' '), q.Rights), nil
-	case "statfs", "whoami":
-		return append(dst, q.Verb...), nil
-	case "deadline":
-		dst = append(dst, "deadline"...)
-		return appendInt(dst, q.Budget), nil
-	}
-	return dst, fmt.Errorf("proto: unknown verb %q", q.Verb)
+	return dst, nil
 }
 
 // Encode renders the request as a protocol line (without newline).
@@ -408,192 +336,32 @@ func (q *Request) Encode() (string, error) {
 	return string(b), nil
 }
 
-func parseInt(s string, base int) (int64, error) {
-	return strconv.ParseInt(s, base, 64)
-}
-
-// ParseRequest parses a protocol line into a Request.
+// ParseRequest parses a protocol line into a Request: the verb selects
+// a Verbs entry, whose layout says which field each argument fills.
 func ParseRequest(line string) (*Request, error) {
 	fields := asciiFields(line)
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("proto: empty request")
 	}
-	q := &Request{Verb: fields[0]}
+	v := Lookup(fields[0])
+	if v == nil {
+		return nil, fmt.Errorf("proto: unknown verb %q", fields[0])
+	}
 	args := fields[1:]
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("proto: %s: want %d args, got %d", q.Verb, n, len(args))
-		}
-		return nil
+	if len(args) != len(v.Args) {
+		return nil, fmt.Errorf("proto: %s: want %d args, got %d", v.Name, len(v.Args), len(args))
 	}
-	var err error
-	unescape := func(s string) string {
-		var u string
-		u, err = Unescape(s)
-		return u
-	}
-	switch q.Verb {
-	case "open":
-		if e := need(3); e != nil {
-			return nil, e
+	q := &Request{Verb: v.Name}
+	for i, f := range v.Args {
+		var err error
+		if s, n := q.arg(f); s != nil {
+			*s, err = Unescape(args[i])
+		} else {
+			*n, err = strconv.ParseInt(args[i], f.base(), 64)
 		}
-		q.Path = unescape(args[0])
-		if err == nil {
-			q.Flags, err = parseInt(args[1], 10)
+		if err != nil {
+			return nil, fmt.Errorf("proto: %s: %w", v.Name, err)
 		}
-		if err == nil {
-			q.Mode, err = parseInt(args[2], 8)
-		}
-	case "pread", "pwrite":
-		if e := need(3); e != nil {
-			return nil, e
-		}
-		q.FD, err = parseInt(args[0], 10)
-		if err == nil {
-			q.Length, err = parseInt(args[1], 10)
-		}
-		if err == nil {
-			q.Offset, err = parseInt(args[2], 10)
-		}
-	case "fstat", "fsync", "close", "leasebreak":
-		if e := need(1); e != nil {
-			return nil, e
-		}
-		q.FD, err = parseInt(args[0], 10)
-	case "ftruncate":
-		if e := need(2); e != nil {
-			return nil, e
-		}
-		q.FD, err = parseInt(args[0], 10)
-		if err == nil {
-			q.Size, err = parseInt(args[1], 10)
-		}
-	case "stat", "unlink", "rmdir", "getdir", "getfile", "getacl", "lease":
-		if e := need(1); e != nil {
-			return nil, e
-		}
-		q.Path = unescape(args[0])
-	case "rename":
-		if e := need(2); e != nil {
-			return nil, e
-		}
-		q.Path = unescape(args[0])
-		if err == nil {
-			q.Path2 = unescape(args[1])
-		}
-	case "mkdir", "chmod":
-		if e := need(2); e != nil {
-			return nil, e
-		}
-		q.Path = unescape(args[0])
-		if err == nil {
-			q.Mode, err = parseInt(args[1], 8)
-		}
-	case "putfile":
-		if e := need(3); e != nil {
-			return nil, e
-		}
-		q.Path = unescape(args[0])
-		if err == nil {
-			q.Mode, err = parseInt(args[1], 8)
-		}
-		if err == nil {
-			q.Length, err = parseInt(args[2], 10)
-		}
-	case "checksum", "getfilesum":
-		if e := need(2); e != nil {
-			return nil, e
-		}
-		q.Path = unescape(args[0])
-		if err == nil {
-			q.Algo = unescape(args[1])
-		}
-	case "putfilesum":
-		if e := need(4); e != nil {
-			return nil, e
-		}
-		q.Path = unescape(args[0])
-		if err == nil {
-			q.Mode, err = parseInt(args[1], 8)
-		}
-		if err == nil {
-			q.Length, err = parseInt(args[2], 10)
-		}
-		if err == nil {
-			q.Algo = unescape(args[3])
-		}
-	case "putbegin":
-		if e := need(3); e != nil {
-			return nil, e
-		}
-		q.Path = unescape(args[0])
-		if err == nil {
-			q.Mode, err = parseInt(args[1], 8)
-		}
-		if err == nil {
-			q.Size, err = parseInt(args[2], 10)
-		}
-	case "getpart", "putpart":
-		if e := need(4); e != nil {
-			return nil, e
-		}
-		q.Path = unescape(args[0])
-		if err == nil {
-			q.Offset, err = parseInt(args[1], 10)
-		}
-		if err == nil {
-			q.Length, err = parseInt(args[2], 10)
-		}
-		if err == nil {
-			q.Algo = unescape(args[3])
-		}
-	case "putcomplete":
-		if e := need(4); e != nil {
-			return nil, e
-		}
-		q.Path = unescape(args[0])
-		if err == nil {
-			q.Size, err = parseInt(args[1], 10)
-		}
-		if err == nil {
-			q.Algo = unescape(args[2])
-		}
-		if err == nil {
-			q.Sum = unescape(args[3])
-		}
-	case "truncate":
-		if e := need(2); e != nil {
-			return nil, e
-		}
-		q.Path = unescape(args[0])
-		if err == nil {
-			q.Size, err = parseInt(args[1], 10)
-		}
-	case "setacl":
-		if e := need(3); e != nil {
-			return nil, e
-		}
-		q.Path = unescape(args[0])
-		if err == nil {
-			q.Subject = unescape(args[1])
-		}
-		if err == nil {
-			q.Rights = unescape(args[2])
-		}
-	case "statfs", "whoami":
-		if e := need(0); e != nil {
-			return nil, e
-		}
-	case "deadline":
-		if e := need(1); e != nil {
-			return nil, e
-		}
-		q.Budget, err = parseInt(args[0], 10)
-	default:
-		return nil, fmt.Errorf("proto: unknown verb %q", q.Verb)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("proto: %s: %w", q.Verb, err)
 	}
 	return q, nil
 }

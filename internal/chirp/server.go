@@ -111,22 +111,11 @@ type Server struct {
 	aclMu sync.Mutex // serializes ACL read-modify-write cycles
 
 	draining atomic.Bool
-	// legacySums makes the server answer EINVAL to the digest verbs
-	// (checksum/getfilesum/putfilesum) without consuming anything from
-	// the stream — exactly what a pre-digest server does with an
-	// unknown verb. Test hook for the client's negotiation fallback.
-	legacySums atomic.Bool
-	// legacyParts does the same for the multipart verbs
-	// (putbegin/putpart/putcomplete/getpart): test hook for the
-	// multipart engine's per-transfer negotiation probes.
-	legacyParts atomic.Bool
-	// legacyLeases does the same for the lease verbs
-	// (lease/leasebreak): test hook for the caching tier's negotiation
-	// downgrade.
-	legacyLeases atomic.Bool
-	// legacyDeadlines does the same for the deadline prefix verb: test
-	// hook for the client's deadline-propagation downgrade.
-	legacyDeadlines atomic.Bool
+	// disabled is a proto.Feature mask of verb groups this server
+	// pretends to predate: their verbs are unknown verbs to dispatch,
+	// answered EINVAL with nothing consumed from the stream. Set only by
+	// in-package tests, to exercise the clients' negotiation downgrade.
+	disabled atomic.Uint32
 	// admission is the bounded in-flight gate of DESIGN.md §15; with
 	// MaxInflight 0 it admits everything.
 	admission *admission
@@ -139,9 +128,10 @@ type Server struct {
 	listeners map[net.Listener]struct{}
 	connWG    sync.WaitGroup
 
-	// Per-RPC metrics, pre-resolved at construction so the serving
-	// loop pays one map lookup per request; all nil without a registry.
-	rpcHist          map[string]*obs.Histogram
+	// Per-RPC metrics, pre-resolved at construction; all nil without a
+	// registry. rpcHist is indexed like handlers, so /metrics shows
+	// every RPC from boot.
+	rpcHist          []*obs.Histogram
 	mRPCUnknown      *obs.Counter
 	mRPCErrors       *obs.Counter
 	mConnections     *obs.Counter
@@ -159,18 +149,82 @@ type Server struct {
 	Stats ServerStats
 }
 
-// rpcVerbs is every verb the dispatch loop understands; the histogram
-// set is fixed at construction so /metrics shows all RPCs from boot.
-var rpcVerbs = []string{
-	"open", "pread", "pwrite", "fstat", "fsync", "ftruncate", "close",
-	"stat", "unlink", "rename", "mkdir", "rmdir", "getdir",
-	"getfile", "putfile", "checksum", "getfilesum", "putfilesum",
-	"putbegin", "putpart", "putcomplete", "getpart",
-	"truncate", "chmod", "getacl", "setacl",
-	"lease", "leasebreak",
-	"statfs", "whoami",
-	"deadline",
+// handler serves one parsed request. conn is the raw transport under
+// br/bw; the bulk-data verbs use it to stream file bodies past the
+// protocol buffers. A returned error is fatal to the connection (stream
+// desync); per-request failures are reported to the client as negative
+// status codes instead.
+type handler func(ss *session, req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error
+
+// Admission classes (DESIGN.md §15). Bulk is the data plane:
+// whole-file streams, chunk transfers and the CPU-heavy digest work.
+// Everything else — stat, lease renewal, descriptor bookkeeping,
+// multipart framing — is control plane, admitted with priority under
+// pressure.
+const (
+	control = false
+	bulk    = true
+)
+
+// serverVerb is the server's side of one proto.Verbs entry.
+type serverVerb struct {
+	name   string
+	bulk   bool
+	handle handler
+	wire   *proto.Verb // the entry joined by name
+	index  int         // position in handlers and Server.rpcHist
 }
+
+// handlers joins every wire verb to its handler and admission class.
+var handlers = []serverVerb{
+	{name: "open", bulk: control, handle: (*session).handleOpen},
+	{name: "pread", bulk: bulk, handle: (*session).handlePread},
+	{name: "pwrite", bulk: bulk, handle: (*session).handlePwrite},
+	{name: "fstat", bulk: control, handle: (*session).handleFstat},
+	{name: "fsync", bulk: control, handle: (*session).handleFsync},
+	{name: "ftruncate", bulk: control, handle: (*session).handleFtruncate},
+	{name: "close", bulk: control, handle: (*session).handleClose},
+	{name: "stat", bulk: control, handle: (*session).handleStat},
+	{name: "unlink", bulk: control, handle: (*session).handleUnlink},
+	{name: "rename", bulk: control, handle: (*session).handleRename},
+	{name: "mkdir", bulk: control, handle: (*session).handleMkdir},
+	{name: "rmdir", bulk: control, handle: (*session).handleRmdir},
+	{name: "getdir", bulk: control, handle: (*session).handleGetdir},
+	{name: "getfile", bulk: bulk, handle: (*session).handleGetfile},
+	{name: "putfile", bulk: bulk, handle: (*session).handlePutfile},
+	{name: "truncate", bulk: control, handle: (*session).handleTruncate},
+	{name: "chmod", bulk: control, handle: (*session).handleChmod},
+	{name: "getacl", bulk: control, handle: (*session).handleGetacl},
+	{name: "setacl", bulk: control, handle: (*session).handleSetacl},
+	{name: "statfs", bulk: control, handle: (*session).handleStatfs},
+	{name: "whoami", bulk: control, handle: (*session).handleWhoami},
+	{name: "checksum", bulk: bulk, handle: (*session).handleChecksum},
+	{name: "getfilesum", bulk: bulk, handle: (*session).handleGetfilesum},
+	{name: "putfilesum", bulk: bulk, handle: (*session).handlePutfilesum},
+	{name: "putbegin", bulk: control, handle: (*session).handlePutbegin},
+	{name: "putpart", bulk: bulk, handle: (*session).handlePutpart},
+	{name: "putcomplete", bulk: control, handle: (*session).handlePutcomplete},
+	{name: "getpart", bulk: bulk, handle: (*session).handleGetpart},
+	{name: "lease", bulk: control, handle: (*session).handleLease},
+	{name: "leasebreak", bulk: control, handle: (*session).handleLeasebreak},
+	{name: "deadline", bulk: control, handle: (*session).handleDeadline},
+}
+
+// handlerByVerb indexes handlers by verb name, joining each to its
+// proto.Verbs entry; a handler for a verb the wire does not declare is
+// a build mistake caught at startup.
+var handlerByVerb = func() map[string]*serverVerb {
+	m := make(map[string]*serverVerb, len(handlers))
+	for i := range handlers {
+		sv := &handlers[i]
+		sv.index = i
+		if sv.wire = proto.Lookup(sv.name); sv.wire == nil {
+			panic("chirp: handler for undeclared verb " + sv.name)
+		}
+		m[sv.name] = sv
+	}
+	return m
+}()
 
 // ioBufPool recycles bulk-data buffers across requests and
 // connections, so the data path's steady state allocates nothing: a
@@ -221,9 +275,9 @@ func NewServer(root string, cfg ServerConfig) (*Server, error) {
 	s.leases.init(cfg.LeaseTTL)
 	s.admission = newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueTimeout, &s.Stats, cfg.Metrics)
 	if reg := cfg.Metrics; reg != nil {
-		s.rpcHist = make(map[string]*obs.Histogram, len(rpcVerbs))
-		for _, v := range rpcVerbs {
-			s.rpcHist[v] = reg.Histogram("chirp_server.rpc." + v)
+		s.rpcHist = make([]*obs.Histogram, len(handlers))
+		for i := range handlers {
+			s.rpcHist[i] = reg.Histogram("chirp_server.rpc." + handlers[i].name)
 		}
 		s.mRPCUnknown = reg.Counter("chirp_server.rpc_unknown")
 		s.mRPCErrors = reg.Counter("chirp_server.rpc_errors")
@@ -243,15 +297,6 @@ func NewServer(root string, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// observeRPC times one dispatched request into the per-verb histogram.
-func (s *Server) observeRPC(verb string, start time.Time) {
-	if h, ok := s.rpcHist[verb]; ok {
-		h.Observe(time.Since(start))
-		return
-	}
-	s.mRPCUnknown.Inc()
 }
 
 // Name returns the advertised server name.
@@ -367,6 +412,23 @@ func normPath(p string) (string, error) {
 		}
 	}
 	return n, nil
+}
+
+// normPaths applies normPath to every path argument v declares, so no
+// handler sees a client path that is unnormalized or names an ACL file.
+func normPaths(v *proto.Verb, req *proto.Request) (err error) {
+	for _, f := range v.Args {
+		switch f {
+		case proto.ArgPath:
+			req.Path, err = normPath(req.Path)
+		case proto.ArgPath2:
+			req.Path2, err = normPath(req.Path2)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Serve accepts connections until the listener is closed (directly or
@@ -563,12 +625,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 			st.nudged = false
 		}
 		st.mu.Unlock()
-		if !isDeadlinePrefix(line) {
-			// The deadline prefix annotates the request that follows; it
-			// is protocol overhead, not an RPC of its own.
-			s.Stats.Requests.Add(1)
-			s.mRequests.Inc()
-		}
 		if err := sess.dispatch(line, conn, br, bw); err != nil {
 			s.logf("chirp: %s: fatal: %v", subject, err)
 			return
@@ -660,155 +716,67 @@ func (ss *session) respondErr(bw *bufio.Writer, err error) error {
 	return respondCode(bw, int64(code))
 }
 
-// dispatch handles one request. A returned error is fatal to the
-// connection (stream desync); per-request failures are reported to the
-// client as negative status codes instead. conn is the raw transport
-// under br/bw; the bulk-data verbs use it to stream file bodies past
-// the protocol buffers.
+// dispatch handles one request line: look the verb up, shed the
+// request if its deadline lapsed or admission refuses it, call the
+// handler. A returned error is fatal to the connection (stream desync).
 func (ss *session) dispatch(line string, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
-	req, err := proto.ParseRequest(line)
-	if err != nil {
-		// Unknown or malformed verb with no data phase: report and
-		// continue; the line framing is intact.
+	srv := ss.srv
+	sv := handlerByVerb[proto.VerbOf(line)]
+	if sv != nil && srv.disabled.Load()&sv.wire.Feature.Bit() != 0 {
+		sv = nil
+	}
+	if sv == nil || !sv.wire.Prefix {
+		// A prefix verb annotates the request that follows; it is
+		// protocol overhead, not an RPC of its own.
+		srv.Stats.Requests.Add(1)
+		srv.mRequests.Inc()
+	}
+	if sv == nil {
+		// Unknown verb: nothing is known about a data phase, so nothing
+		// is consumed; the line framing is intact.
+		srv.mRPCUnknown.Inc()
 		return ss.respondErr(bw, vfs.EINVAL)
 	}
-	if ss.srv.rpcHist != nil {
-		defer ss.srv.observeRPC(req.Verb, time.Now())
+	req, err := proto.ParseRequest(line)
+	if err != nil {
+		// Malformed arguments: report and continue, as above.
+		return ss.respondErr(bw, vfs.EINVAL)
 	}
-	if req.Verb == "deadline" {
+	if srv.rpcHist != nil {
+		defer srv.rpcHist[sv.index].Since(time.Now())
+	}
+	if sv.wire.Prefix {
 		// The pipelined deadline prefix arms the next request; it is
 		// pure bookkeeping and bypasses admission control — refusing it
 		// would only hide the very information load shedding wants.
-		if ss.srv.legacyDeadlines.Load() {
-			return ss.respondErr(bw, vfs.EINVAL)
-		}
-		return ss.handleDeadline(req, bw)
+		return sv.handle(ss, req, conn, br, bw)
 	}
 	// Consume the armed deadline: it governs exactly one request.
-	deadline := ss.armed
-	ss.armed = time.Time{}
-	ss.reqDeadline = deadline
-	if !deadline.IsZero() && time.Now().After(deadline) {
+	ss.reqDeadline, ss.armed = ss.armed, time.Time{}
+	if ss.deadlineLapsed() {
 		// Nobody is waiting for this answer; burn no cycles on it.
-		ss.srv.Stats.DeadlineRejects.Add(1)
-		ss.srv.mDeadlineRejects.Inc()
-		return ss.reject(req, br, bw, vfs.ETIMEDOUT)
+		srv.Stats.DeadlineRejects.Add(1)
+		srv.mDeadlineRejects.Inc()
+		return ss.reject(sv.wire, req, br, bw, vfs.ETIMEDOUT)
 	}
-	if err := ss.srv.admission.acquire(bulkVerb[req.Verb]); err != nil {
-		return ss.reject(req, br, bw, err)
+	if err := srv.admission.acquire(sv.bulk); err != nil {
+		return ss.reject(sv.wire, req, br, bw, err)
 	}
-	defer ss.srv.admission.release()
-	if !deadline.IsZero() && time.Now().After(deadline) {
+	defer srv.admission.release()
+	if ss.deadlineLapsed() {
 		// The deadline lapsed while the request waited for admission.
-		ss.srv.Stats.DeadlineRejects.Add(1)
-		ss.srv.mDeadlineRejects.Inc()
-		return ss.reject(req, br, bw, vfs.ETIMEDOUT)
+		srv.Stats.DeadlineRejects.Add(1)
+		srv.mDeadlineRejects.Inc()
+		return ss.reject(sv.wire, req, br, bw, vfs.ETIMEDOUT)
 	}
-	switch req.Verb {
-	case "open":
-		return ss.handleOpen(req, bw)
-	case "pread":
-		return ss.handlePread(req, bw)
-	case "pwrite":
-		return ss.handlePwrite(req, br, bw)
-	case "fstat":
-		return ss.handleFstat(req, bw)
-	case "fsync":
-		return ss.handleFsync(req, bw)
-	case "ftruncate":
-		return ss.handleFtruncate(req, bw)
-	case "close":
-		return ss.handleClose(req, bw)
-	case "stat":
-		return ss.handleStat(req, bw)
-	case "unlink":
-		return ss.handleUnlink(req, bw)
-	case "rename":
-		return ss.handleRename(req, bw)
-	case "mkdir":
-		return ss.handleMkdir(req, bw)
-	case "rmdir":
-		return ss.handleRmdir(req, bw)
-	case "getdir":
-		return ss.handleGetdir(req, bw)
-	case "getfile":
-		return ss.handleGetfile(req, conn, bw)
-	case "putfile":
-		return ss.handlePutfile(req, conn, br, bw)
-	case "checksum":
-		if ss.srv.legacySums.Load() {
-			return ss.respondErr(bw, vfs.EINVAL)
-		}
-		return ss.handleChecksum(req, bw)
-	case "getfilesum":
-		if ss.srv.legacySums.Load() {
-			return ss.respondErr(bw, vfs.EINVAL)
-		}
-		return ss.handleGetfilesum(req, bw)
-	case "putfilesum":
-		if ss.srv.legacySums.Load() {
-			return ss.respondErr(bw, vfs.EINVAL)
-		}
-		return ss.handlePutfilesum(req, br, bw)
-	case "putbegin":
-		if ss.srv.legacyParts.Load() {
-			return ss.respondErr(bw, vfs.EINVAL)
-		}
-		return ss.handlePutbegin(req, bw)
-	case "putpart":
-		if ss.srv.legacyParts.Load() {
-			// An old server never reaches a putpart: putbegin's EINVAL
-			// stops the client first. Mirror that — no data phase has
-			// been consumed, so the caller that got here anyway is
-			// already desynced, exactly like a real legacy server.
-			return ss.respondErr(bw, vfs.EINVAL)
-		}
-		return ss.handlePutpart(req, conn, br, bw)
-	case "putcomplete":
-		if ss.srv.legacyParts.Load() {
-			return ss.respondErr(bw, vfs.EINVAL)
-		}
-		return ss.handlePutcomplete(req, bw)
-	case "getpart":
-		if ss.srv.legacyParts.Load() {
-			return ss.respondErr(bw, vfs.EINVAL)
-		}
-		return ss.handleGetpart(req, conn, bw)
-	case "truncate":
-		return ss.handleTruncate(req, bw)
-	case "chmod":
-		return ss.handleChmod(req, bw)
-	case "lease":
-		if ss.srv.legacyLeases.Load() {
-			return ss.respondErr(bw, vfs.EINVAL)
-		}
-		return ss.handleLease(req, bw)
-	case "leasebreak":
-		if ss.srv.legacyLeases.Load() {
-			return ss.respondErr(bw, vfs.EINVAL)
-		}
-		return ss.handleLeasebreak(req, bw)
-	case "getacl":
-		return ss.handleGetacl(req, bw)
-	case "setacl":
-		return ss.handleSetacl(req, bw)
-	case "statfs":
-		return ss.handleStatfs(bw)
-	case "whoami":
-		if err := respondCode(bw, 0); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(bw, "%s\n", proto.Escape(string(ss.subject)))
-		return err
+	if err := normPaths(sv.wire, req); err != nil {
+		return ss.reject(sv.wire, req, br, bw, err)
 	}
-	return ss.respondErr(bw, vfs.EINVAL)
+	return sv.handle(ss, req, conn, br, bw)
 }
 
-func (ss *session) handleOpen(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleOpen(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	flags := int(req.Flags)
 	want := acl.R
 	if flags&vfs.AccessModeMask != vfs.O_RDONLY || flags&(vfs.O_CREAT|vfs.O_TRUNC|vfs.O_APPEND) != 0 {
@@ -854,7 +822,7 @@ func (ss *session) fd(id int64) (*openFD, error) {
 	return f, nil
 }
 
-func (ss *session) handlePread(req *proto.Request, bw *bufio.Writer) error {
+func (ss *session) handlePread(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	f, err := ss.fd(req.FD)
 	if err != nil {
 		return ss.respondErr(bw, err)
@@ -878,7 +846,7 @@ func (ss *session) handlePread(req *proto.Request, bw *bufio.Writer) error {
 	return err
 }
 
-func (ss *session) handlePwrite(req *proto.Request, br *bufio.Reader, bw *bufio.Writer) error {
+func (ss *session) handlePwrite(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	if req.Length < 0 || req.Length > proto.MaxIOSize || req.Offset < 0 {
 		// Cannot honor the data phase safely; the stream is desynced.
 		ss.respondErr(bw, vfs.EINVAL)
@@ -904,7 +872,7 @@ func (ss *session) handlePwrite(req *proto.Request, br *bufio.Reader, bw *bufio.
 	return respondCode(bw, int64(n))
 }
 
-func (ss *session) handleFstat(req *proto.Request, bw *bufio.Writer) error {
+func (ss *session) handleFstat(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	f, err := ss.fd(req.FD)
 	if err != nil {
 		return ss.respondErr(bw, err)
@@ -919,7 +887,7 @@ func (ss *session) handleFstat(req *proto.Request, bw *bufio.Writer) error {
 	return ss.writeStat(bw, fi)
 }
 
-func (ss *session) handleFsync(req *proto.Request, bw *bufio.Writer) error {
+func (ss *session) handleFsync(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	f, err := ss.fd(req.FD)
 	if err != nil {
 		return ss.respondErr(bw, err)
@@ -927,7 +895,7 @@ func (ss *session) handleFsync(req *proto.Request, bw *bufio.Writer) error {
 	return ss.respondErr(bw, f.file.Sync())
 }
 
-func (ss *session) handleFtruncate(req *proto.Request, bw *bufio.Writer) error {
+func (ss *session) handleFtruncate(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	f, err := ss.fd(req.FD)
 	if err != nil {
 		return ss.respondErr(bw, err)
@@ -942,7 +910,7 @@ func (ss *session) handleFtruncate(req *proto.Request, bw *bufio.Writer) error {
 	return ss.respondErr(bw, err)
 }
 
-func (ss *session) handleClose(req *proto.Request, bw *bufio.Writer) error {
+func (ss *session) handleClose(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	f, err := ss.fd(req.FD)
 	if err != nil {
 		return ss.respondErr(bw, err)
@@ -951,11 +919,8 @@ func (ss *session) handleClose(req *proto.Request, bw *bufio.Writer) error {
 	return ss.respondErr(bw, f.file.Close())
 }
 
-func (ss *session) handleStat(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleStat(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if err := ss.srv.checkParent(ss.subject, path, acl.L); err != nil {
 		return ss.respondErr(bw, err)
 	}
@@ -969,48 +934,36 @@ func (ss *session) handleStat(req *proto.Request, bw *bufio.Writer) error {
 	return ss.writeStat(bw, fi)
 }
 
-func (ss *session) handleUnlink(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleUnlink(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if err := ss.srv.checkParentEither(ss.subject, path, acl.W, acl.D); err != nil {
 		return ss.respondErr(bw, err)
 	}
-	err = ss.srv.fs.Unlink(path)
+	err := ss.srv.fs.Unlink(path)
 	if err == nil {
 		ss.srv.breakLeases(path, pathutil.Dir(path))
 	}
 	return ss.respondErr(bw, err)
 }
 
-func (ss *session) handleRename(req *proto.Request, bw *bufio.Writer) error {
-	oldPath, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
-	newPath, err := normPath(req.Path2)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleRename(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	oldPath := req.Path
+	newPath := req.Path2
 	if err := ss.srv.checkParentEither(ss.subject, oldPath, acl.W, acl.D); err != nil {
 		return ss.respondErr(bw, err)
 	}
 	if err := ss.srv.checkParent(ss.subject, newPath, acl.W); err != nil {
 		return ss.respondErr(bw, err)
 	}
-	err = ss.srv.fs.Rename(oldPath, newPath)
+	err := ss.srv.fs.Rename(oldPath, newPath)
 	if err == nil {
 		ss.srv.breakLeases(oldPath, newPath, pathutil.Dir(oldPath), pathutil.Dir(newPath))
 	}
 	return ss.respondErr(bw, err)
 }
 
-func (ss *session) handleMkdir(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleMkdir(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if pathutil.IsRoot(path) {
 		return ss.respondErr(bw, vfs.EEXIST)
 	}
@@ -1047,11 +1000,8 @@ func (ss *session) handleMkdir(req *proto.Request, bw *bufio.Writer) error {
 	return respondCode(bw, 0)
 }
 
-func (ss *session) handleRmdir(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleRmdir(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if pathutil.IsRoot(path) {
 		return ss.respondErr(bw, vfs.EBUSY)
 	}
@@ -1091,11 +1041,8 @@ func (ss *session) handleRmdir(req *proto.Request, bw *bufio.Writer) error {
 	return respondCode(bw, 0)
 }
 
-func (ss *session) handleGetdir(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleGetdir(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if err := ss.srv.checkDir(ss.subject, path, acl.L); err != nil {
 		return ss.respondErr(bw, err)
 	}
@@ -1137,11 +1084,8 @@ func osFileOf(f vfs.File) *os.File {
 	return nil
 }
 
-func (ss *session) handleGetfile(req *proto.Request, conn net.Conn, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleGetfile(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if err := ss.srv.checkParent(ss.subject, path, acl.R); err != nil {
 		return ss.respondErr(bw, err)
 	}
@@ -1261,12 +1205,7 @@ func receiveBulk(osf *os.File, conn net.Conn, br *bufio.Reader, length int64) (c
 }
 
 func (ss *session) handlePutfile(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		// Must still consume the data phase to stay in sync.
-		io.CopyN(io.Discard, br, req.Length)
-		return ss.respondErr(bw, err)
-	}
+	path := req.Path
 	if req.Length < 0 {
 		ss.respondErr(bw, vfs.EINVAL)
 		return fmt.Errorf("putfile negative length")
@@ -1346,44 +1285,35 @@ func (ss *session) handlePutfile(req *proto.Request, conn net.Conn, br *bufio.Re
 	return respondCode(bw, req.Length)
 }
 
-func (ss *session) handleTruncate(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleTruncate(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if req.Size < 0 {
 		return ss.respondErr(bw, vfs.EINVAL)
 	}
 	if err := ss.srv.checkParent(ss.subject, path, acl.W); err != nil {
 		return ss.respondErr(bw, err)
 	}
-	err = ss.srv.fs.Truncate(path, req.Size)
+	err := ss.srv.fs.Truncate(path, req.Size)
 	if err == nil {
 		ss.srv.breakLeases(path)
 	}
 	return ss.respondErr(bw, err)
 }
 
-func (ss *session) handleChmod(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleChmod(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if err := ss.srv.checkParent(ss.subject, path, acl.W); err != nil {
 		return ss.respondErr(bw, err)
 	}
-	err = ss.srv.fs.Chmod(path, uint32(req.Mode))
+	err := ss.srv.fs.Chmod(path, uint32(req.Mode))
 	if err == nil {
 		ss.srv.breakLeases(path)
 	}
 	return ss.respondErr(bw, err)
 }
 
-func (ss *session) handleGetacl(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleGetacl(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if err := ss.srv.checkDir(ss.subject, path, acl.L); err != nil {
 		return ss.respondErr(bw, err)
 	}
@@ -1404,11 +1334,8 @@ func (ss *session) handleGetacl(req *proto.Request, bw *bufio.Writer) error {
 	return nil
 }
 
-func (ss *session) handleSetacl(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleSetacl(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if err := ss.srv.checkDir(ss.subject, path, acl.A); err != nil {
 		return ss.respondErr(bw, err)
 	}
@@ -1427,7 +1354,15 @@ func (ss *session) handleSetacl(req *proto.Request, bw *bufio.Writer) error {
 	return ss.respondErr(bw, ss.srv.writeACL(path, list))
 }
 
-func (ss *session) handleStatfs(bw *bufio.Writer) error {
+func (ss *session) handleWhoami(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	if err := respondCode(bw, 0); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(bw, "%s\n", proto.Escape(string(ss.subject)))
+	return err
+}
+
+func (ss *session) handleStatfs(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	info, err := ss.srv.fs.StatFS()
 	if err != nil {
 		return ss.respondErr(bw, err)

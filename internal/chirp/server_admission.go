@@ -32,22 +32,6 @@ import (
 // own deadline still has room for a backoff and retry elsewhere.
 const DefaultQueueTimeout = 100 * time.Millisecond
 
-// bulkVerb marks the data-plane verbs: whole-file streams, chunk
-// transfers, and the CPU-heavy digest work. Everything else — stat,
-// lease renewal, descriptor bookkeeping, multipart framing — is
-// control plane and admitted with priority under pressure.
-var bulkVerb = map[string]bool{
-	"pread":      true,
-	"pwrite":     true,
-	"getfile":    true,
-	"putfile":    true,
-	"checksum":   true,
-	"getfilesum": true,
-	"putfilesum": true,
-	"putpart":    true,
-	"getpart":    true,
-}
-
 // admission is the bounded in-flight semaphore plus its two waiter
 // queues. A nil *admission (or max <= 0) admits everything: admission
 // control is opt-in per server.

@@ -12,25 +12,17 @@ package chirp
 import (
 	"bufio"
 	"fmt"
-	"io"
-	"strings"
+	"net"
 	"time"
 
 	"tss/internal/chirp/proto"
 	"tss/internal/vfs"
 )
 
-// isDeadlinePrefix reports whether a raw request line is the pipelined
-// deadline prefix, which annotates the request that follows rather than
-// being an RPC of its own — the request counters skip it.
-func isDeadlinePrefix(line string) bool {
-	return line == "deadline" || strings.HasPrefix(line, "deadline ")
-}
-
 // handleDeadline arms the deadline for the next request on this
 // session. The budget is relative (milliseconds remaining), so clock
 // skew between client and server does not shift it.
-func (ss *session) handleDeadline(req *proto.Request, bw *bufio.Writer) error {
+func (ss *session) handleDeadline(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	if req.Budget < 0 {
 		return ss.respondErr(bw, vfs.EINVAL)
 	}
@@ -54,26 +46,17 @@ func (ss *session) abortStream() error {
 }
 
 // reject refuses a parsed request with err before its handler runs,
-// keeping the stream in sync: the one-phase data verbs (pwrite,
-// putfile, putpart) have already committed their body to the wire, so
-// the body is drained before the status line is written. Two-phase
-// verbs (putfilesum) and all read verbs carry no blind body.
-func (ss *session) reject(req *proto.Request, br *bufio.Reader, bw *bufio.Writer, err error) error {
-	switch req.Verb {
-	case "pwrite", "putfile":
+// keeping the stream in sync: a verb whose body follows the line unasked
+// has already committed it to the wire, so the body (and any digest
+// trailer) is drained before the status line is written. Two-phase
+// verbs and all read verbs carry no blind body.
+func (ss *session) reject(v *proto.Verb, req *proto.Request, br *bufio.Reader, bw *bufio.Writer, err error) error {
+	if v.Body == proto.BodyLength || v.Body == proto.BodyTrailer {
 		if req.Length < 0 {
 			ss.respondErr(bw, vfs.EINVAL)
 			return fmt.Errorf("%s length out of range", req.Verb)
 		}
-		if _, derr := io.CopyN(io.Discard, br, req.Length); derr != nil {
-			return derr
-		}
-	case "putpart":
-		if req.Length < 0 {
-			ss.respondErr(bw, vfs.EINVAL)
-			return fmt.Errorf("putpart length out of range")
-		}
-		if derr := drainPart(br, req); derr != nil {
+		if derr := drainBody(br, req); derr != nil {
 			return derr
 		}
 	}

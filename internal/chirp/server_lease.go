@@ -12,6 +12,7 @@ package chirp
 import (
 	"bufio"
 	"fmt"
+	"net"
 	"sync"
 	"time"
 
@@ -194,11 +195,8 @@ func (s *Server) breakLeases(paths ...string) {
 	}
 }
 
-func (ss *session) handleLease(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleLease(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	// The same bar as stat: a lease only reveals that something about
 	// the path changed, which is metadata visibility.
 	if err := ss.srv.checkParent(ss.subject, path, acl.L); err != nil {
@@ -219,11 +217,11 @@ func (ss *session) handleLease(req *proto.Request, bw *bufio.Writer) error {
 	if err := respondCode(bw, 0); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(bw, "%d %d %d\n", id, ttl.Milliseconds(), version)
+	_, err := fmt.Fprintf(bw, "%d %d %d\n", id, ttl.Milliseconds(), version)
 	return err
 }
 
-func (ss *session) handleLeasebreak(req *proto.Request, bw *bufio.Writer) error {
+func (ss *session) handleLeasebreak(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	err := ss.srv.leases.release(req.FD, ss.subject)
 	delete(ss.leases, req.FD)
 	return ss.respondErr(bw, err)

@@ -30,11 +30,8 @@ import (
 // handlePutbegin opens a multipart upload: create (or replace) the
 // file and pre-size it, so offset writers never extend the file
 // concurrently. No body follows the request line.
-func (ss *session) handlePutbegin(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handlePutbegin(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if req.Size < 0 {
 		return ss.respondErr(bw, vfs.EINVAL)
 	}
@@ -58,10 +55,10 @@ func (ss *session) handlePutbegin(req *proto.Request, bw *bufio.Writer) error {
 	return respondCode(bw, 0)
 }
 
-// drainPart consumes a putpart body (and its digest trailer line, when
-// the request named an algo) that cannot be applied, keeping the
-// stream in sync for the error response.
-func drainPart(br *bufio.Reader, req *proto.Request) error {
+// drainBody consumes a request body that cannot be applied — Length
+// raw bytes and, when the request named an algo, the digest trailer
+// line behind them — keeping the stream in sync for the error response.
+func drainBody(br *bufio.Reader, req *proto.Request) error {
 	if _, err := io.CopyN(io.Discard, br, req.Length); err != nil {
 		return err
 	}
@@ -108,28 +105,23 @@ func (ss *session) handlePutpart(req *proto.Request, conn net.Conn, br *bufio.Re
 		ss.respondErr(bw, vfs.EINVAL)
 		return fmt.Errorf("putpart length or offset out of range")
 	}
-	path, err := normPath(req.Path)
-	if err != nil {
-		if derr := drainPart(br, req); derr != nil {
-			return derr
-		}
-		return ss.respondErr(bw, err)
-	}
+	path := req.Path
 	var h = (interface {
 		io.Writer
 		Sum([]byte) []byte
 	})(nil)
+	var err error
 	if req.Algo != "" {
 		h, err = vfs.NewHash(req.Algo)
 		if err != nil {
-			if derr := drainPart(br, req); derr != nil {
+			if derr := drainBody(br, req); derr != nil {
 				return derr
 			}
 			return ss.respondErr(bw, err)
 		}
 	}
 	if err := ss.srv.checkParent(ss.subject, path, acl.W); err != nil {
-		if derr := drainPart(br, req); derr != nil {
+		if derr := drainBody(br, req); derr != nil {
 			return derr
 		}
 		return ss.respondErr(bw, err)
@@ -138,7 +130,7 @@ func (ss *session) handlePutpart(req *proto.Request, conn net.Conn, br *bufio.Re
 	// cannot conjure partial state outside a framed transfer.
 	f, err := ss.srv.fs.Open(path, vfs.O_WRONLY, 0)
 	if err != nil {
-		if derr := drainPart(br, req); derr != nil {
+		if derr := drainBody(br, req); derr != nil {
 			return derr
 		}
 		return ss.respondErr(bw, err)
@@ -153,7 +145,7 @@ func (ss *session) handlePutpart(req *proto.Request, conn net.Conn, br *bufio.Re
 				// putfile does from offset zero.
 				if _, err := osf.Seek(req.Offset, io.SeekStart); err != nil {
 					f.Close()
-					if derr := drainPart(br, req); derr != nil {
+					if derr := drainBody(br, req); derr != nil {
 						return derr
 					}
 					return ss.respondErr(bw, err)
@@ -244,11 +236,8 @@ func (ss *session) handlePutpart(req *proto.Request, conn net.Conn, br *bufio.Re
 // whole-file digest the client folded from its chunk digests. Any
 // mismatch removes the file and answers EBADMSG, so a torn multipart
 // transfer never survives at rest.
-func (ss *session) handlePutcomplete(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handlePutcomplete(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if req.Size < 0 {
 		return ss.respondErr(bw, vfs.EINVAL)
 	}
@@ -287,11 +276,8 @@ func (ss *session) handlePutcomplete(req *proto.Request, bw *bufio.Writer) error
 // clamped at end of file, followed by a digest trailer when the
 // request named an algo. Without an algo the chunk takes the zero-copy
 // sendfile path when the transport and file allow it.
-func (ss *session) handleGetpart(req *proto.Request, conn net.Conn, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleGetpart(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if req.Length < 0 || req.Offset < 0 {
 		return ss.respondErr(bw, vfs.EINVAL)
 	}
@@ -299,6 +285,7 @@ func (ss *session) handleGetpart(req *proto.Request, conn net.Conn, bw *bufio.Wr
 		io.Writer
 		Sum([]byte) []byte
 	})(nil)
+	var err error
 	if req.Algo != "" {
 		h, err = vfs.NewHash(req.Algo)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"io"
+	"net"
 
 	"tss/internal/acl"
 	"tss/internal/chirp/proto"
@@ -17,15 +18,12 @@ import (
 // after the body, so the receiver can verify every byte that crossed
 // the wire. They are separate verbs rather than flags on the old ones
 // so that an old server answers EINVAL with its framing intact and the
-// client can fall back (see Client.noSums).
+// client can fall back (see Client.refused).
 
 // handleChecksum computes a file digest where the data lives — one
 // round trip instead of shipping the file.
-func (ss *session) handleChecksum(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleChecksum(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if err := ss.srv.checkParent(ss.subject, path, acl.R); err != nil {
 		return ss.respondErr(bw, err)
 	}
@@ -49,11 +47,8 @@ func (ss *session) handleChecksum(req *proto.Request, bw *bufio.Writer) error {
 // Unlike getfile it cannot use the sendfile fast path — the digest must
 // see every byte — so the body is pumped through the buffered path with
 // the hasher teed in; it remains one pass and one round trip.
-func (ss *session) handleGetfilesum(req *proto.Request, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handleGetfilesum(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	h, err := vfs.NewHash(req.Algo)
 	if err != nil {
 		return ss.respondErr(bw, err)
@@ -119,11 +114,8 @@ func (ss *session) handleGetfilesum(req *proto.Request, bw *bufio.Writer) error 
 // stream stays in sync. Phase 2 receives body plus digest trailer; on
 // mismatch the file is unlinked and the client gets EBADMSG, so a torn
 // transfer never survives at rest.
-func (ss *session) handlePutfilesum(req *proto.Request, br *bufio.Reader, bw *bufio.Writer) error {
-	path, err := normPath(req.Path)
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
+func (ss *session) handlePutfilesum(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+	path := req.Path
 	if req.Length < 0 {
 		return ss.respondErr(bw, vfs.EINVAL)
 	}

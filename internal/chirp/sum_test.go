@@ -84,41 +84,8 @@ func TestVerifiedRoundTrip(t *testing.T) {
 	if n != int64(len(data)) || !bytes.Equal(got.Bytes(), data) {
 		t.Fatalf("verified get returned %d bytes, mismatch=%v", n, !bytes.Equal(got.Bytes(), data))
 	}
-	if c.noSums.Load() {
+	if !c.supports(proto.Sums) {
 		t.Error("client marked server digest-incapable after successful sum verbs")
-	}
-}
-
-// TestLegacySumsFallback runs a verifying client against a server that
-// answers EINVAL to every digest verb, as a pre-digest server would.
-// Transfers must still succeed via the plain verbs, Checksum must fall
-// back to hashing a plain getfile stream, and the client must remember
-// the downgrade instead of renegotiating every call.
-func TestLegacySumsFallback(t *testing.T) {
-	ts := startServer(t, nil)
-	ts.srv.legacySums.Store(true)
-	c := ts.verifyClient(t, "owner.sim")
-	data := bytes.Repeat([]byte("old server interop "), 2048)
-
-	if err := vfs.PutReader(c, "/old", 0o644, int64(len(data)), bytes.NewReader(data)); err != nil {
-		t.Fatalf("put against legacy server: %v", err)
-	}
-	var got bytes.Buffer
-	if _, err := c.GetFile("/old", &got); err != nil {
-		t.Fatalf("get against legacy server: %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), data) {
-		t.Fatal("payload mismatch after legacy fallback")
-	}
-	sum, err := c.Checksum("/old", "sha256")
-	if err != nil {
-		t.Fatalf("client-side checksum fallback: %v", err)
-	}
-	if want := localDigest(t, data, "sha256"); sum != want {
-		t.Errorf("fallback checksum = %s, want %s", sum, want)
-	}
-	if !c.noSums.Load() {
-		t.Error("client did not remember the digest downgrade")
 	}
 }
 
@@ -135,7 +102,7 @@ func TestPutfilesumRejectsBadDigest(t *testing.T) {
 	err := c.putStream(
 		&proto.Request{Verb: "putfilesum", Path: "/poison", Mode: 0o644,
 			Length: int64(len(data)), Algo: "sha256"},
-		int64(len(data)), bytes.NewReader(data), true,
+		int64(len(data)), bytes.NewReader(data),
 		func(dst []byte) []byte {
 			return append(proto.AppendDigestTrailer(dst, "sha256", wrong), '\n')
 		})
@@ -165,7 +132,7 @@ func TestVerifiedPutErrnoClean(t *testing.T) {
 		t.Error("plain ENOENT dressed up as an integrity failure")
 	}
 	// And the client did not misread the error as a digest downgrade.
-	if c.noSums.Load() {
+	if !c.supports(proto.Sums) {
 		t.Error("errno response marked server digest-incapable")
 	}
 }
