@@ -121,10 +121,11 @@ func TestUnlinkOrderingOnCrash(t *testing.T) {
 	// unlink deletes data first, stub second.
 	meta.FailAfter(1) // one op (the stub read) succeeds... adjust below
 	// readStub costs meta ops; count them: GetWholeFile on a local FS
-	// does open+read(s)+close through the wrapper (3 gated ops), then
-	// unlink of the stub is the 4th. Let the first 3 pass.
+	// does open+fstat+read+read-to-EOF through the wrapper (4 gated ops;
+	// close is not gated), then unlink of the stub is the 5th. Let the
+	// first 4 pass.
 	meta.SetDown(false)
-	meta.FailAfter(3)
+	meta.FailAfter(4)
 	err = d.Unlink("/f")
 	if err == nil {
 		t.Skip("unlink did not hit the injected failure (op accounting changed)")

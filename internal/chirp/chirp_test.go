@@ -12,6 +12,7 @@ import (
 	"tss/internal/auth"
 	"tss/internal/chirp/proto"
 	"tss/internal/netsim"
+	"tss/internal/obs"
 	"tss/internal/vfs"
 )
 
@@ -29,6 +30,7 @@ func startServer(t *testing.T, rootACL *acl.List) *testServer {
 		Owner:     "hostname:owner.sim",
 		Verifiers: []auth.Verifier{&auth.HostnameVerifier{}},
 		RootACL:   rootACL,
+		Metrics:   obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"tss/internal/acl"
@@ -108,7 +109,11 @@ type ServerStats struct {
 type Server struct {
 	cfg   ServerConfig
 	fs    *vfs.LocalFS
-	aclMu sync.Mutex // serializes ACL read-modify-write cycles
+	aclMu sync.Mutex // serializes ACL read-modify-write cycles and cache fills
+	// acls is the ACL cache (DESIGN.md §5.2), by directory. Only holders
+	// of aclMu change it; aclsMu lets checks read it beside them.
+	aclsMu sync.RWMutex
+	acls   map[string]*aclEntry
 
 	draining atomic.Bool
 	// disabled is a proto.Feature mask of verb groups this server
@@ -145,6 +150,9 @@ type Server struct {
 	mDraining        *obs.Gauge
 	mSessionsRefused *obs.Counter
 	mDeadlineRejects *obs.Counter
+	mACLHits         *obs.Counter
+	mACLMisses       *obs.Counter
+	mACLInvalidated  *obs.Counter
 
 	Stats ServerStats
 }
@@ -271,7 +279,7 @@ func NewServer(root string, cfg ServerConfig) (*Server, error) {
 	if cfg.Owner == "" {
 		cfg.Owner = "unix:owner"
 	}
-	s := &Server{cfg: cfg, fs: fs}
+	s := &Server{cfg: cfg, fs: fs, acls: make(map[string]*aclEntry)}
 	s.leases.init(cfg.LeaseTTL)
 	s.admission = newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueTimeout, &s.Stats, cfg.Metrics)
 	if reg := cfg.Metrics; reg != nil {
@@ -292,6 +300,9 @@ func NewServer(root string, cfg ServerConfig) (*Server, error) {
 		s.mDraining = reg.Gauge("chirp_server.draining")
 		s.mSessionsRefused = reg.Counter("chirp_server.sessions_refused")
 		s.mDeadlineRejects = reg.Counter("chirp_server.deadline_rejects")
+		s.mACLHits = reg.Counter("chirp_server.acl_cache_hits")
+		s.mACLMisses = reg.Counter("chirp_server.acl_cache_misses")
+		s.mACLInvalidated = reg.Counter("chirp_server.acl_cache_invalidations")
 	}
 	if err := s.ensureRootACL(); err != nil {
 		return nil, err
@@ -329,29 +340,129 @@ func (s *Server) ensureRootACL() error {
 	return s.writeACL("/", list)
 }
 
-// readACL returns the ACL stored exactly at dir, or nil if absent.
-// Caller holds aclMu or tolerates racing writers.
-func (s *Server) readACL(dir string) (*acl.List, error) {
-	data, err := vfs.ReadFile(s.fs, pathutil.Join(dir, ACLFileName))
-	if err != nil {
-		if vfs.AsErrno(err) == vfs.ENOENT {
-			return nil, nil
-		}
-		return nil, err
-	}
-	return acl.Parse(data)
+// maxACLEntries bounds the ACL cache. There are no negative entries, so
+// probing names that do not exist cannot grow it either.
+const maxACLEntries = 4096
+
+// aclStamp identifies one version of an ACL file.
+type aclStamp struct {
+	ino                uint64
+	size, mtime, ctime int64 // times in ns
 }
 
+// aclEntry is a directory's parsed ACL, valid while the file's stamp is
+// what it was when the list was read.
+type aclEntry struct {
+	list  *acl.List // shared by concurrent checks: never mutated
+	host  string    // host path of the ACL file, so a hit builds no string
+	stamp aclStamp
+}
+
+func statACL(host string) (aclStamp, error) {
+	var st syscall.Stat_t
+	if err := syscall.Stat(host, &st); err != nil {
+		return aclStamp{}, err
+	}
+	return aclStamp{st.Ino, st.Size, st.Mtim.Nano(), st.Ctim.Nano()}, nil
+}
+
+// aclGranule is the coarsest step of a file's ctime where the filesystem
+// stores sub-second times: one kernel tick, 10 ms at most.
+const aclGranule = 20 * time.Millisecond
+
+// settled reports whether a stamp read now can tell this version of the
+// file from the next: a rewrite within one granule of ctime could leave
+// the same stamp (git's racy entry), so such a version is not cached.
+// Non-zero nanoseconds prove sub-second times; else allow two seconds.
+func (st aclStamp) settled() bool {
+	granule := 2 * time.Second
+	if st.ctime%int64(time.Second) != 0 {
+		granule = aclGranule
+	}
+	return time.Now().UnixNano()-st.ctime >= int64(granule)
+}
+
+// putACL replaces dir's cache entry with e; nil drops it. Needs aclMu.
+func (s *Server) putACL(dir string, e *aclEntry) {
+	s.aclsMu.Lock()
+	defer s.aclsMu.Unlock()
+	if _, had := s.acls[dir]; had {
+		s.mACLInvalidated.Inc()
+		delete(s.acls, dir)
+	}
+	if e == nil {
+		return
+	}
+	if len(s.acls) >= maxACLEntries {
+		for victim := range s.acls {
+			delete(s.acls, victim)
+			break
+		}
+	}
+	s.acls[strings.Clone(dir)] = e // dir is a slice of a request line
+}
+
+// readACL is the cache's miss path, the only code that opens an ACL
+// file: it returns the ACL stored exactly at dir, or nil if absent, and
+// caches it once settled. It needs aclMu, which in-band writers hold
+// from truncate to last byte, so a half-written file is never parsed.
+// The stamp is taken first: an out-of-band edit before the read leaves a
+// stale stamp on fresh content, which only costs a miss.
+func (s *Server) readACL(dir string) (*acl.List, error) {
+	s.mACLMisses.Inc()
+	name := pathutil.Join(dir, ACLFileName)
+	host, _ := s.fs.HostPath(name) // cannot fail on a normalized dir; if it did, so would the stat
+	stamp, statErr := statACL(host)
+	var list *acl.List
+	data, err := vfs.ReadFile(s.fs, name)
+	if err == nil {
+		list, err = acl.Parse(data)
+	}
+	var e *aclEntry
+	if err == nil && statErr == nil && stamp.settled() {
+		e = &aclEntry{list: list, host: host, stamp: stamp}
+	}
+	s.putACL(dir, e)
+	if vfs.AsErrno(err) == vfs.ENOENT {
+		return nil, nil
+	}
+	return list, err
+}
+
+// aclAt returns the ACL stored exactly at dir, or nil if absent: from
+// the cache while the file's stamp matches (one map lookup, one stat
+// outside the lock), else from disk under aclMu; locked says the caller
+// holds it.
+func (s *Server) aclAt(dir string, locked bool) (*acl.List, error) {
+	s.aclsMu.RLock()
+	e := s.acls[dir]
+	s.aclsMu.RUnlock()
+	if e != nil {
+		if stamp, err := statACL(e.host); err == nil && stamp == e.stamp {
+			s.mACLHits.Inc()
+			return e.list, nil
+		}
+	}
+	if !locked {
+		s.aclMu.Lock()
+		defer s.aclMu.Unlock()
+	}
+	return s.readACL(dir)
+}
+
+// writeACL stores list as dir's ACL. Callers hold aclMu.
 func (s *Server) writeACL(dir string, list *acl.List) error {
+	s.putACL(dir, nil)
 	return vfs.WriteFile(s.fs, pathutil.Join(dir, ACLFileName), list.Encode(), 0o644)
 }
 
 // effectiveACL walks from dir toward the root and returns the nearest
 // ACL, so directories created outside the protocol (pre-existing data
-// being exported) inherit their ancestor's policy.
-func (s *Server) effectiveACL(dir string) (*acl.List, error) {
+// being exported) inherit their ancestor's policy. The list is shared
+// with the cache: Clone before changing it. locked is as for aclAt.
+func (s *Server) effectiveACL(dir string, locked bool) (*acl.List, error) {
 	for {
-		l, err := s.readACL(dir)
+		l, err := s.aclAt(dir, locked)
 		if err != nil {
 			return nil, err
 		}
@@ -367,27 +478,10 @@ func (s *Server) effectiveACL(dir string) (*acl.List, error) {
 	}
 }
 
-// checkDir verifies that subject holds want rights in directory dir.
-func (s *Server) checkDir(subject auth.Subject, dir string, want acl.Rights) error {
-	l, err := s.effectiveACL(dir)
-	if err != nil {
-		return err
-	}
-	if !l.Allows(string(subject), want) {
-		return vfs.EACCES
-	}
-	return nil
-}
-
-// checkParent verifies rights in the parent directory of path.
-func (s *Server) checkParent(subject auth.Subject, path string, want acl.Rights) error {
-	return s.checkDir(subject, pathutil.Dir(path), want)
-}
-
-// checkEither verifies that subject holds at least one of the right
-// sets in the parent directory of path.
-func (s *Server) checkParentEither(subject auth.Subject, path string, wants ...acl.Rights) error {
-	l, err := s.effectiveACL(pathutil.Dir(path))
+// checkDir verifies that subject holds at least one of the right sets
+// wants in directory dir.
+func (s *Server) checkDir(subject auth.Subject, dir string, wants ...acl.Rights) error {
+	l, err := s.effectiveACL(dir, false)
 	if err != nil {
 		return err
 	}
@@ -399,6 +493,11 @@ func (s *Server) checkParentEither(subject auth.Subject, path string, wants ...a
 	return vfs.EACCES
 }
 
+// checkParent is checkDir on the parent directory of path.
+func (s *Server) checkParent(subject auth.Subject, path string, wants ...acl.Rights) error {
+	return s.checkDir(subject, pathutil.Dir(path), wants...)
+}
+
 // normPath validates and normalizes a client path, rejecting any
 // attempt to name the ACL file directly.
 func normPath(p string) (string, error) {
@@ -406,8 +505,9 @@ func normPath(p string) (string, error) {
 	if err != nil {
 		return "", vfs.EINVAL
 	}
-	for _, c := range pathutil.Split(n) {
-		if c == ACLFileName {
+	for rest := n[1:]; rest != ""; {
+		var c string
+		if c, rest, _ = strings.Cut(rest, "/"); c == ACLFileName {
 			return "", vfs.EACCES
 		}
 	}
@@ -936,7 +1036,7 @@ func (ss *session) handleStat(req *proto.Request, conn net.Conn, br *bufio.Reade
 
 func (ss *session) handleUnlink(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	path := req.Path
-	if err := ss.srv.checkParentEither(ss.subject, path, acl.W, acl.D); err != nil {
+	if err := ss.srv.checkParent(ss.subject, path, acl.W, acl.D); err != nil {
 		return ss.respondErr(bw, err)
 	}
 	err := ss.srv.fs.Unlink(path)
@@ -949,7 +1049,7 @@ func (ss *session) handleUnlink(req *proto.Request, conn net.Conn, br *bufio.Rea
 func (ss *session) handleRename(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	oldPath := req.Path
 	newPath := req.Path2
-	if err := ss.srv.checkParentEither(ss.subject, oldPath, acl.W, acl.D); err != nil {
+	if err := ss.srv.checkParent(ss.subject, oldPath, acl.W, acl.D); err != nil {
 		return ss.respondErr(bw, err)
 	}
 	if err := ss.srv.checkParent(ss.subject, newPath, acl.W); err != nil {
@@ -969,7 +1069,7 @@ func (ss *session) handleMkdir(req *proto.Request, conn net.Conn, br *bufio.Read
 	}
 	ss.srv.aclMu.Lock()
 	defer ss.srv.aclMu.Unlock()
-	parent, err := ss.srv.effectiveACL(pathutil.Dir(path))
+	parent, err := ss.srv.effectiveACL(pathutil.Dir(path), true)
 	if err != nil {
 		return ss.respondErr(bw, err)
 	}
@@ -1005,7 +1105,7 @@ func (ss *session) handleRmdir(req *proto.Request, conn net.Conn, br *bufio.Read
 	if pathutil.IsRoot(path) {
 		return ss.respondErr(bw, vfs.EBUSY)
 	}
-	if err := ss.srv.checkParentEither(ss.subject, path, acl.W, acl.D); err != nil {
+	if err := ss.srv.checkParent(ss.subject, path, acl.W, acl.D); err != nil {
 		return ss.respondErr(bw, err)
 	}
 	ss.srv.aclMu.Lock()
@@ -1026,7 +1126,8 @@ func (ss *session) handleRmdir(req *proto.Request, conn net.Conn, br *bufio.Read
 	}
 	var saved *acl.List
 	if hadACL {
-		saved, _ = ss.srv.readACL(path)
+		saved, _ = ss.srv.aclAt(path, true)
+		ss.srv.putACL(path, nil)
 		if err := ss.srv.fs.Unlink(pathutil.Join(path, ACLFileName)); err != nil {
 			return ss.respondErr(bw, err)
 		}
@@ -1314,12 +1415,10 @@ func (ss *session) handleChmod(req *proto.Request, conn net.Conn, br *bufio.Read
 
 func (ss *session) handleGetacl(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	path := req.Path
-	if err := ss.srv.checkDir(ss.subject, path, acl.L); err != nil {
-		return ss.respondErr(bw, err)
+	list, err := ss.srv.effectiveACL(path, false)
+	if err == nil && !list.Allows(string(ss.subject), acl.L) {
+		err = vfs.EACCES
 	}
-	ss.srv.aclMu.Lock()
-	list, err := ss.srv.effectiveACL(path)
-	ss.srv.aclMu.Unlock()
 	if err != nil {
 		return ss.respondErr(bw, err)
 	}
@@ -1345,13 +1444,18 @@ func (ss *session) handleSetacl(req *proto.Request, conn net.Conn, br *bufio.Rea
 	}
 	ss.srv.aclMu.Lock()
 	defer ss.srv.aclMu.Unlock()
-	list, err := ss.srv.effectiveACL(path)
+	list, err := ss.srv.effectiveACL(path, true)
 	if err != nil {
 		return ss.respondErr(bw, err)
 	}
 	list = list.Clone()
 	list.Set(req.Subject, rights, reserve)
-	return ss.respondErr(bw, ss.srv.writeACL(path, list))
+	err = ss.srv.writeACL(path, list)
+	if err == nil {
+		// A caching client must learn that rights on the directory changed.
+		ss.srv.breakLeases(path)
+	}
+	return ss.respondErr(bw, err)
 }
 
 func (ss *session) handleWhoami(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
@@ -1377,9 +1481,7 @@ func (ss *session) handleStatfs(req *proto.Request, conn net.Conn, br *bufio.Rea
 // Describe summarizes the server for catalog reports.
 func (s *Server) Describe() (name, owner string, info vfs.FSInfo, rootACL string) {
 	info, _ = s.fs.StatFS()
-	s.aclMu.Lock()
-	list, err := s.effectiveACL("/")
-	s.aclMu.Unlock()
+	list, err := s.effectiveACL("/", false)
 	if err == nil {
 		rootACL = strings.TrimRight(string(list.Encode()), "\n")
 	}

@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,15 +36,23 @@ type leaseEntry struct {
 	expiry  time.Time
 }
 
+// maxLeaseVersions bounds leaseTable.version. A path that loses its
+// entry is told the current counter at its next grant: one needless
+// revalidation miss for that path, never a false hit.
+const maxLeaseVersions = 1 << 14
+
 // leaseTable is the server's lease state: outstanding grants indexed
 // by ID and by path, plus the per-path version counters that make
 // renewal a cheap revalidation.
 type leaseTable struct {
-	mu      sync.Mutex
-	ttl     time.Duration
-	nextID  int64
-	byID    map[int64]*leaseEntry
-	byPath  map[string]map[int64]*leaseEntry
+	mu     sync.Mutex
+	ttl    time.Duration
+	nextID int64
+	byID   map[int64]*leaseEntry
+	byPath map[string]map[int64]*leaseEntry
+	// version tracks a path from its first grant: nobody was told a
+	// version of any other, so its mutations need no record (one entry
+	// per path ever written grew without bound under temporary names).
 	version map[string]int64
 	// nextVer is the global change counter versions are drawn from, so
 	// a path's version never repeats even across unlink/recreate. It is
@@ -52,10 +61,6 @@ type leaseTable struct {
 	// cached before the restart — a replayed number would falsely
 	// revalidate data mutated while the table was empty.
 	nextVer int64
-	// base is the seed itself: the version reported for a path that has
-	// not been mutated since boot. Two boots get two bases, so the
-	// untouched-path version also never matches across a restart.
-	base int64
 }
 
 func (t *leaseTable) init(ttl time.Duration) {
@@ -66,8 +71,7 @@ func (t *leaseTable) init(ttl time.Duration) {
 	t.byID = make(map[int64]*leaseEntry)
 	t.byPath = make(map[string]map[int64]*leaseEntry)
 	t.version = make(map[string]int64)
-	t.base = time.Now().UnixNano()
-	t.nextVer = t.base
+	t.nextVer = time.Now().UnixNano()
 }
 
 // grant issues a lease on path to subject, purging that path's expired
@@ -91,7 +95,16 @@ func (t *leaseTable) grant(path string, subject auth.Subject) (id, version int64
 	t.byPath[path][e.id] = e
 	v, ok := t.version[path]
 	if !ok {
-		v = t.base
+		// First grant: tracked from the counter as it stands, which
+		// every mutation from here on moves past.
+		if len(t.version) >= maxLeaseVersions {
+			for victim := range t.version {
+				delete(t.version, victim)
+				break
+			}
+		}
+		v = t.nextVer
+		t.version[strings.Clone(path)] = v
 	}
 	return e.id, v, t.ttl
 }
@@ -169,7 +182,9 @@ func (t *leaseTable) bump(path string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.nextVer++
-	t.version[path] = t.nextVer
+	if _, told := t.version[path]; told {
+		t.version[path] = t.nextVer
+	}
 	broken := 0
 	for _, e := range t.byPath[path] {
 		if !now.After(e.expiry) {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"tss/internal/adapter"
@@ -20,14 +21,19 @@ import (
 	"tss/internal/chirp"
 	"tss/internal/netsim"
 	"tss/internal/nfsbase"
+	"tss/internal/obs"
 	"tss/internal/vfs"
 )
 
 // Env owns the machinery of one experiment: a simulated network plus
 // any servers and temporary directories created on it.
 type Env struct {
-	Net      *netsim.Network
+	Net *netsim.Network
+	// Metrics, when set, receives the counters and RPC histograms of
+	// every Chirp server started after.
+	Metrics  *obs.Registry
 	cleanups []func()
+	trips    atomic.Int64
 }
 
 // NewEnv creates an empty environment.
@@ -44,6 +50,41 @@ func (e *Env) Close() {
 }
 
 func (e *Env) onClose(f func()) { e.cleanups = append(e.cleanups, f) }
+
+// tripConn counts round trips on a client connection: a reply that
+// follows a request is one, however many writes and reads carry them.
+type tripConn struct {
+	net.Conn
+	trips *atomic.Int64
+	wrote atomic.Bool
+}
+
+func (c *tripConn) Write(p []byte) (int, error) {
+	c.wrote.Store(true)
+	return c.Conn.Write(p)
+}
+
+func (c *tripConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 && c.wrote.Swap(false) {
+		c.trips.Add(1)
+	}
+	return n, err
+}
+
+// dial connects the bench client to the named server through a link
+// with the given profile, counting round trips for Trips.
+func (e *Env) dial(name string, prof netsim.LinkProfile) (net.Conn, error) {
+	conn, err := e.Net.DialFrom("bench-client", name, prof)
+	if err != nil {
+		return nil, err
+	}
+	return &tripConn{Conn: conn, trips: &e.trips}, nil
+}
+
+// Trips returns how many round trips the environment's clients have
+// made so far: a count that does not depend on the speed of the host.
+func (e *Env) Trips() int64 { return e.trips.Load() }
 
 // TempDir creates a directory removed at Close.
 func (e *Env) TempDir() (string, error) {
@@ -76,6 +117,7 @@ func (e *Env) StartChirp(name string, prof netsim.LinkProfile) (*chirp.Client, *
 		Name:      name,
 		Owner:     "hostname:bench-client",
 		Verifiers: []auth.Verifier{&auth.HostnameVerifier{}},
+		Metrics:   e.Metrics,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -87,9 +129,7 @@ func (e *Env) StartChirp(name string, prof netsim.LinkProfile) (*chirp.Client, *
 	go srv.Serve(l)
 	e.onClose(func() { l.Close() })
 	cli, err := chirp.Dial(chirp.ClientConfig{
-		Dial: func() (net.Conn, error) {
-			return e.Net.DialFrom("bench-client", name, prof)
-		},
+		Dial:        func() (net.Conn, error) { return e.dial(name, prof) },
 		Credentials: []auth.Credential{auth.HostnameCredential{}},
 		Timeout:     30 * time.Second,
 	})
@@ -106,9 +146,7 @@ func (e *Env) StartChirp(name string, prof netsim.LinkProfile) (*chirp.Client, *
 // as separate TCP streams would).
 func (e *Env) DialChirpPool(name string, prof netsim.LinkProfile, size int) (*chirp.Pool, error) {
 	p, err := chirp.NewPool(chirp.ClientConfig{
-		Dial: func() (net.Conn, error) {
-			return e.Net.DialFrom("bench-client", name, prof)
-		},
+		Dial:        func() (net.Conn, error) { return e.dial(name, prof) },
 		Credentials: []auth.Credential{auth.HostnameCredential{}},
 		Timeout:     30 * time.Second,
 		PoolSize:    size,
@@ -138,7 +176,7 @@ func (e *Env) StartNFS(name string, prof netsim.LinkProfile) (*nfsbase.Client, e
 	go srv.Serve(l)
 	e.onClose(func() { l.Close() })
 	cli, err := nfsbase.Dial(nfsbase.ClientConfig{
-		Dial:    func() (net.Conn, error) { return e.Net.Dial(name, prof) },
+		Dial:    func() (net.Conn, error) { return e.dial(name, prof) },
 		Timeout: 30 * time.Second,
 	})
 	if err != nil {
@@ -162,10 +200,12 @@ func (e *Env) AdapterOn(fs vfs.FileSystem, emulateTrap bool) *adapter.Adapter {
 	return a
 }
 
+// timeOpWarmup is how many untimed calls timeOp makes first.
+const timeOpWarmup = 3
+
 // timeOp runs op iters times and returns the mean latency.
 func timeOp(iters int, op func() error) (time.Duration, error) {
-	// Warm up.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < timeOpWarmup; i++ {
 		if err := op(); err != nil {
 			return 0, err
 		}

@@ -54,23 +54,31 @@ func TestFig4Shape(t *testing.T) {
 	for _, row := range res.Rows {
 		byCall[row.Call] = row
 	}
-	// CFS metadata beats NFS (whole-path vs per-component).
-	if s := byCall["stat"]; s.CFS >= s.NFS {
-		t.Errorf("stat: CFS %v not faster than NFS %v", s.CFS, s.NFS)
-	}
-	if o := byCall["open/close"]; o.CFS >= o.NFS {
-		t.Errorf("open/close: CFS %v not faster than NFS %v", o.CFS, o.NFS)
+	// The orderings are asserted on round trips, which no host can
+	// change, priced at the simulated RTT; the wall-clock figures, which
+	// carry this host's scheduling, are logged.
+	t.Log("\n" + res.Render())
+	// CFS metadata beats NFS (whole-path vs per-component), even with
+	// the CFS server's measured time added and the NFS server's left out.
+	rtt := float64(2 * netsim.GigE.Latency)
+	for _, call := range []string{"stat", "open/close"} {
+		r := byCall[call]
+		cfs, nfs := time.Duration(r.CFSTrips*rtt)+r.CFSService, time.Duration(r.NFSTrips*rtt)
+		if cfs >= nfs {
+			t.Errorf("%s: CFS %.2f round trips + %v of server time = %v, not faster than NFS %.2f round trips = %v",
+				call, r.CFSTrips, r.CFSService, cfs, r.NFSTrips, nfs)
+		}
 	}
 	// 8KB writes: one round trip vs two 4KB RPCs.
-	if w := byCall["write 8KB"]; w.CFS >= w.NFS {
-		t.Errorf("write 8KB: CFS %v not faster than NFS %v", w.CFS, w.NFS)
+	if w := byCall["write 8KB"]; w.CFSTrips != 1 || w.NFSTrips != 2 {
+		t.Errorf("write 8KB: CFS %.2f round trips, NFS %.2f, want 1 and 2", w.CFSTrips, w.NFSTrips)
 	}
-	// DSFS data ops within ~1.5x of CFS; metadata roughly double.
-	if r := byCall["read 8KB"]; float64(r.DSFS) > 1.6*float64(r.CFS) {
-		t.Errorf("read 8KB: DSFS %v should match CFS %v", r.DSFS, r.CFS)
+	// DSFS matches CFS on data ops; metadata costs double (stub + data).
+	if r := byCall["read 8KB"]; r.DSFSTrips != r.CFSTrips {
+		t.Errorf("read 8KB: DSFS %.2f round trips should match CFS %.2f", r.DSFSTrips, r.CFSTrips)
 	}
-	if s := byCall["stat"]; float64(s.DSFS) < 1.4*float64(s.CFS) || float64(s.DSFS) > 3.2*float64(s.CFS) {
-		t.Errorf("stat: DSFS %v vs CFS %v, want ~2x", s.DSFS, s.CFS)
+	if s := byCall["stat"]; s.DSFSTrips != 2*s.CFSTrips {
+		t.Errorf("stat: DSFS %.2f round trips vs CFS %.2f, want 2x", s.DSFSTrips, s.CFSTrips)
 	}
 }
 

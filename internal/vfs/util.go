@@ -9,19 +9,25 @@ func ReadFile(fs FileSystem, path string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var out []byte
-	buf := make([]byte, 64<<10)
-	var off int64
+	fi, err := f.Fstat()
+	if err != nil {
+		return nil, err
+	}
+	// One byte beyond the stat size, so the probe for end of file fits
+	// the same buffer; a file that grew since is read on to EOF.
+	out := make([]byte, 0, fi.Size+1)
 	for {
-		n, err := f.Pread(buf, off)
+		if len(out) == cap(out) {
+			out = append(out, 0)[:len(out)]
+		}
+		n, err := f.Pread(out[len(out):cap(out)], int64(len(out)))
 		if err != nil {
 			return nil, err
 		}
 		if n == 0 {
 			return out, nil
 		}
-		out = append(out, buf[:n]...)
-		off += int64(n)
+		out = out[:len(out)+n]
 	}
 }
 

@@ -294,3 +294,84 @@ func TestOpenAppendAndSync(t *testing.T) {
 		t.Errorf("append result = %q", data)
 	}
 }
+
+// growingFS hands out files that gain tail right after they are
+// stat'ed, so the size ReadFile planned for is already stale.
+type growingFS struct {
+	FileSystem
+	tail []byte
+}
+
+type growingFile struct {
+	File
+	grow func() error
+}
+
+func (g growingFS) Open(path string, flags int, mode uint32) (File, error) {
+	f, err := g.FileSystem.Open(path, flags, mode)
+	if err != nil {
+		return nil, err
+	}
+	return &growingFile{File: f, grow: func() error {
+		w, err := g.FileSystem.Open(path, O_WRONLY|O_APPEND, 0)
+		if err != nil {
+			return err
+		}
+		defer w.Close()
+		return WriteAll(w, g.tail, 0)
+	}}, nil
+}
+
+func (f *growingFile) Fstat() (FileInfo, error) {
+	fi, err := f.File.Fstat()
+	if err == nil {
+		err = f.grow()
+	}
+	return fi, err
+}
+
+func TestReadFileSizesItsBuffer(t *testing.T) {
+	l := newLocal(t)
+	pattern := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i * 7)
+		}
+		return b
+	}
+	for _, n := range []int{0, 1, 64 << 10, 64<<10 + 1, 300_000} {
+		want := pattern(n)
+		if err := WriteFile(l, "/f", want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(l, "/f")
+		if err != nil {
+			t.Fatalf("%d bytes: %v", n, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d bytes: read %d bytes, content differs", n, len(got))
+		}
+		// One buffer, sized from the stat: no 64 KiB scratch, no copy.
+		if cap(got) != n+1 {
+			t.Errorf("%d bytes: buffer of %d, want %d", n, cap(got), n+1)
+		}
+	}
+	if _, err := ReadFile(l, "/missing"); !errors.Is(err, ENOENT) {
+		t.Errorf("missing file: %v, want ENOENT", err)
+	}
+
+	// A file that grows between the stat and the read is read to its end.
+	for _, n := range []int{0, 5, 64 << 10} {
+		head, tail := pattern(n), []byte("and then some more, well past the planned size")
+		if err := WriteFile(l, "/g", head, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFile(growingFS{FileSystem: l, tail: tail}, "/g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append(head, tail...); !bytes.Equal(got, want) {
+			t.Errorf("grown file: read %d bytes, want %d", len(got), len(want))
+		}
+	}
+}
