@@ -282,11 +282,8 @@ func TestRecoveryDetectsReplacedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli.Close()
-	// Replace the file server-side with a new inode. The old one keeps
-	// a name until the new file exists: freed first, ext4 may hand its
-	// number straight to the replacement (ROADMAP item 4a), which no
-	// inode check can tell apart.
-	if err := b.srv.FS().Rename("/f", "/f.old"); err != nil {
+	// Replace the file server-side (unlink + recreate = new inode).
+	if err := b.srv.FS().Unlink("/f"); err != nil {
 		t.Fatal(err)
 	}
 	if err := vfs.WriteFile(b.srv.FS(), "/f", []byte("version two"), 0o644); err != nil {

@@ -17,7 +17,7 @@ import (
 )
 
 // settleACLs waits until every ACL file written so far is old enough to
-// be cached (aclStamp.settled): before that, checks take the miss path.
+// be cached (aclStamp.settledAt): before that, checks take the miss path.
 func settleACLs() { time.Sleep(aclGranule + 5*time.Millisecond) }
 
 // referenceACL is the uncached read the cache replaced, kept as the
@@ -200,6 +200,49 @@ func TestACLCacheBounded(t *testing.T) {
 	ts.srv.aclMu.Unlock()
 	if n := ts.cachedACLs(); n != maxACLEntries {
 		t.Errorf("%d entries, want the cap %d", n, maxACLEntries)
+	}
+}
+
+// TestACLInheritedTreeTakesNoLock: directories with no ACL file — data
+// exported as it was found — inherit at the cost of one failed stat per
+// level. They wait neither for aclMu (held here, as a setacl elsewhere
+// in the tree would for its disk writes) nor for the cache's write lock,
+// and they get no entry.
+func TestACLInheritedTreeTakesNoLock(t *testing.T) {
+	ts := startServer(t, nil)
+	c := ts.client(t, "owner.sim")
+	host, err := ts.srv.FS().HostPath("/found/as/is")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(host, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(host, "f"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	settleACLs()
+	if _, err := c.Stat("/found/as/is/f"); err != nil { // caches the root's list
+		t.Fatal(err)
+	}
+	before := ts.srv.mACLInvalidated.Value()
+	ts.srv.aclMu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Stat("/found/as/is/f")
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		err = fmt.Errorf("stat under an inherited tree waits for aclMu")
+	}
+	ts.srv.aclMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, inv := ts.cachedACLs(), ts.srv.mACLInvalidated.Value()-before; n != 1 || inv != 0 {
+		t.Errorf("%d entries and %d invalidations after inherited checks, want 1 (the root) and 0", n, inv)
 	}
 }
 

@@ -350,8 +350,7 @@ type aclStamp struct {
 	size, mtime, ctime int64 // times in ns
 }
 
-// aclEntry is a directory's parsed ACL, valid while the file's stamp is
-// what it was when the list was read.
+// aclEntry is a directory's parsed ACL, valid while stamp is the file's.
 type aclEntry struct {
 	list  *acl.List // shared by concurrent checks: never mutated
 	host  string    // host path of the ACL file, so a hit builds no string
@@ -366,27 +365,33 @@ func statACL(host string) (aclStamp, error) {
 	return aclStamp{st.Ino, st.Size, st.Mtim.Nano(), st.Ctim.Nano()}, nil
 }
 
-// aclGranule is the coarsest step of a file's ctime where the filesystem
-// stores sub-second times: one kernel tick, 10 ms at most.
+// aclGranule exceeds the step of a sub-second ctime: a tick, 10 ms at most.
 const aclGranule = 20 * time.Millisecond
 
-// settled reports whether a stamp read now can tell this version of the
-// file from the next: a rewrite within one granule of ctime could leave
-// the same stamp (git's racy entry), so such a version is not cached.
-// Non-zero nanoseconds prove sub-second times; else allow two seconds.
-func (st aclStamp) settled() bool {
+// settledAt reports whether a stamp taken after now can tell this
+// version of the file from the next: a rewrite within one granule of
+// ctime could leave the same stamp (git's racy entry), so such a version
+// is not cached. Non-zero nanoseconds prove sub-second times; else allow
+// two seconds.
+func (st aclStamp) settledAt(now time.Time) bool {
 	granule := 2 * time.Second
 	if st.ctime%int64(time.Second) != 0 {
 		granule = aclGranule
 	}
-	return time.Now().UnixNano()-st.ctime >= int64(granule)
+	return now.UnixNano()-st.ctime >= int64(granule)
 }
 
-// putACL replaces dir's cache entry with e; nil drops it. Needs aclMu.
+// putACL replaces dir's cache entry with e; nil drops it. Needs aclMu,
+// whose holders alone write the map: reading it here needs no more, and
+// with nothing to drop or add aclsMu and the checks under it are left be.
 func (s *Server) putACL(dir string, e *aclEntry) {
+	_, had := s.acls[dir]
+	if !had && e == nil {
+		return
+	}
 	s.aclsMu.Lock()
 	defer s.aclsMu.Unlock()
-	if _, had := s.acls[dir]; had {
+	if had {
 		s.mACLInvalidated.Inc()
 		delete(s.acls, dir)
 	}
@@ -403,23 +408,22 @@ func (s *Server) putACL(dir string, e *aclEntry) {
 }
 
 // readACL is the cache's miss path, the only code that opens an ACL
-// file: it returns the ACL stored exactly at dir, or nil if absent, and
-// caches it once settled. It needs aclMu, which in-band writers hold
-// from truncate to last byte, so a half-written file is never parsed.
-// The stamp is taken first: an out-of-band edit before the read leaves a
-// stale stamp on fresh content, which only costs a miss.
-func (s *Server) readACL(dir string) (*acl.List, error) {
-	s.mACLMisses.Inc()
-	name := pathutil.Join(dir, ACLFileName)
-	host, _ := s.fs.HostPath(name) // cannot fail on a normalized dir; if it did, so would the stat
+// file (host is its host path): it returns the ACL stored exactly at
+// dir, or nil if absent, and caches it once settled. It needs aclMu,
+// which in-band writers hold from truncate to last byte, so a
+// half-written file is never parsed. Clock, then stamp, then content:
+// an edit in between leaves an older stamp on fresh content (one more
+// miss), and any later one gets a ctime after now.
+func (s *Server) readACL(dir, host string) (*acl.List, error) {
+	now := time.Now()
 	stamp, statErr := statACL(host)
 	var list *acl.List
-	data, err := vfs.ReadFile(s.fs, name)
+	data, err := vfs.ReadFile(s.fs, pathutil.Join(dir, ACLFileName))
 	if err == nil {
 		list, err = acl.Parse(data)
 	}
 	var e *aclEntry
-	if err == nil && statErr == nil && stamp.settled() {
+	if err == nil && statErr == nil && stamp.settledAt(now) {
 		e = &aclEntry{list: list, host: host, stamp: stamp}
 	}
 	s.putACL(dir, e)
@@ -430,9 +434,8 @@ func (s *Server) readACL(dir string) (*acl.List, error) {
 }
 
 // aclAt returns the ACL stored exactly at dir, or nil if absent: from
-// the cache while the file's stamp matches (one map lookup, one stat
-// outside the lock), else from disk under aclMu; locked says the caller
-// holds it.
+// the cache while the file's stamp matches (a map lookup, a stat outside
+// the lock), else from disk under aclMu; locked says the caller holds it.
 func (s *Server) aclAt(dir string, locked bool) (*acl.List, error) {
 	s.aclsMu.RLock()
 	e := s.acls[dir]
@@ -443,11 +446,20 @@ func (s *Server) aclAt(dir string, locked bool) (*acl.List, error) {
 			return e.list, nil
 		}
 	}
+	s.mACLMisses.Inc()
+	host, _ := s.fs.HostPath(pathutil.Join(dir, ACLFileName)) // cannot fail on a normalized dir; if it did, so would the stat
+	if e == nil {
+		// No ACL file (data exported as found): one failed stat and no
+		// lock, with nothing there to be half-written and no entry to drop.
+		if _, err := statACL(host); err == syscall.ENOENT {
+			return nil, nil
+		}
+	}
 	if !locked {
 		s.aclMu.Lock()
 		defer s.aclMu.Unlock()
 	}
-	return s.readACL(dir)
+	return s.readACL(dir, host)
 }
 
 // writeACL stores list as dir's ACL. Callers hold aclMu.

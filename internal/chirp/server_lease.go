@@ -13,7 +13,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -36,23 +35,17 @@ type leaseEntry struct {
 	expiry  time.Time
 }
 
-// maxLeaseVersions bounds leaseTable.version. A path that loses its
-// entry is told the current counter at its next grant: one needless
-// revalidation miss for that path, never a false hit.
-const maxLeaseVersions = 1 << 14
-
 // leaseTable is the server's lease state: outstanding grants indexed
 // by ID and by path, plus the per-path version counters that make
-// renewal a cheap revalidation.
+// renewal a cheap revalidation. A path has a counter from its first
+// grant on: nobody was told a version of any other path, so its
+// mutations need no record.
 type leaseTable struct {
-	mu     sync.Mutex
-	ttl    time.Duration
-	nextID int64
-	byID   map[int64]*leaseEntry
-	byPath map[string]map[int64]*leaseEntry
-	// version tracks a path from its first grant: nobody was told a
-	// version of any other, so its mutations need no record (one entry
-	// per path ever written grew without bound under temporary names).
+	mu      sync.Mutex
+	ttl     time.Duration
+	nextID  int64
+	byID    map[int64]*leaseEntry
+	byPath  map[string]map[int64]*leaseEntry
 	version map[string]int64
 	// nextVer is the global change counter versions are drawn from, so
 	// a path's version never repeats even across unlink/recreate. It is
@@ -61,6 +54,10 @@ type leaseTable struct {
 	// cached before the restart — a replayed number would falsely
 	// revalidate data mutated while the table was empty.
 	nextVer int64
+	// base is the seed itself: the version reported at a path's first
+	// grant and until its next mutation. Two boots get two bases, so it
+	// also never matches across a restart.
+	base int64
 }
 
 func (t *leaseTable) init(ttl time.Duration) {
@@ -71,7 +68,8 @@ func (t *leaseTable) init(ttl time.Duration) {
 	t.byID = make(map[int64]*leaseEntry)
 	t.byPath = make(map[string]map[int64]*leaseEntry)
 	t.version = make(map[string]int64)
-	t.nextVer = time.Now().UnixNano()
+	t.base = time.Now().UnixNano()
+	t.nextVer = t.base
 }
 
 // grant issues a lease on path to subject, purging that path's expired
@@ -95,16 +93,8 @@ func (t *leaseTable) grant(path string, subject auth.Subject) (id, version int64
 	t.byPath[path][e.id] = e
 	v, ok := t.version[path]
 	if !ok {
-		// First grant: tracked from the counter as it stands, which
-		// every mutation from here on moves past.
-		if len(t.version) >= maxLeaseVersions {
-			for victim := range t.version {
-				delete(t.version, victim)
-				break
-			}
-		}
-		v = t.nextVer
-		t.version[strings.Clone(path)] = v
+		v = t.base
+		t.version[path] = v
 	}
 	return e.id, v, t.ttl
 }

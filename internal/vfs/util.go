@@ -2,6 +2,9 @@ package vfs
 
 import "io"
 
+// readFileHint is the most ReadFile allocates on the word of Fstat.
+const readFileHint = 1 << 20
+
 // ReadFile reads the entire named file through fs.
 func ReadFile(fs FileSystem, path string) ([]byte, error) {
 	f, err := fs.Open(path, O_RDONLY, 0)
@@ -14,8 +17,10 @@ func ReadFile(fs FileSystem, path string) ([]byte, error) {
 		return nil, err
 	}
 	// One byte beyond the stat size, so the probe for end of file fits
-	// the same buffer; a file that grew since is read on to EOF.
-	out := make([]byte, 0, fi.Size+1)
+	// the same buffer; a file that grew since is read on to EOF. The
+	// size is only a hint (a remote peer may claim anything), so it is
+	// clamped and the buffer grows as bytes really arrive.
+	out := make([]byte, 0, min(max(fi.Size, 0), readFileHint)+1)
 	for {
 		if len(out) == cap(out) {
 			out = append(out, 0)[:len(out)]

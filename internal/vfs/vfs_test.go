@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"testing"
 	"testing/quick"
@@ -295,37 +296,31 @@ func TestOpenAppendAndSync(t *testing.T) {
 	}
 }
 
-// growingFS hands out files that gain tail right after they are
-// stat'ed, so the size ReadFile planned for is already stale.
-type growingFS struct {
+// statHookFS hands out files whose Fstat result passes through hook
+// first: the hook may change the file behind ReadFile's back, or the
+// size a remote peer claims for it.
+type statHookFS struct {
 	FileSystem
-	tail []byte
+	hook func(path string, fi *FileInfo) error
 }
 
-type growingFile struct {
+type statHookFile struct {
 	File
-	grow func() error
+	hook func(fi *FileInfo) error
 }
 
-func (g growingFS) Open(path string, flags int, mode uint32) (File, error) {
-	f, err := g.FileSystem.Open(path, flags, mode)
+func (h statHookFS) Open(path string, flags int, mode uint32) (File, error) {
+	f, err := h.FileSystem.Open(path, flags, mode)
 	if err != nil {
 		return nil, err
 	}
-	return &growingFile{File: f, grow: func() error {
-		w, err := g.FileSystem.Open(path, O_WRONLY|O_APPEND, 0)
-		if err != nil {
-			return err
-		}
-		defer w.Close()
-		return WriteAll(w, g.tail, 0)
-	}}, nil
+	return &statHookFile{File: f, hook: func(fi *FileInfo) error { return h.hook(path, fi) }}, nil
 }
 
-func (f *growingFile) Fstat() (FileInfo, error) {
+func (f *statHookFile) Fstat() (FileInfo, error) {
 	fi, err := f.File.Fstat()
 	if err == nil {
-		err = f.grow()
+		err = f.hook(&fi)
 	}
 	return fi, err
 }
@@ -366,12 +361,37 @@ func TestReadFileSizesItsBuffer(t *testing.T) {
 		if err := WriteFile(l, "/g", head, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadFile(growingFS{FileSystem: l, tail: tail}, "/g")
+		grow := func(path string, _ *FileInfo) error {
+			w, err := l.Open(path, O_WRONLY|O_APPEND, 0)
+			if err != nil {
+				return err
+			}
+			defer w.Close()
+			return WriteAll(w, tail, 0)
+		}
+		got, err := ReadFile(statHookFS{l, grow}, "/g")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := append(head, tail...); !bytes.Equal(got, want) {
 			t.Errorf("grown file: read %d bytes, want %d", len(got), len(want))
+		}
+	}
+
+	// The size is a hint, and over Chirp it is the peer's word: a
+	// negative or absurd one must cost neither a panic nor the memory.
+	want := pattern(5000)
+	if err := WriteFile(l, "/h", want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int64{-1, -2, math.MinInt64, 1 << 50, math.MaxInt64} {
+		lie := func(_ string, fi *FileInfo) error { fi.Size = size; return nil }
+		got, err := ReadFile(statHookFS{l, lie}, "/h")
+		if err != nil {
+			t.Fatalf("claimed size %d: %v", size, err)
+		}
+		if !bytes.Equal(got, want) || cap(got) > readFileHint+1 {
+			t.Errorf("claimed size %d: read %d bytes into a buffer of %d", size, len(got), cap(got))
 		}
 	}
 }
