@@ -56,3 +56,9 @@ func NewCFS(name string, fs vfs.FileSystem) *CFS {
 
 // Name returns the server name this CFS is bound to.
 func (c *CFS) Name() string { return c.name }
+
+// Capabilities forwards what the server connection offers
+// (vfs.Capabler): CFS adds nothing and must hide nothing — embedding
+// the interface alone would drop OpenStat, getfile, leases and the
+// adapter's §6 reconnect.
+func (c *CFS) Capabilities() vfs.Capability { return vfs.Capabilities(c.FileSystem) }

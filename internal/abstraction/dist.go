@@ -32,6 +32,7 @@ type Dist struct {
 
 var (
 	_ vfs.FileSystem = (*Dist)(nil)
+	_ vfs.OpenStater = (*Dist)(nil)
 )
 
 // Options configures a distributed filesystem.
@@ -117,31 +118,59 @@ func (d *Dist) uniqueName() string {
 // the data file. A crash between 2 and 3 leaves a dangling stub that
 // opens as ENOENT — never an unreferenced data file.
 func (d *Dist) Open(path string, flags int, mode uint32) (vfs.File, error) {
+	f, _, err := d.open(path, flags, mode, false)
+	return f, err
+}
+
+// OpenStat opens like Open and reports the data file's attributes under
+// the logical name, taken from the data server's own open reply where
+// it gives one (vfs.OpenStater) — the adapter's post-open fstat stops
+// being a round trip.
+func (d *Dist) OpenStat(path string, flags int, mode uint32) (vfs.File, vfs.FileInfo, error) {
+	return d.open(path, flags, mode, true)
+}
+
+func (d *Dist) open(path string, flags int, mode uint32, stat bool) (vfs.File, vfs.FileInfo, error) {
 	if flags&vfs.O_CREAT != 0 {
-		return d.create(path, flags, mode)
+		return d.create(path, flags, mode, stat)
 	}
 	stub, err := readStub(d.meta, path)
 	if err != nil {
-		return nil, err
+		return nil, vfs.FileInfo{}, err
 	}
-	return d.openData(stub, flags, mode, path)
+	return d.openData(stub, flags, mode, path, stat)
 }
 
-func (d *Dist) openData(stub Stub, flags int, mode uint32, name string) (vfs.File, error) {
+// openOn opens path on fs; with stat set the attributes come along.
+func openOn(fs vfs.FileSystem, path string, flags int, mode uint32, stat bool) (vfs.File, vfs.FileInfo, error) {
+	if stat {
+		return vfs.OpenStat(fs, path, flags, mode)
+	}
+	f, err := fs.Open(path, flags, mode)
+	return f, vfs.FileInfo{}, err
+}
+
+func (d *Dist) openData(stub Stub, flags int, mode uint32, name string, stat bool) (vfs.File, vfs.FileInfo, error) {
 	srv := d.server(stub.Server)
 	if srv == nil {
 		// The server left the abstraction: data unreachable, but only
 		// for this file (failure coherence).
-		return nil, vfs.EIO
+		return nil, vfs.FileInfo{}, vfs.EIO
 	}
-	f, err := srv.FS.Open(stub.Path, flags&^(vfs.O_CREAT|vfs.O_EXCL), mode)
-	if err != nil {
-		return nil, err
-	}
-	return &distFile{File: f, name: pathutil.Base(name)}, nil
+	return dataFile(srv, stub.Path, flags&^(vfs.O_CREAT|vfs.O_EXCL), mode, name, stat)
 }
 
-func (d *Dist) create(path string, flags int, mode uint32) (vfs.File, error) {
+// dataFile opens a data file and presents it under its logical name.
+func dataFile(srv *DataServer, dataPath string, flags int, mode uint32, name string, stat bool) (vfs.File, vfs.FileInfo, error) {
+	f, fi, err := openOn(srv.FS, dataPath, flags, mode, stat)
+	if err != nil {
+		return nil, vfs.FileInfo{}, err
+	}
+	fi.Name = pathutil.Base(name)
+	return &distFile{File: f, name: fi.Name}, fi, nil
+}
+
+func (d *Dist) create(path string, flags int, mode uint32, stat bool) (vfs.File, vfs.FileInfo, error) {
 	// Step 1: choose a server and a unique data file name.
 	srv := d.pickServer()
 	dataPath := pathutil.Join(srv.Dir, d.uniqueName())
@@ -156,35 +185,34 @@ func (d *Dist) create(path string, flags int, mode uint32) (vfs.File, error) {
 		if werr := vfs.WriteAll(sf, body, 0); werr != nil {
 			sf.Close()
 			d.meta.Unlink(path)
-			return nil, werr
+			return nil, vfs.FileInfo{}, werr
 		}
 		if cerr := sf.Close(); cerr != nil {
 			d.meta.Unlink(path)
-			return nil, cerr
+			return nil, vfs.FileInfo{}, cerr
 		}
 	case vfs.EEXIST:
 		if flags&vfs.O_EXCL != 0 {
-			return nil, vfs.EEXIST
+			return nil, vfs.FileInfo{}, vfs.EEXIST
 		}
 		// The file already exists: open its data, honoring O_TRUNC.
 		existing, rerr := readStub(d.meta, path)
 		if rerr != nil {
-			return nil, rerr
+			return nil, vfs.FileInfo{}, rerr
 		}
-		return d.openData(existing, flags, mode, path)
+		return d.openData(existing, flags, mode, path, stat)
 	default:
-		return nil, err
+		return nil, vfs.FileInfo{}, err
 	}
 
 	// Step 3: exclusively create the data file. On failure, undo the
 	// stub so no dangling entry survives a *reported* failure (a crash
 	// can still leave one — which is the safe orphan direction).
-	df, err := srv.FS.Open(dataPath, flags|vfs.O_CREAT|vfs.O_EXCL, mode)
+	f, fi, err := dataFile(srv, dataPath, flags|vfs.O_CREAT|vfs.O_EXCL, mode, path, stat)
 	if err != nil {
 		d.meta.Unlink(path)
-		return nil, err
 	}
-	return &distFile{File: df, name: pathutil.Base(path)}, nil
+	return f, fi, err
 }
 
 // Stat resolves the stub and reports the data file's size and times

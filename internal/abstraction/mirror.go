@@ -482,28 +482,54 @@ func (m *MirrorFS) applyAll(op func(i int, fs vfs.FileSystem) error) error {
 // files transparently fail over to another replica when theirs dies
 // mid-read.
 func (m *MirrorFS) Open(path string, flags int, mode uint32) (vfs.File, error) {
+	f, _, err := m.open(path, flags, mode, false)
+	return f, err
+}
+
+// OpenStat opens like Open and reports the attributes Fstat on the
+// returned file would: those of the replica that serves its reads,
+// taken from that replica's open reply where it gives one
+// (vfs.OpenStater). The other replicas of a writable file are opened
+// plainly.
+func (m *MirrorFS) OpenStat(path string, flags int, mode uint32) (vfs.File, vfs.FileInfo, error) {
+	return m.open(path, flags, mode, true)
+}
+
+var _ vfs.OpenStater = (*MirrorFS)(nil)
+
+func (m *MirrorFS) open(path string, flags int, mode uint32, stat bool) (vfs.File, vfs.FileInfo, error) {
 	if flags&vfs.AccessModeMask == vfs.O_RDONLY && flags&(vfs.O_CREAT|vfs.O_TRUNC) == 0 {
-		f, idx, err := mirrorRead(m, func(fs vfs.FileSystem) (vfs.File, error) {
-			return fs.Open(path, flags, mode)
-		}, func(f vfs.File) { f.Close() })
+		type opened struct {
+			f  vfs.File
+			fi vfs.FileInfo
+		}
+		o, idx, err := mirrorRead(m, func(fs vfs.FileSystem) (opened, error) {
+			f, fi, err := openOn(fs, path, flags, mode, stat)
+			return opened{f, fi}, err
+		}, func(o opened) { o.f.Close() })
 		if err != nil {
-			return nil, err
+			return nil, vfs.FileInfo{}, err
 		}
 		return &mirrorFile{
 			m:        m,
-			files:    []vfs.File{f},
+			files:    []vfs.File{o.f},
 			idxs:     []int{idx},
 			readOnly: true,
 			path:     path,
 			flags:    flags,
 			mode:     mode,
-		}, nil
+		}, o.fi, nil
 	}
 	var files []vfs.File
 	var idxs []int
+	var fi vfs.FileInfo
 	err := m.applyAll(func(i int, fs vfs.FileSystem) error {
-		f, e := fs.Open(path, flags, mode)
+		// files[0] is the one Fstat asks, so it is the one to stat.
+		f, st, e := openOn(fs, path, flags, mode, stat && len(files) == 0)
 		if e == nil {
+			if len(files) == 0 {
+				fi = st
+			}
 			files = append(files, f)
 			idxs = append(idxs, i)
 		}
@@ -523,9 +549,9 @@ func (m *MirrorFS) Open(path string, flags int, mode uint32) (vfs.File, error) {
 				m.replicas[i].Unlink(path)
 			}
 		}
-		return nil, err
+		return nil, vfs.FileInfo{}, err
 	}
-	return &mirrorFile{m: m, files: files, idxs: idxs}, nil
+	return &mirrorFile{m: m, files: files, idxs: idxs}, fi, nil
 }
 
 // Stat reads from the healthiest reachable replica.

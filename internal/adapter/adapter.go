@@ -359,14 +359,28 @@ func (a *Adapter) giveUp(err error) error {
 
 // retry runs op, driving the §6 recovery protocol when the abstraction
 // reports a lost or timed-out connection: backoff, reconnect, retry.
+// The first attempt runs bare; the recovery machinery is assembled only
+// once it has failed in a way recovery can help.
 func (a *Adapter) retry(fs vfs.FileSystem, op func() error) error {
+	lastErr := op()
+	if !resilient.RetryableOrPushback(lastErr) {
+		if lastErr == nil {
+			a.budget.Success()
+		}
+		return lastErr
+	}
 	rc := vfs.Capabilities(fs).Reconnector
 	if rc == nil {
 		// No recovery path: one shot, errors surface unchanged.
-		return op()
+		return lastErr
 	}
-	var lastErr error
+	first := true
 	wrapped := func() error {
+		if first {
+			// Policy.Do opens with an attempt; that one has been made.
+			first = false
+			return lastErr
+		}
 		lastErr = op()
 		return lastErr
 	}

@@ -118,10 +118,18 @@ type pathState struct {
 	leased   bool
 	leaseExp time.Time
 
-	attr    *vfs.FileInfo
+	attr *vfs.FileInfo
+	// absent is the negative attr entry: Stat answered ENOENT under this
+	// version. It lives and dies by the rule attr obeys, and at most one
+	// of the two is set.
+	absent  bool
 	dirents []vfs.DirEntry
 	pages   map[int64]struct{} // page indexes resident in the LRU
 }
+
+// known reports whether ps holds an answer for Stat: the attributes, or
+// that the path is not there.
+func (ps *pathState) known() bool { return ps.attr != nil || ps.absent }
 
 // FS is the caching layer. It is safe for concurrent use; the caches
 // are guarded by one mutex, which is never held across an RPC to the
@@ -135,7 +143,12 @@ type FS struct {
 	// indexes, and lease/version state, count-budgeted at
 	// Options.MaxPaths entries.
 	paths *LRU[string, *pathState]
-	data  *LRU[pageKey, []byte]
+	// dirs counts the tracked paths per parent directory, so that a
+	// rename can tell whether anything is cached beneath a name without
+	// walking paths (Rename runs once per job output on the paper's
+	// workload; a walk there costs a tenth of the unit).
+	dirs map[string]int
+	data *LRU[pageKey, []byte]
 	// pendingRel queues lease IDs whose entries were evicted under
 	// f.mu; the release RPCs run later, off the lock (drainReleases).
 	pendingRel []int64
@@ -199,6 +212,7 @@ func New(inner vfs.FileSystem, opt Options) *FS {
 		inner:  inner,
 		opt:    opt,
 		paths:  NewLRU[string, *pathState](maxPaths),
+		dirs:   make(map[string]int),
 		leaser: vfs.Capabilities(inner).Leaser,
 	}
 	// Capacity eviction of a path's metadata takes its pages with it
@@ -215,11 +229,13 @@ func New(inner vfs.FileSystem, opt Options) *FS {
 		}
 		ps.pages = nil
 		ps.attr = nil
+		ps.absent = false
 		ps.dirents = nil
 		if ps.leased && f.opt.Clock().Before(ps.leaseExp) {
 			f.pendingRel = append(f.pendingRel, ps.leaseID)
 		}
 		ps.leased = false
+		f.untrack(path)
 	}
 	if opt.DataBytes > 0 {
 		f.data = NewLRU[pageKey, []byte](opt.DataBytes)
@@ -273,8 +289,18 @@ func (f *FS) state(path string) *pathState {
 		return ps
 	}
 	ps := &pathState{}
+	f.dirs[pathutil.Dir(path)]++
 	f.paths.Put(path, ps, 1)
 	return ps
+}
+
+// untrack takes a path that left f.paths out of the per-directory
+// count. Caller holds f.mu.
+func (f *FS) untrack(path string) {
+	dir := pathutil.Dir(path)
+	if f.dirs[dir]--; f.dirs[dir] <= 0 {
+		delete(f.dirs, dir)
+	}
 }
 
 // drainReleases issues the lease-release RPCs queued by metadata
@@ -365,8 +391,9 @@ func (f *FS) invalidateLocked(path string, ps *pathState) {
 	if ps == nil {
 		return
 	}
-	had := ps.attr != nil || ps.dirents != nil || len(ps.pages) > 0
+	had := ps.known() || ps.dirents != nil || len(ps.pages) > 0
 	ps.attr = nil
+	ps.absent = false
 	ps.dirents = nil
 	if f.data != nil {
 		for idx := range ps.pages {
@@ -386,17 +413,76 @@ func (f *FS) invalidateLocked(path string, ps *pathState) {
 func (f *FS) wrote(paths ...string) {
 	f.mu.Lock()
 	for _, p := range paths {
-		if ps, ok := f.paths.Peek(p); ok {
-			f.invalidateLocked(p, ps)
-			ps.haveVersion = false
-			ps.leased = false
-			// The entry now holds nothing a future read could use —
-			// no data, no version to compare, no lease — so indexing
-			// it is pure growth; drop it.
-			f.paths.Remove(p)
-		}
+		f.forgetLocked(p)
 	}
 	f.mu.Unlock()
+}
+
+// forgetLocked drops everything known about path. Caller holds f.mu.
+func (f *FS) forgetLocked(path string) {
+	ps, ok := f.paths.Peek(path)
+	if !ok {
+		return
+	}
+	f.invalidateLocked(path, ps)
+	ps.haveVersion = false
+	ps.leased = false
+	// The entry now holds nothing a future read could use — no data, no
+	// version to compare, no lease — so indexing it is pure growth; drop
+	// it.
+	f.paths.Remove(path)
+	f.untrack(path)
+}
+
+// wroteTree records that a directory was renamed from or onto each of
+// roots: whatever is cached beneath them, present or absent, describes
+// a subtree that is somewhere else now. The server moves those versions
+// too (DESIGN.md §14); dropping here is what lets the renaming client
+// see its own rename at once.
+func (f *FS) wroteTree(roots ...string) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var doomed []string
+	for _, root := range roots {
+		if !f.tracksBeneath(root) {
+			continue
+		}
+		f.paths.Each(func(p string, _ *pathState) {
+			if pathutil.Within(root, p) {
+				doomed = append(doomed, p)
+			}
+		})
+	}
+	for _, p := range doomed {
+		f.forgetLocked(p)
+	}
+}
+
+// tracksBeneath reports whether any tracked path lies beneath root.
+// Caller holds f.mu.
+func (f *FS) tracksBeneath(root string) bool {
+	for dir := range f.dirs {
+		if pathutil.Within(root, dir) {
+			return true
+		}
+	}
+	return false
+}
+
+// cachedAttr is what the attr tier can say about path right now,
+// without renewing: its attributes (have), or that it is not there
+// (absent).
+func (f *FS) cachedAttr(path string) (fi vfs.FileInfo, have, absent bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ps, _ := f.paths.Get(path)
+	if ps == nil || !f.validLocked(ps, f.opt.Clock()) {
+		return fi, false, false
+	}
+	if ps.attr != nil {
+		return *ps.attr, true, false
+	}
+	return fi, false, ps.absent
 }
 
 // Stat serves attributes from the attr tier (vfs.FileSystem).
@@ -409,13 +495,20 @@ func (f *FS) Stat(path string) (vfs.FileInfo, error) {
 	// across the lease RPC, and a concurrent renewal that observed a
 	// changed version nils ps.attr and records the new version — this
 	// renewal then compares equal and reports fresh over an entry that
-	// is gone. Fall through to the miss path in that case.
-	if ps.attr != nil && (f.validLocked(ps, start) || f.revalidate(path, ps, start)) && ps.attr != nil {
-		fi := *ps.attr
+	// is gone. Fall through to the miss path in that case. A negative
+	// entry is served, kept and lost exactly as attributes are.
+	if ps.known() && (f.validLocked(ps, start) || f.revalidate(path, ps, start)) && ps.known() {
+		var fi vfs.FileInfo
+		var err error
+		if ps.absent {
+			err = vfs.ENOENT
+		} else {
+			fi = *ps.attr
+		}
 		f.count(f.cAttrHits, &f.stats.s.AttrHits)
 		f.mu.Unlock()
 		f.hAttr.Observe(time.Since(start))
-		return fi, nil
+		return fi, err
 	}
 	f.count(f.cAttrMisses, &f.stats.s.AttrMisses)
 	needLease := !f.validLocked(ps, f.opt.Clock())
@@ -430,19 +523,25 @@ func (f *FS) Stat(path string) (vfs.FileInfo, error) {
 		f.lease(path)
 	}
 	fi, err := f.inner.Stat(path)
-	if err != nil {
+	// Of the errors only "not there" is a fact about the path that its
+	// version covers; EACCES, ENOTDIR and a lost connection are not.
+	absent := err != nil && vfs.AsErrno(err) == vfs.ENOENT
+	if err != nil && !absent {
 		f.hAttr.Observe(time.Since(start))
 		return fi, err
 	}
 	f.mu.Lock()
 	ps = f.state(path)
 	if f.validLocked(ps, f.opt.Clock()) {
-		c := fi
-		ps.attr = &c
+		ps.attr, ps.absent = nil, absent
+		if !absent {
+			c := fi
+			ps.attr = &c
+		}
 	}
 	f.mu.Unlock()
 	f.hAttr.Observe(time.Since(start))
-	return fi, nil
+	return fi, err
 }
 
 // lease acquires a fresh lease on path and opens its trust horizon,
@@ -545,18 +644,15 @@ func (f *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 // locally: the server descriptor is created lazily, on the first page
 // miss that actually needs it. A fully warm open/read/close cycle
 // therefore costs zero RPCs — the open is a local act, as in NFSv3 —
-// at the price of deferring an EACCES to the first uncached read.
+// at the price of deferring an EACCES to the first uncached read. A
+// valid negative entry answers ENOENT locally likewise.
 func (f *FS) Open(path string, flags int, mode uint32) (vfs.File, error) {
 	if mutatingOpen(flags) {
 		f.wrote(path, pathutil.Dir(path))
-	} else {
-		f.mu.Lock()
-		ps, _ := f.paths.Get(path)
-		known := ps != nil && ps.attr != nil && f.validLocked(ps, f.opt.Clock())
-		f.mu.Unlock()
-		if known {
-			return f.newFile(nil, path, flags, mode), nil
-		}
+	} else if _, have, absent := f.cachedAttr(path); absent {
+		return nil, vfs.ENOENT
+	} else if have {
+		return f.newFile(nil, path, flags, mode), nil
 	}
 	inner, err := f.inner.Open(path, flags, mode)
 	if err != nil {
@@ -597,11 +693,17 @@ func (f *FS) Unlink(path string) error {
 	return err
 }
 
-// Rename renames a file or directory (vfs.FileSystem).
+// Rename renames a file or directory (vfs.FileSystem). A directory
+// takes its subtree along, so unless a valid attr entry says the source
+// is a regular file, everything cached beneath either name goes too.
 func (f *FS) Rename(oldPath, newPath string) error {
+	fi, have, _ := f.cachedAttr(oldPath)
 	err := f.inner.Rename(oldPath, newPath)
 	if err == nil {
 		f.wrote(oldPath, newPath, pathutil.Dir(oldPath), pathutil.Dir(newPath))
+		if !have || fi.IsDir {
+			f.wroteTree(oldPath, newPath)
+		}
 	}
 	return err
 }
@@ -665,6 +767,7 @@ func (f *FS) Close() error {
 	onEvict := f.paths.OnEvict
 	f.paths = NewLRU[string, *pathState](f.paths.capacity)
 	f.paths.OnEvict = onEvict
+	f.dirs = make(map[string]int)
 	if f.data != nil {
 		f.data = NewLRU[pageKey, []byte](f.opt.DataBytes)
 	}
@@ -804,6 +907,11 @@ type cacheOpenStater struct {
 func (o *cacheOpenStater) OpenStat(path string, flags int, mode uint32) (vfs.File, vfs.FileInfo, error) {
 	if mutatingOpen(flags) {
 		o.f.wrote(path, pathutil.Dir(path))
+	} else if fi, have, absent := o.f.cachedAttr(path); absent {
+		return nil, vfs.FileInfo{}, vfs.ENOENT
+	} else if have {
+		// The lazy open of FS.Open; the valid attr entry is the stat.
+		return o.f.newFile(nil, path, flags, mode), fi, nil
 	}
 	inner, fi, err := o.inner.OpenStat(path, flags, mode)
 	if err != nil {
@@ -916,17 +1024,26 @@ func (cf *cacheFile) preadCached(p []byte, off int64) (int, error) {
 				// the page is cacheable the moment it lands.
 				fs.lease(cf.path)
 			}
-			inner, err := cf.ensureInner()
-			if err != nil {
-				return total, err
+			// A valid attr entry (same lease version the page will be
+			// cached under) says where the file ends: the fill stops
+			// there instead of asking the server for the EOF.
+			want := pg
+			if fi, have, _ := fs.cachedAttr(cf.path); have && !fi.IsDir {
+				want = min(pg, max(fi.Size-idx*pg, 0))
 			}
-			page = make([]byte, pg)
-			n, err := preadFull(inner, page, idx*pg)
-			if err != nil {
-				return total, err
+			page = make([]byte, want)
+			if want > 0 {
+				inner, err := cf.ensureInner()
+				if err != nil {
+					return total, err
+				}
+				n, err := preadFull(inner, page, idx*pg)
+				if err != nil {
+					return total, err
+				}
+				page = page[:n]
 			}
-			page = page[:n]
-			if idx == 0 && int64(n) < pg && fs.opt.Verify {
+			if idx == 0 && int64(len(page)) < pg && fs.opt.Verify {
 				// The file fits in one page: this fill is the whole
 				// file, so it can be digest-checked end to end.
 				if verr := fs.verifyFill(cf.path, page); verr != nil {
@@ -1059,16 +1176,10 @@ func (cf *cacheFile) Fstat() (vfs.FileInfo, error) {
 	lazy := cf.inner == nil
 	cf.mu.Unlock()
 	if lazy {
-		fs := cf.fs
-		fs.mu.Lock()
-		ps, _ := fs.paths.Get(cf.path)
-		if ps != nil && ps.attr != nil && fs.validLocked(ps, fs.opt.Clock()) {
-			fi := *ps.attr
-			fs.count(fs.cAttrHits, &fs.stats.s.AttrHits)
-			fs.mu.Unlock()
+		if fi, have, _ := cf.fs.cachedAttr(cf.path); have {
+			cf.fs.count(cf.fs.cAttrHits, &cf.fs.stats.s.AttrHits)
 			return fi, nil
 		}
-		fs.mu.Unlock()
 	}
 	//lint:ignore reslifetime ensureInner memoizes the handle on cf; cacheFile.Close releases it
 	inner, err := cf.ensureInner()

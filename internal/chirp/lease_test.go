@@ -3,10 +3,12 @@ package chirp
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"tss/internal/auth"
+	"tss/internal/chirp/proto"
 	"tss/internal/netsim"
 	"tss/internal/vfs"
 )
@@ -239,41 +241,102 @@ func TestLeaseExpiry(t *testing.T) {
 }
 
 // TestLeaseOwnedPruning covers the session-ledger hygiene behind
-// pooled release routing: a grant recorded in one session's map may be
-// released over another connection, which cannot reach the granting
-// session's map — pruneOwned at the next grant must drop such IDs (and
-// expired ones) so a long-lived connection does not accumulate them.
+// pooled release routing: a grant recorded in one session's ledger may
+// be released over another connection, which cannot reach the granting
+// session — the table must take such IDs (and expired ones) out of the
+// ledger itself, so a long-lived connection does not accumulate them.
 func TestLeaseOwnedPruning(t *testing.T) {
 	var tbl leaseTable
 	tbl.init(50 * time.Millisecond)
 	sub := auth.Subject("hostname:owner.sim")
-	id1, _, _ := tbl.grant("/a", sub)
-	id2, _, _ := tbl.grant("/b", sub)
-	owned := map[int64]struct{}{id1: {}, id2: {}}
-	// id1 is released as if over another pool member: the owning
-	// session's map still carries it.
+	var owned leaseLedger
+	id1, _, _ := tbl.grant("/a", sub, &owned)
+	id2, _, _ := tbl.grant("/b", sub, &owned)
+	// id1 is released as if over another pool member: the call names
+	// the lease and the subject, not the owning session.
 	if err := tbl.release(id1, sub); err != nil {
 		t.Fatal(err)
 	}
-	tbl.pruneOwned(owned)
-	if _, ok := owned[id1]; ok {
-		t.Fatal("released ID survived pruning")
+	if _, ok := owned.ids[id1]; ok {
+		t.Fatal("released ID survived in the owning session's ledger")
 	}
-	if _, ok := owned[id2]; !ok {
-		t.Fatal("live ID was pruned")
+	if _, ok := owned.ids[id2]; !ok {
+		t.Fatal("live ID left the ledger")
 	}
 	// Past the TTL the remaining grant is dead weight in both the
-	// session map and the table; pruning clears both.
+	// ledger and the table; the next grant, on any session, clears both.
 	time.Sleep(60 * time.Millisecond)
-	tbl.pruneOwned(owned)
-	if len(owned) != 0 {
-		t.Fatalf("expired ID survived pruning: %v", owned)
+	var other leaseLedger
+	id3, _, _ := tbl.grant("/c", sub, &other)
+	if len(owned.ids) != 0 {
+		t.Fatalf("expired ID survived in the ledger: %v", owned.ids)
 	}
 	tbl.mu.Lock()
+	_, live := tbl.byID[id3]
 	n := len(tbl.byID)
 	tbl.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("expired grant still in server table (%d entries)", n)
+	if n != 1 || !live {
+		t.Fatalf("server table holds %d entries (new grant present: %v), want only the new grant", n, live)
+	}
+}
+
+// TestLeaseGrantCostIsFlat: with 10 000 live grants on one session the
+// next grant looks at a constant number of entries — the oldest, to see
+// that nothing has lapsed — where it used to walk the whole ledger under
+// the table lock. Counted, not timed.
+func TestLeaseGrantCostIsFlat(t *testing.T) {
+	var tbl leaseTable
+	tbl.init(time.Hour)
+	sub := auth.Subject("hostname:owner.sim")
+	var owned leaseLedger
+	const live = 10000
+	for i := 0; i < live; i++ {
+		tbl.grant(fmt.Sprintf("/p%d", i%500), sub, &owned)
+	}
+	before := tbl.visited
+	const more = 100
+	for i := 0; i < more; i++ {
+		tbl.grant("/q", sub, &owned)
+	}
+	if per := float64(tbl.visited-before) / more; per > 2 {
+		t.Errorf("a grant visited %.1f entries with %d live, want a constant", per, live)
+	}
+	if len(owned.ids) != live+more || len(tbl.byID) != live+more {
+		t.Errorf("ledger %d, table %d, want %d live grants in both", len(owned.ids), len(tbl.byID), live+more)
+	}
+	// Disconnect: everything the session held leaves the table.
+	tbl.releaseOwned(&owned)
+	if len(owned.ids) != 0 || len(tbl.byID) != 0 || len(tbl.byPath) != 0 || tbl.oldest != nil || tbl.newest != nil {
+		t.Errorf("after disconnect: ledger %d, byID %d, byPath %d, list ends %v %v; want all empty",
+			len(owned.ids), len(tbl.byID), len(tbl.byPath), tbl.oldest, tbl.newest)
+	}
+}
+
+// TestLeaseExpiredGrantsLeaveInOrder: grants that lapsed since the last
+// one are dropped from the old end, and only those.
+func TestLeaseExpiredGrantsLeaveInOrder(t *testing.T) {
+	var tbl leaseTable
+	tbl.init(40 * time.Millisecond)
+	sub := auth.Subject("hostname:owner.sim")
+	var a, b leaseLedger
+	for i := 0; i < 5; i++ {
+		tbl.grant("/old", sub, &a)
+	}
+	time.Sleep(60 * time.Millisecond)
+	fresh, _, _ := tbl.grant("/new", sub, &b)
+	before := tbl.visited
+	last, _, _ := tbl.grant("/new", sub, &b)
+	if len(a.ids) != 0 || len(b.ids) != 2 || len(tbl.byID) != 2 {
+		t.Fatalf("ledgers %d/%d, table %d; want the five lapsed grants gone and the two fresh ones kept", len(a.ids), len(b.ids), len(tbl.byID))
+	}
+	if tbl.visited-before != 1 {
+		t.Errorf("grant with nothing lapsed visited %d entries, want 1", tbl.visited-before)
+	}
+	if tbl.oldest.id != fresh || tbl.newest.id != last {
+		t.Errorf("list runs %d..%d, want %d..%d", tbl.oldest.id, tbl.newest.id, fresh, last)
+	}
+	if _, ok := tbl.byPath["/old"]; ok {
+		t.Error("path index kept an entry for a path with no live lease")
 	}
 }
 
@@ -345,5 +408,125 @@ func TestLeaseVersionsOnlyForGrantedPaths(t *testing.T) {
 	}
 	if l2.Version <= l1.Version || tracked() != 1 {
 		t.Errorf("version %d -> %d over a write, %d paths tracked; want an advance and 1", l1.Version, l2.Version, tracked())
+	}
+}
+
+// TestLeaseVersionMovesWhenPathAppears is the rule a cached "not there"
+// leans on (DESIGN.md §14): whoever was told a version of an absent
+// path is told a different one once the path exists, whichever verb
+// made it. The table covers proto.Verbs entry by entry, so a new verb
+// has to say which kind it is.
+func TestLeaseVersionMovesWhenPathAppears(t *testing.T) {
+	// appear makes path exist using the one verb; nil marks a verb that
+	// cannot create a directory entry (descriptor verbs, readers, verbs
+	// that need the path to exist, and the ACL file setacl writes, which
+	// no path reaches).
+	appear := map[string]func(c *Client, path string) error{
+		"open": func(c *Client, path string) error {
+			f, err := c.Open(path, vfs.O_WRONLY|vfs.O_CREAT|vfs.O_EXCL, 0o644)
+			if err != nil {
+				return err
+			}
+			return f.Close()
+		},
+		"rename": func(c *Client, path string) error {
+			if err := vfs.WriteFile(c, path+".src", []byte("x"), 0o644); err != nil {
+				return err
+			}
+			return c.Rename(path+".src", path)
+		},
+		"mkdir": func(c *Client, path string) error { return c.Mkdir(path, 0o755) },
+		"putfile": func(c *Client, path string) error {
+			return c.putFilePlain(path, 0o644, 1, strings.NewReader("x"))
+		},
+		"putfilesum": func(c *Client, path string) error {
+			return c.putFileSum(path, 0o644, 1, strings.NewReader("x"))
+		},
+		"putbegin": func(c *Client, path string) error { return c.PutBegin(path, 0o644, 1) },
+
+		"pread": nil, "pwrite": nil, "fstat": nil, "fsync": nil, "ftruncate": nil, "close": nil,
+		"stat": nil, "getdir": nil, "getfile": nil, "getacl": nil, "statfs": nil, "whoami": nil,
+		"checksum": nil, "getfilesum": nil, "getpart": nil,
+		"unlink": nil, "rmdir": nil, "truncate": nil, "chmod": nil, "setacl": nil,
+		"putpart": nil, "putcomplete": nil,
+		"lease": nil, "leasebreak": nil, "deadline": nil,
+	}
+	ts := startServer(t, nil)
+	c := ts.client(t, "owner.sim")
+	holder := ts.client(t, "owner.sim")
+
+	// told leases the absent path as a cache would before recording "not
+	// there"; moved checks what the holder learns afterwards.
+	told := func(path string) vfs.Lease {
+		t.Helper()
+		l, err := holder.Lease(path)
+		if err != nil {
+			t.Fatalf("lease %s: %v", path, err)
+		}
+		if _, err := holder.Stat(path); vfs.AsErrno(err) != vfs.ENOENT {
+			t.Fatalf("stat %s before = %v, want ENOENT", path, err)
+		}
+		return l
+	}
+	moved := func(what, path string, before vfs.Lease) {
+		t.Helper()
+		if _, err := holder.Stat(path); err != nil {
+			t.Fatalf("%s: %s did not appear: %v", what, path, err)
+		}
+		after, err := holder.Lease(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Version == before.Version {
+			t.Errorf("%s made %s appear and its version stayed %d: a cached ENOENT would be revalidated forever", what, path, before.Version)
+		}
+		if err := holder.LeaseBreak(before.ID); vfs.AsErrno(err) != vfs.EBADF {
+			t.Errorf("%s: the lease on absent %s survived (release = %v, want EBADF)", what, path, err)
+		}
+	}
+
+	for _, v := range proto.Verbs {
+		create, classified := appear[v.Name]
+		if !classified {
+			t.Errorf("verb %q is not classified: can it make a path appear?", v.Name)
+			continue
+		}
+		if create == nil {
+			continue
+		}
+		path := "/appear-" + v.Name
+		before := told(path)
+		if err := create(c, path); err != nil {
+			t.Fatalf("%s %s: %v", v.Name, path, err)
+		}
+		moved(v.Name, path, before)
+	}
+	if len(appear) != len(proto.Verbs) {
+		t.Errorf("table classifies %d verbs, the wire has %d", len(appear), len(proto.Verbs))
+	}
+
+	// A renamed directory makes every path beneath its new name appear
+	// and every path beneath its old name vanish.
+	if err := c.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.WriteFile(c, "/d/f", []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	under := told("/e/f")
+	gone, err := holder.Lease("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Rename("/d", "/e"); err != nil {
+		t.Fatal(err)
+	}
+	moved("rename of a directory", "/e/f", under)
+	again, err := holder.Lease("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Version == gone.Version {
+		t.Errorf("/d was renamed away and the version of /d/f stayed %d: its cached bytes would be served forever", gone.Version)
 	}
 }

@@ -776,9 +776,9 @@ type session struct {
 	subject auth.Subject
 	files   map[int64]*openFD
 	nextFD  int64
-	// leases are the lease IDs granted on this connection, released at
-	// disconnect like descriptors (nil until the first grant).
-	leases map[int64]struct{}
+	// leases are the live grants made on this connection, released at
+	// disconnect like descriptors; the lease table keeps it.
+	leases leaseLedger
 	// armed is the deadline set by the last "deadline" prefix line,
 	// consumed by the next dispatched request (zero = none).
 	armed time.Time
@@ -796,10 +796,7 @@ func (ss *session) closeAll() {
 		f.file.Close()
 	}
 	ss.files = nil
-	if ss.leases != nil {
-		ss.srv.leases.releaseOwned(ss.leases)
-		ss.leases = nil
-	}
+	ss.srv.leases.releaseOwned(&ss.leases)
 }
 
 func respondCode(bw *bufio.Writer, v int64) error {
@@ -1070,6 +1067,11 @@ func (ss *session) handleRename(req *proto.Request, conn net.Conn, br *bufio.Rea
 	err := ss.srv.fs.Rename(oldPath, newPath)
 	if err == nil {
 		ss.srv.breakLeases(oldPath, newPath, pathutil.Dir(oldPath), pathutil.Dir(newPath))
+		// A directory takes its subtree along. What arrived at newPath
+		// says which it was; if that cannot be told, assume a directory.
+		if fi, serr := ss.srv.fs.Stat(newPath); serr != nil || fi.IsDir {
+			ss.srv.breakLeaseTrees(oldPath, newPath)
+		}
 	}
 	return ss.respondErr(bw, err)
 }

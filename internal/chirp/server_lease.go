@@ -19,6 +19,7 @@ import (
 	"tss/internal/acl"
 	"tss/internal/auth"
 	"tss/internal/chirp/proto"
+	"tss/internal/pathutil"
 	"tss/internal/vfs"
 )
 
@@ -27,12 +28,27 @@ import (
 // design: a partitioned cache holder goes stale for at most this long.
 const DefaultLeaseTTL = 2 * time.Second
 
-// leaseEntry is one outstanding read lease.
+// leaseEntry is one outstanding read lease. The entries form a list in
+// grant order (older, newer): the TTL is one constant, so that is expiry
+// order too, and the oldest grant is the only one a grant has to look at
+// to find what has lapsed.
 type leaseEntry struct {
 	id      int64
 	path    string
 	subject auth.Subject
 	expiry  time.Time
+	// owner is the granting session's ledger; drop takes the ID out of
+	// it whichever connection, write or clock ended the lease.
+	owner        *leaseLedger
+	older, newer *leaseEntry
+}
+
+// leaseLedger is the set of live grants made on one session, released
+// at disconnect like descriptors. The table keeps it (under its own
+// lock): a lease leaves the ledger the moment it leaves the table, so
+// the ledger is never more than the session's live grants.
+type leaseLedger struct {
+	ids map[int64]struct{}
 }
 
 // leaseTable is the server's lease state: outstanding grants indexed
@@ -47,6 +63,11 @@ type leaseTable struct {
 	byID    map[int64]*leaseEntry
 	byPath  map[string]map[int64]*leaseEntry
 	version map[string]int64
+	// oldest and newest are the ends of the grant-order list.
+	oldest, newest *leaseEntry
+	// visited counts the entries grant examined for expiry, the cost
+	// TestLeaseGrantCostIsFlat bounds.
+	visited int64
 	// nextVer is the global change counter versions are drawn from, so
 	// a path's version never repeats even across unlink/recreate. It is
 	// seeded with the boot timestamp: version state is in-memory, and a
@@ -72,25 +93,38 @@ func (t *leaseTable) init(ttl time.Duration) {
 	t.nextVer = t.base
 }
 
-// grant issues a lease on path to subject, purging that path's expired
-// leases while it holds the lock.
-func (t *leaseTable) grant(path string, subject auth.Subject) (id, version int64, ttl time.Duration) {
+// grant issues a lease on path to subject and records it in owner. It
+// first drops the grants that expired since the previous one, from the
+// old end of the list, so a grant costs O(1 + those) however many
+// leases are live.
+func (t *leaseTable) grant(path string, subject auth.Subject, owner *leaseLedger) (id, version int64, ttl time.Duration) {
 	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for id, e := range t.byPath[path] {
-		if now.After(e.expiry) {
-			delete(t.byPath[path], id)
-			delete(t.byID, id)
+	for e := t.oldest; e != nil; e = t.oldest {
+		t.visited++
+		if !now.After(e.expiry) {
+			break
 		}
+		t.drop(e)
 	}
 	t.nextID++
-	e := &leaseEntry{id: t.nextID, path: path, subject: subject, expiry: now.Add(t.ttl)}
+	e := &leaseEntry{id: t.nextID, path: path, subject: subject, expiry: now.Add(t.ttl), owner: owner, older: t.newest}
+	if t.newest != nil {
+		t.newest.newer = e
+	} else {
+		t.oldest = e
+	}
+	t.newest = e
 	t.byID[e.id] = e
 	if t.byPath[path] == nil {
 		t.byPath[path] = make(map[int64]*leaseEntry)
 	}
 	t.byPath[path][e.id] = e
+	if owner.ids == nil {
+		owner.ids = make(map[int64]struct{})
+	}
+	owner.ids[e.id] = struct{}{}
 	v, ok := t.version[path]
 	if !ok {
 		v = t.base
@@ -119,40 +153,16 @@ func (t *leaseTable) release(id int64, subject auth.Subject) error {
 // releaseOwned drops a session's remaining grants at disconnect; per
 // the paper's failure semantics all per-connection state dies with the
 // connection.
-func (t *leaseTable) releaseOwned(ids map[int64]struct{}) {
+func (t *leaseTable) releaseOwned(owner *leaseLedger) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for id := range ids {
-		if e, ok := t.byID[id]; ok {
-			t.drop(e)
-		}
+	for id := range owner.ids {
+		t.drop(t.byID[id])
 	}
 }
 
-// pruneOwned removes from ids every grant the table no longer needs:
-// IDs already gone (released over another pool connection, or broken
-// by a write) leave ids, and expired grants leave both ids and the
-// table. Without this a long-lived connection whose renewals grant on
-// it while the releases ride other pool members accumulates dead IDs
-// for the connection's lifetime.
-func (t *leaseTable) pruneOwned(ids map[int64]struct{}) {
-	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for id := range ids {
-		e, ok := t.byID[id]
-		if !ok {
-			delete(ids, id)
-			continue
-		}
-		if now.After(e.expiry) {
-			t.drop(e)
-			delete(ids, id)
-		}
-	}
-}
-
-// drop removes e from both indexes. Caller holds t.mu.
+// drop removes e from the indexes, the grant-order list and its
+// session's ledger. Caller holds t.mu.
 func (t *leaseTable) drop(e *leaseEntry) {
 	delete(t.byID, e.id)
 	if m := t.byPath[e.path]; m != nil {
@@ -161,6 +171,18 @@ func (t *leaseTable) drop(e *leaseEntry) {
 			delete(t.byPath, e.path)
 		}
 	}
+	delete(e.owner.ids, e.id)
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		t.oldest = e.newer
+	}
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		t.newest = e.older
+	}
+	e.older, e.newer = nil, nil
 }
 
 // bump records a conflicting mutation of path: the version advances
@@ -171,6 +193,10 @@ func (t *leaseTable) bump(path string) int {
 	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.bumpLocked(path, now)
+}
+
+func (t *leaseTable) bumpLocked(path string, now time.Time) int {
 	t.nextVer++
 	if _, told := t.version[path]; told {
 		t.version[path] = t.nextVer
@@ -180,9 +206,27 @@ func (t *leaseTable) bump(path string) int {
 		if !now.After(e.expiry) {
 			broken++
 		}
-		delete(t.byID, e.id)
+		t.drop(e)
 	}
-	delete(t.byPath, path)
+	return broken
+}
+
+// bumpTree records that everything beneath dir moved (a directory was
+// renamed from or onto it): every path there that somebody was told a
+// version of gets a new one and loses its leases. A holder of "/d/f"
+// must not revalidate it after "/d" was renamed away, and a holder of
+// "no /e/f" must not after "/d" arrived at "/e". It walks the told
+// versions, which a directory rename is rare enough to afford.
+func (t *leaseTable) bumpTree(dir string) int {
+	now := time.Now()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	broken := 0
+	for p := range t.version {
+		if pathutil.Within(dir, p) {
+			broken += t.bumpLocked(p, now)
+		}
+	}
 	return broken
 }
 
@@ -193,10 +237,22 @@ func (t *leaseTable) bump(path string) int {
 // mutation.
 func (s *Server) breakLeases(paths ...string) {
 	for _, p := range paths {
-		if n := s.leases.bump(p); n > 0 {
-			s.Stats.LeaseBreaks.Add(int64(n))
-			s.mLeaseBreaks.Add(int64(n))
-		}
+		s.countBreaks(s.leases.bump(p))
+	}
+}
+
+// breakLeaseTrees is breakLeases for a renamed directory: everything
+// beneath each of dirs.
+func (s *Server) breakLeaseTrees(dirs ...string) {
+	for _, d := range dirs {
+		s.countBreaks(s.leases.bumpTree(d))
+	}
+}
+
+func (s *Server) countBreaks(n int) {
+	if n > 0 {
+		s.Stats.LeaseBreaks.Add(int64(n))
+		s.mLeaseBreaks.Add(int64(n))
 	}
 }
 
@@ -207,16 +263,7 @@ func (ss *session) handleLease(req *proto.Request, conn net.Conn, br *bufio.Read
 	if err := ss.srv.checkParent(ss.subject, path, acl.L); err != nil {
 		return ss.respondErr(bw, err)
 	}
-	id, version, ttl := ss.srv.leases.grant(path, ss.subject)
-	if ss.leases == nil {
-		ss.leases = make(map[int64]struct{})
-	}
-	// Grant time is when this session's ledger gets trued up: IDs
-	// released over other pool connections or expired since the last
-	// grant are dropped, so the map tracks only live grants. The cost
-	// is O(live leases), bounded by this very pruning.
-	ss.srv.leases.pruneOwned(ss.leases)
-	ss.leases[id] = struct{}{}
+	id, version, ttl := ss.srv.leases.grant(path, ss.subject, &ss.leases)
 	ss.srv.Stats.LeaseGrants.Add(1)
 	ss.srv.mLeaseGrants.Inc()
 	if err := respondCode(bw, 0); err != nil {
@@ -227,7 +274,5 @@ func (ss *session) handleLease(req *proto.Request, conn net.Conn, br *bufio.Read
 }
 
 func (ss *session) handleLeasebreak(req *proto.Request, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
-	err := ss.srv.leases.release(req.FD, ss.subject)
-	delete(ss.leases, req.FD)
-	return ss.respondErr(bw, err)
+	return ss.respondErr(bw, ss.srv.leases.release(req.FD, ss.subject))
 }

@@ -49,10 +49,10 @@ func (ss *session) handlePutbegin(req *proto.Request, conn net.Conn, br *bufio.R
 	}
 	if terr != nil {
 		ss.srv.fs.Unlink(path)
-		return ss.respondErr(bw, terr)
 	}
+	// Also when the file is gone again: it was visible in between.
 	ss.srv.breakLeases(path, pathutil.Dir(path))
-	return respondCode(bw, 0)
+	return ss.respondErr(bw, terr)
 }
 
 // drainBody consumes a request body that cannot be applied — Length

@@ -179,13 +179,15 @@ func (ss *session) handlePutfilesum(req *proto.Request, conn net.Conn, br *bufio
 	if writeErr == nil {
 		writeErr = closeErr
 	}
-	if writeErr != nil {
-		ss.srv.fs.Unlink(path)
-		return ss.respondErr(bw, writeErr)
+	if writeErr == nil && (perr != nil || algo != req.Algo || !bytes.Equal(sum, h.Sum(nil))) {
+		writeErr = vfs.EBADMSG
 	}
-	if perr != nil || algo != req.Algo || !bytes.Equal(sum, h.Sum(nil)) {
+	if writeErr != nil {
+		// The file was visible since the open; whoever leased it then
+		// must learn that it is gone again.
 		ss.srv.fs.Unlink(path)
-		return ss.respondErr(bw, vfs.EBADMSG)
+		ss.srv.breakLeases(path, pathutil.Dir(path))
+		return ss.respondErr(bw, writeErr)
 	}
 	return respondCode(bw, req.Length)
 }

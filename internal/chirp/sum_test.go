@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -99,10 +100,26 @@ func TestPutfilesumRejectsBadDigest(t *testing.T) {
 	data := []byte("these bytes will not match the digest")
 	wrong := bytes.Repeat([]byte{0xab}, 32)
 
+	// A caching client looks while the body is on its way: the file is
+	// there, and it is told a version of it.
+	holder := ts.client(t, "owner.sim")
+	var seen vfs.Lease
+	body := readerFunc(func(p []byte) (int, error) {
+		if seen.ID == 0 {
+			var err error
+			if seen, err = holder.Lease("/poison"); err != nil {
+				return 0, err
+			}
+			if _, err := holder.Stat("/poison"); err != nil {
+				return 0, fmt.Errorf("file not visible during the transfer: %w", err)
+			}
+		}
+		return copy(p, data), io.EOF
+	})
 	err := c.putStream(
 		&proto.Request{Verb: "putfilesum", Path: "/poison", Mode: 0o644,
 			Length: int64(len(data)), Algo: "sha256"},
-		int64(len(data)), bytes.NewReader(data),
+		int64(len(data)), body,
 		func(dst []byte) []byte {
 			return append(proto.AppendDigestTrailer(dst, "sha256", wrong), '\n')
 		})
@@ -111,6 +128,9 @@ func TestPutfilesumRejectsBadDigest(t *testing.T) {
 	}
 	if _, err := c.Stat("/poison"); vfs.AsErrno(err) != vfs.ENOENT {
 		t.Errorf("server kept unverified file: stat = %v, want ENOENT", err)
+	}
+	if after, err := holder.Lease("/poison"); err != nil || after.Version == seen.Version {
+		t.Errorf("the file was removed again and its version stayed %d (%v): the holder would keep it forever", seen.Version, err)
 	}
 	// The connection survives the rejection: the stream is still framed.
 	if err := vfs.WriteFile(c, "/after", []byte("ok"), 0o644); err != nil {
@@ -185,3 +205,7 @@ func TestVerifiedSizes(t *testing.T) {
 		}
 	}
 }
+
+type readerFunc func(p []byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }

@@ -145,19 +145,7 @@ func (s *SubtreeFS) OpenStat(path string, flags int, mode uint32) (File, FileInf
 	if err != nil {
 		return nil, FileInfo{}, err
 	}
-	if o, ok := s.inner.(OpenStater); ok {
-		return o.OpenStat(p, flags, mode)
-	}
-	f, err := s.inner.Open(p, flags, mode)
-	if err != nil {
-		return nil, FileInfo{}, err
-	}
-	fi, err := f.Fstat()
-	if err != nil {
-		f.Close()
-		return nil, FileInfo{}, err
-	}
-	return f, fi, nil
+	return OpenStat(s.inner, p, flags, mode)
 }
 
 // GetFile forwards the whole-file fast path when the inner filesystem

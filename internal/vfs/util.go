@@ -36,6 +36,25 @@ func ReadFile(fs FileSystem, path string) ([]byte, error) {
 	}
 }
 
+// OpenStat opens the named file and reports its attributes, in one
+// round trip when fs has the OpenStater fast path and as open + fstat
+// otherwise.
+func OpenStat(fs FileSystem, path string, flags int, mode uint32) (File, FileInfo, error) {
+	if o := Capabilities(fs).OpenStater; o != nil {
+		return o.OpenStat(path, flags, mode)
+	}
+	f, err := fs.Open(path, flags, mode)
+	if err != nil {
+		return nil, FileInfo{}, err
+	}
+	fi, err := f.Fstat()
+	if err != nil {
+		f.Close()
+		return nil, FileInfo{}, err
+	}
+	return f, fi, nil
+}
+
 // WriteFile creates or replaces the named file with data.
 func WriteFile(fs FileSystem, path string, data []byte, mode uint32) error {
 	f, err := fs.Open(path, O_WRONLY|O_CREAT|O_TRUNC, mode)
