@@ -190,6 +190,22 @@ func main() {
 	if par > poolSize {
 		poolSize = par
 	}
+	// One retry policy per invocation, from -retries, -retry-base and
+	// -retry-budget. Transfer verbs route through the unified copy
+	// engine, which picks single-shot or parallel multipart from the
+	// flags and what the server supports, and drives each operation of a
+	// transfer under the policy.
+	policy := resilient.Policy{Attempts: retries, Base: retryBase, Max: 2 * time.Second, Jitter: 0.2}
+	if retryTokens > 0 {
+		policy.RetryBudget = resilient.NewRetryBudget(retryTokens, 0)
+	}
+	if err := policy.Validate(); err != nil {
+		fatal(err)
+	}
+	copyOpts := vfs.CopyOptions{Concurrency: par, ChunkSize: chunkSize, Verify: verify}
+	if retries > 0 {
+		copyOpts.Retry = policy
+	}
 	// The maintenance verbs take several server addresses, not one, and
 	// cp takes endpoint specs rather than a leading address.
 	switch argv[0] {
@@ -200,7 +216,7 @@ func main() {
 		runFsck(argv[1:], creds, timeout)
 		return
 	case "cp":
-		runCp(argv[1:], creds, timeout, poolSize, par, chunkSize, verify, retries, retryBase, retryTokens)
+		runCp(argv[1:], creds, timeout, poolSize, copyOpts)
 		return
 	}
 	verb, addr, args := argv[0], argv[1], argv[2:]
@@ -246,48 +262,7 @@ func main() {
 	// ETIMEDOUT (§6), except pushback exhaustion, which keeps EAGAIN so
 	// callers can see the overload signal. Non-idempotent verbs (put,
 	// mkdir, mv, ...) run once: blind replay could double-apply.
-	policy, err := resilient.NewPolicy(
-		resilient.WithAttempts(retries),
-		resilient.WithBase(retryBase),
-		resilient.WithJitter(0.2),
-		resilient.WithRetryBudget(newBudget(retryTokens)),
-	)
-	if err != nil {
-		fatal(err)
-	}
-	retry := func(op func() error) error {
-		if retries <= 0 {
-			return op()
-		}
-		var lastErr error
-		prepare := func() error {
-			if resilient.Pushback(lastErr) {
-				// The server answered and asked for room; redialing it
-				// would add load exactly where there is none to spare.
-				return nil
-			}
-			return client.Reconnect()
-		}
-		err, exhausted := policy.Do(func() error {
-			lastErr = op()
-			return lastErr
-		}, prepare, resilient.RetryableOrPushback)
-		if exhausted {
-			if resilient.Pushback(err) {
-				return vfs.EAGAIN
-			}
-			return vfs.ETIMEDOUT
-		}
-		return err
-	}
-
-	// Transfer verbs route through the unified copy engine, which picks
-	// single-shot or parallel multipart from the flags and what the
-	// server supports.
-	copyOpts := vfs.CopyOptions{Concurrency: par, ChunkSize: chunkSize, Verify: verify}
-	if retries > 0 {
-		copyOpts.Retry = policy
-	}
+	retry := func(op func() error) error { return policy.Run(client, op, nil) }
 
 	need := func(n int) {
 		if len(args) != n {
@@ -472,22 +447,9 @@ func splitRemote(arg string) (addr, path string, ok bool) {
 // host:port:/path remote spec, through the same engine as get/put.
 // Remote-to-remote copies stream through this client chunk by chunk
 // without a temporary file; a repeated address shares one transport.
-func runCp(args []string, creds []auth.Credential, timeout time.Duration, poolSize, par int, chunk int64, verify bool, retries int, retryBase time.Duration, retryTokens float64) {
+func runCp(args []string, creds []auth.Credential, timeout time.Duration, poolSize int, opts vfs.CopyOptions) {
 	if len(args) != 2 {
 		usage()
-	}
-	opts := vfs.CopyOptions{Concurrency: par, ChunkSize: chunk, Verify: verify}
-	if retries > 0 {
-		policy, err := resilient.NewPolicy(
-			resilient.WithAttempts(retries),
-			resilient.WithBase(retryBase),
-			resilient.WithJitter(0.2),
-			resilient.WithRetryBudget(newBudget(retryTokens)),
-		)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Retry = policy
 	}
 	clients := make(map[string]transport)
 	dialOne := func(addr string) transport {
@@ -501,7 +463,7 @@ func runCp(args []string, creds []auth.Credential, timeout time.Duration, poolSi
 			Credentials: creds,
 			Timeout:     timeout,
 			PoolSize:    poolSize,
-			Verify:      verify,
+			Verify:      opts.Verify,
 		}
 		var c transport
 		var err error
@@ -545,14 +507,6 @@ func printStat(w io.Writer, fi vfs.FileInfo) {
 	}
 	fmt.Fprintf(w, "%s %s size=%d mode=%o mtime=%s inode=%d\n",
 		kind, fi.Name, fi.Size, fi.Mode, fi.ModTime().Format(time.RFC3339), fi.Inode)
-}
-
-// newBudget builds the shared CLI retry budget; 0 tokens means no cap.
-func newBudget(tokens float64) *resilient.RetryBudget {
-	if tokens <= 0 {
-		return nil
-	}
-	return resilient.NewRetryBudget(tokens, 0)
 }
 
 // exitCode maps a failure to the process exit status, keeping the

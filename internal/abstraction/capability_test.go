@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tss/internal/cache"
+	"tss/internal/resilient"
 	"tss/internal/vfs"
 )
 
@@ -67,23 +68,57 @@ func TestCapabilitiesForwarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := c.clients[0].Mkdir("/stripe-meta", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stripeMeta, err := vfs.Subtree(c.clients[0], "/stripe-meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	striped, err := NewStriped(stripeMeta, []DataServer{
+		{Name: c.names[1], FS: c.clients[1], Dir: "/stripe-data"},
+		{Name: c.names[2], FS: c.clients[2], Dir: "/stripe-data"},
+	}, StripeOptions{StripeSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	stacks := []struct {
-		name string
-		fs   vfs.FileSystem
+		name     string
+		fs       vfs.FileSystem
+		openStat bool
 	}{
-		{"CFS", cfs},
-		{"DSFS", buildDSFS(t, c)},
-		{"mirror", mirror},
-		{"cache over CFS", cached},
+		{"CFS", cfs, true},
+		{"DSFS", buildDSFS(t, c), true},
+		{"mirror", mirror, true},
+		{"cache over CFS", cached, true},
+		{"stripe", striped, false},
 	}
 	for _, st := range stacks {
 		caps := vfs.Capabilities(st.fs)
-		if caps.OpenStater == nil || caps.Reconnector == nil {
+		if (st.openStat && caps.OpenStater == nil) || caps.Reconnector == nil {
 			t.Errorf("%s offers [%s], want at least OpenStater and Reconnector", st.name, capSet(caps))
 			continue
 		}
 		if err := vfs.WriteFile(st.fs, "/probe.dat", []byte("twelve bytes"), 0o644); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
+		}
+		if !st.openStat {
+			// The stripe's Reconnect reaches the metadata server and
+			// every member: with all three connections dropped, one call
+			// brings the file back.
+			for _, cl := range c.clients {
+				cl.Close()
+			}
+			if _, err := vfs.ReadFile(st.fs, "/probe.dat"); !resilient.Retryable(err) {
+				t.Fatalf("%s: read with every connection dropped = %v, want a transport error", st.name, err)
+			}
+			if err := caps.Reconnector.Reconnect(); err != nil {
+				t.Fatalf("%s: Reconnect: %v", st.name, err)
+			}
+			if got, err := vfs.ReadFile(st.fs, "/probe.dat"); err != nil || string(got) != "twelve bytes" {
+				t.Errorf("%s: read after Reconnect = %q, %v", st.name, got, err)
+			}
+			continue
 		}
 		for _, flags := range []int{vfs.O_RDONLY, vfs.O_WRONLY} {
 			before := requests()

@@ -334,26 +334,20 @@ func (d *Dist) ReadStub(path string) (Stub, error) {
 	return readStub(d.meta, path)
 }
 
-// Reconnect re-establishes every member connection that supports
-// reconnection (vfs.Reconnector), so the adapter's §6 recovery
-// protocol works through a whole distributed filesystem, not just a
-// single server mount. Members that cannot reconnect are skipped;
-// failure coherence tolerates them staying down.
-func (d *Dist) Reconnect() error {
-	var firstErr error
-	if rc := vfs.Capabilities(d.meta).Reconnector; rc != nil {
-		if err := rc.Reconnect(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+// Reconnect re-establishes the connection of the metadata filesystem
+// and of every data server that supports reconnection, so the §6
+// recovery protocol works through a whole distributed filesystem, not
+// just a single server mount.
+func (d *Dist) Reconnect() error { return reconnectServers(d.meta, d.servers) }
+
+// reconnectServers is Reconnect for a metadata tree plus data servers,
+// the shape Dist and StripedFS share.
+func reconnectServers(meta vfs.FileSystem, servers []DataServer) error {
+	fss := []vfs.FileSystem{meta}
+	for i := range servers {
+		fss = append(fss, servers[i].FS)
 	}
-	for i := range d.servers {
-		if rc := vfs.Capabilities(d.servers[i].FS).Reconnector; rc != nil {
-			if err := rc.Reconnect(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
+	return vfs.ReconnectAll(fss...)
 }
 
 var _ vfs.Reconnector = (*Dist)(nil)

@@ -633,17 +633,7 @@ func (m *MirrorFS) StatFS() (vfs.FSInfo, error) {
 }
 
 // Reconnect re-establishes every replica connection that supports it.
-func (m *MirrorFS) Reconnect() error {
-	var firstErr error
-	for _, r := range m.replicas {
-		if rc := vfs.Capabilities(r).Reconnector; rc != nil {
-			if err := rc.Reconnect(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
+func (m *MirrorFS) Reconnect() error { return vfs.ReconnectAll(m.replicas...) }
 
 // Sync synchronizes a stale replica from a good one: every file and
 // directory under root on src is copied to dst. It is the manual

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tss/internal/adapter"
 	"tss/internal/faultfs"
 	"tss/internal/resilient"
 	"tss/internal/vfs"
@@ -224,21 +225,25 @@ func TestMirrorFastFailWhenAllOpen(t *testing.T) {
 	}
 }
 
-// The stripe drives member operations through the shared retry policy:
-// a flaky window shorter than the attempt budget is invisible to the
-// caller, and one longer than the budget surfaces as ETIMEDOUT.
+// The stripe does not retry; mounted under the adapter — the one retry
+// site — a member's flaky window shorter than the attempt budget is
+// invisible to the caller, one longer than the budget surfaces as
+// ETIMEDOUT, and each logical operation costs the failing member at
+// most 1 + MaxRetries calls.
 func TestStripeRetriesFlakyMember(t *testing.T) {
 	meta := localFS(t)
 	m0 := faultfs.New(localFS(t))
 	m1 := faultfs.New(localFS(t))
-	s, err := NewStriped(meta, []DataServer{
+	stripe, err := NewStriped(meta, []DataServer{
 		{Name: "s0", FS: m0},
 		{Name: "s1", FS: m1},
-	}, StripeOptions{
-		StripeSize: 4,
-		Retry:      resilient.Policy{Attempts: 3, Base: time.Millisecond, Sleep: func(time.Duration) {}},
-	})
+	}, StripeOptions{StripeSize: 4})
 	if err != nil {
+		t.Fatal(err)
+	}
+	const maxRetries = 3
+	s := adapter.New(adapter.Config{MaxRetries: maxRetries, RetryBase: time.Millisecond, Sleep: func(time.Duration) {}})
+	if err := s.MountFS("/", stripe); err != nil {
 		t.Fatal(err)
 	}
 	content := []byte("0123456789abcdef")
@@ -261,6 +266,14 @@ func TestStripeRetriesFlakyMember(t *testing.T) {
 	m0.FailNext(100)
 	if _, err := vfs.ReadFile(s, "/f"); vfs.AsErrno(err) != vfs.ETIMEDOUT {
 		t.Fatalf("read past retry budget = %v, want ETIMEDOUT", err)
+	}
+	// No layer below the adapter multiplies its attempts.
+	before := m0.Calls()
+	if _, err := s.Stat("/f"); vfs.AsErrno(err) != vfs.ETIMEDOUT {
+		t.Fatalf("stat past retry budget = %v, want ETIMEDOUT", err)
+	}
+	if calls := m0.Calls() - before; calls != 1+maxRetries {
+		t.Errorf("one stat cost the failing member %d calls, want %d (1 + MaxRetries)", calls, 1+maxRetries)
 	}
 	m0.FailNext(0) // window closed: service restored
 	if data, err := vfs.ReadFile(s, "/f"); err != nil || string(data) != string(content) {

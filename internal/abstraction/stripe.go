@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"tss/internal/pathutil"
-	"tss/internal/resilient"
 	"tss/internal/vfs"
 )
 
@@ -28,7 +27,6 @@ type StripedFS struct {
 	byName     map[string]*DataServer
 	stripeSize int64
 	clientID   string
-	retry      resilient.Policy
 	seq        int64
 	mu         sync.Mutex
 }
@@ -41,32 +39,6 @@ type StripeOptions struct {
 	StripeSize int64
 	// ClientID distinguishes this client in data file names.
 	ClientID string
-	// Retry is the shared policy driven against member-server
-	// operations that fail with a retryable transport error. The zero
-	// value retries nothing. Members that support vfs.Reconnector are
-	// reconnected between attempts; exhaustion surfaces as ETIMEDOUT,
-	// the same value the adapter's §6 recovery gives up with.
-	Retry resilient.Policy
-}
-
-// retryMember drives op under policy p against a member filesystem:
-// reconnect (when supported) between attempts, ETIMEDOUT on
-// exhaustion. Handle-level recovery after a reconnect — reopening data
-// files — remains the adapter's job; this policy cures the transient
-// brown-outs where the handle itself stays valid.
-func retryMember(p resilient.Policy, fs vfs.FileSystem, op func() error) error {
-	if p.Attempts <= 0 {
-		return op()
-	}
-	var prepare func() error
-	if rc := vfs.Capabilities(fs).Reconnector; rc != nil {
-		prepare = rc.Reconnect
-	}
-	err, exhausted := p.Do(op, prepare, resilient.Retryable)
-	if exhausted {
-		return vfs.ETIMEDOUT
-	}
-	return err
 }
 
 // stripeDesc is the JSON descriptor stored in place of each file.
@@ -96,7 +68,6 @@ func NewStriped(meta vfs.FileSystem, servers []DataServer, opts StripeOptions) (
 		byName:     make(map[string]*DataServer, len(servers)),
 		stripeSize: opts.StripeSize,
 		clientID:   opts.ClientID,
-		retry:      opts.Retry,
 	}
 	for i := range servers {
 		sv := &s.servers[i]
@@ -161,7 +132,6 @@ func (s *StripedFS) Open(path string, flags int, mode uint32) (vfs.File, error) 
 
 func (s *StripedFS) openDesc(d *stripeDesc, flags int, mode uint32, name string) (vfs.File, error) {
 	files := make([]vfs.File, len(d.Servers))
-	fss := make([]vfs.FileSystem, len(d.Servers))
 	dataFlags := flags &^ (vfs.O_CREAT | vfs.O_EXCL | vfs.O_TRUNC)
 	// Truncating the logical file truncates every member.
 	if flags&vfs.O_TRUNC != 0 {
@@ -177,12 +147,7 @@ func (s *StripedFS) openDesc(d *stripeDesc, flags int, mode uint32, name string)
 			}
 			return nil, vfs.EIO
 		}
-		var f vfs.File
-		err := retryMember(s.retry, srv.FS, func() error {
-			var e error
-			f, e = srv.FS.Open(pathutil.Join(srv.Dir, d.Base), dataFlags, mode)
-			return e
-		})
+		f, err := srv.FS.Open(pathutil.Join(srv.Dir, d.Base), dataFlags, mode)
 		if err != nil {
 			for _, g := range files {
 				if g != nil {
@@ -192,12 +157,9 @@ func (s *StripedFS) openDesc(d *stripeDesc, flags int, mode uint32, name string)
 			return nil, err
 		}
 		files[i] = f
-		fss[i] = srv.FS
 	}
 	return &stripedFile{
 		files:      files,
-		fss:        fss,
-		retry:      s.retry,
 		stripeSize: d.StripeSize,
 		name:       pathutil.Base(name),
 	}, nil
@@ -245,15 +207,9 @@ func (s *StripedFS) create(path string, flags int, mode uint32) (vfs.File, error
 		return nil, err
 	}
 	files := make([]vfs.File, len(s.servers))
-	fss := make([]vfs.FileSystem, len(s.servers))
 	for i := range s.servers {
 		srv := &s.servers[i]
-		var f vfs.File
-		err := retryMember(s.retry, srv.FS, func() error {
-			var e error
-			f, e = srv.FS.Open(pathutil.Join(srv.Dir, base), flags|vfs.O_CREAT|vfs.O_EXCL, mode)
-			return e
-		})
+		f, err := srv.FS.Open(pathutil.Join(srv.Dir, base), flags|vfs.O_CREAT|vfs.O_EXCL, mode)
 		if err != nil {
 			for _, g := range files {
 				if g != nil {
@@ -267,9 +223,8 @@ func (s *StripedFS) create(path string, flags int, mode uint32) (vfs.File, error
 			return nil, err
 		}
 		files[i] = f
-		fss[i] = srv.FS
 	}
-	return &stripedFile{files: files, fss: fss, retry: s.retry, stripeSize: s.stripeSize, name: pathutil.Base(path)}, nil
+	return &stripedFile{files: files, stripeSize: s.stripeSize, name: pathutil.Base(path)}, nil
 }
 
 // Stat reconstructs the logical size from the member file sizes.
@@ -293,12 +248,7 @@ func (s *StripedFS) Stat(path string) (vfs.FileInfo, error) {
 		if srv == nil {
 			return vfs.FileInfo{}, vfs.EIO
 		}
-		var fi vfs.FileInfo
-		err := retryMember(s.retry, srv.FS, func() error {
-			var e error
-			fi, e = srv.FS.Stat(pathutil.Join(srv.Dir, d.Base))
-			return e
-		})
+		fi, err := srv.FS.Stat(pathutil.Join(srv.Dir, d.Base))
 		if err != nil {
 			return vfs.FileInfo{}, err
 		}
@@ -336,9 +286,7 @@ func (s *StripedFS) Unlink(path string) error {
 	}
 	for _, srvName := range d.Servers {
 		if srv := s.byName[srvName]; srv != nil {
-			err := retryMember(s.retry, srv.FS, func() error {
-				return srv.FS.Unlink(pathutil.Join(srv.Dir, d.Base))
-			})
+			err := srv.FS.Unlink(pathutil.Join(srv.Dir, d.Base))
 			if err != nil && vfs.AsErrno(err) != vfs.ENOENT {
 				return err
 			}
@@ -374,10 +322,7 @@ func (s *StripedFS) Truncate(path string, size int64) error {
 			return vfs.EIO
 		}
 		local := localLength(size, int64(k), w, d.StripeSize)
-		err := retryMember(s.retry, srv.FS, func() error {
-			return srv.FS.Truncate(pathutil.Join(srv.Dir, d.Base), local)
-		})
-		if err != nil {
+		if err := srv.FS.Truncate(pathutil.Join(srv.Dir, d.Base), local); err != nil {
 			return err
 		}
 	}
@@ -425,20 +370,19 @@ func (s *StripedFS) StatFS() (vfs.FSInfo, error) {
 	return total, nil
 }
 
+// Reconnect re-establishes the metadata and member connections. The
+// stripe does not retry: like Dist and the mirror it forwards the
+// capability, and whoever mounts it (the adapter) drives recovery.
+func (s *StripedFS) Reconnect() error { return reconnectServers(s.meta, s.servers) }
+
+var _ vfs.Reconnector = (*StripedFS)(nil)
+
 // stripedFile is an open striped file. I/O fans out to the member
 // files concurrently, one goroutine per member.
 type stripedFile struct {
-	files      []vfs.File       // index = stripe order
-	fss        []vfs.FileSystem // member filesystem backing each file
-	retry      resilient.Policy
+	files      []vfs.File // index = stripe order
 	stripeSize int64
 	name       string
-}
-
-// retryOn drives op under the shared policy against member m's
-// filesystem.
-func (sf *stripedFile) retryOn(m int, op func() error) error {
-	return retryMember(sf.retry, sf.fss[m], op)
 }
 
 // segment is one contiguous run within a member file.
@@ -490,8 +434,7 @@ func (sf *stripedFile) runSegs(segs []segment, op func(member int, seg segment) 
 		go func(m int, list []segment) {
 			defer wg.Done()
 			for _, seg := range list {
-				seg := seg
-				if err := sf.retryOn(m, func() error { return op(m, seg) }); err != nil {
+				if err := op(m, seg); err != nil {
 					errs[m] = err
 					return
 				}
@@ -511,12 +454,7 @@ func (sf *stripedFile) size() (int64, error) {
 	w := int64(len(sf.files))
 	var size int64
 	for k, f := range sf.files {
-		var fi vfs.FileInfo
-		err := sf.retryOn(k, func() error {
-			var e error
-			fi, e = f.Fstat()
-			return e
-		})
+		fi, err := f.Fstat()
 		if err != nil {
 			return 0, err
 		}
@@ -581,9 +519,8 @@ func (sf *stripedFile) Fstat() (vfs.FileInfo, error) {
 func (sf *stripedFile) Ftruncate(size int64) error {
 	w := int64(len(sf.files))
 	for k, f := range sf.files {
-		f := f
 		local := localLength(size, int64(k), w, sf.stripeSize)
-		if err := sf.retryOn(k, func() error { return f.Ftruncate(local) }); err != nil {
+		if err := f.Ftruncate(local); err != nil {
 			return err
 		}
 	}
@@ -591,9 +528,8 @@ func (sf *stripedFile) Ftruncate(size int64) error {
 }
 
 func (sf *stripedFile) Sync() error {
-	for k, f := range sf.files {
-		f := f
-		if err := sf.retryOn(k, func() error { return f.Sync() }); err != nil {
+	for _, f := range sf.files {
+		if err := f.Sync(); err != nil {
 			return err
 		}
 	}

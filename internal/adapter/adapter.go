@@ -124,6 +124,10 @@ type Adapter struct {
 	// budget is the shared token-bucket retry budget, nil (unlimited)
 	// unless Config.RetryTokens is set.
 	budget *resilient.RetryBudget
+	// policy is §6's recovery as configured — "exponentially increasing
+	// delay", bounded by attempts, wall-clock budget and tokens — with
+	// the Stats counters on its hooks. Every verb runs under policy.Run.
+	policy resilient.Policy
 
 	// Stats exposes operation and recovery counters.
 	Stats Stats
@@ -143,9 +147,6 @@ func New(cfg Config) *Adapter {
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 10 * time.Millisecond
 	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
-	}
 	a := &Adapter{cfg: cfg, resolved: make(map[string]vfs.FileSystem)}
 	if reg := cfg.Metrics; reg != nil {
 		a.mOps = reg.Counter("adapter.ops")
@@ -161,6 +162,26 @@ func New(cfg Config) *Adapter {
 			a.Stats.BudgetExhausted.Add(1)
 			a.mBudgetExhausted.Inc()
 		}
+	}
+	a.policy = resilient.Policy{
+		Attempts:    cfg.MaxRetries,
+		Base:        cfg.RetryBase,
+		Jitter:      cfg.RetryJitter,
+		Budget:      cfg.RetryBudget,
+		RetryBudget: a.budget,
+		Sleep:       cfg.Sleep,
+		OnRetry: func(int, error) {
+			a.Stats.Retries.Add(1)
+			a.mRetries.Inc()
+		},
+		OnReconnect: func() {
+			a.Stats.Reconnects.Add(1)
+			a.mReconnects.Inc()
+		},
+		OnGiveUp: func() {
+			a.Stats.GaveUp.Add(1)
+			a.mGaveUp.Inc()
+		},
 	}
 	return a
 }
@@ -325,84 +346,10 @@ func (a *Adapter) trap(n int) {
 	}
 }
 
-// policy builds the shared retry policy (internal/resilient) from the
-// adapter configuration: §6's "exponentially increasing delay", bounded
-// by attempts and optionally by wall-clock budget.
-func (a *Adapter) policy() resilient.Policy {
-	return resilient.Policy{
-		Attempts:    a.cfg.MaxRetries,
-		Base:        a.cfg.RetryBase,
-		Jitter:      a.cfg.RetryJitter,
-		Budget:      a.cfg.RetryBudget,
-		RetryBudget: a.budget,
-		Sleep:       a.cfg.Sleep,
-		OnRetry: func(int, error) {
-			a.Stats.Retries.Add(1)
-			a.mRetries.Inc()
-		},
-	}
-}
-
-// giveUp maps an exhausted retry loop to the caller-visible errno:
-// ETIMEDOUT for abandoned recovery (§6), except that standing pushback
-// stays EAGAIN — the server said "not now", and masking that as a
-// timeout would make the caller's own pushback handling (backoff,
-// rerouting) impossible.
-func (a *Adapter) giveUp(err error) error {
-	a.Stats.GaveUp.Add(1)
-	a.mGaveUp.Inc()
-	if resilient.Pushback(err) {
-		return vfs.EAGAIN
-	}
-	return vfs.ETIMEDOUT
-}
-
-// retry runs op, driving the §6 recovery protocol when the abstraction
-// reports a lost or timed-out connection: backoff, reconnect, retry.
-// The first attempt runs bare; the recovery machinery is assembled only
-// once it has failed in a way recovery can help.
+// retry runs a path operation under the §6 recovery protocol: backoff,
+// reconnect, retry (resilient.Policy.Run).
 func (a *Adapter) retry(fs vfs.FileSystem, op func() error) error {
-	lastErr := op()
-	if !resilient.RetryableOrPushback(lastErr) {
-		if lastErr == nil {
-			a.budget.Success()
-		}
-		return lastErr
-	}
-	rc := vfs.Capabilities(fs).Reconnector
-	if rc == nil {
-		// No recovery path: one shot, errors surface unchanged.
-		return lastErr
-	}
-	first := true
-	wrapped := func() error {
-		if first {
-			// Policy.Do opens with an attempt; that one has been made.
-			first = false
-			return lastErr
-		}
-		lastErr = op()
-		return lastErr
-	}
-	prepare := func() error {
-		if resilient.Pushback(lastErr) {
-			// EAGAIN is not a dead connection: the server answered and
-			// asked for room. Reconnecting would aim dial load at the
-			// very server that is shedding — back off and retry as-is.
-			return nil
-		}
-		if rerr := rc.Reconnect(); rerr != nil {
-			return rerr
-		}
-		a.Stats.Reconnects.Add(1)
-		a.mReconnects.Inc()
-		return nil
-	}
-	err, exhausted := a.policy().Do(wrapped, prepare, resilient.RetryableOrPushback)
-	if exhausted {
-		return a.giveUp(err)
-	}
-	return err
+	return a.policy.Run(fs, op, nil)
 }
 
 // Open opens a file anywhere in the assembled namespace. The returned
@@ -645,6 +592,18 @@ func (af *adapterFile) recoverFile() error {
 	return nil
 }
 
+// reopen is the handle half of recovery: after the reconnect, re-open
+// and re-verify. A stale handle is unrecoverable and ends the protocol.
+func (af *adapterFile) reopen() error {
+	err := af.recoverFile()
+	if err == vfs.ESTALE {
+		af.a.Stats.Stale.Add(1)
+		af.a.mStale.Inc()
+		return resilient.Permanent(err)
+	}
+	return err
+}
+
 // do runs one file operation under the recovery protocol.
 func (af *adapterFile) do(op func(f vfs.File) error) error {
 	af.mu.Lock()
@@ -652,40 +611,7 @@ func (af *adapterFile) do(op func(f vfs.File) error) error {
 	if af.stale {
 		return vfs.ESTALE
 	}
-	rc := vfs.Capabilities(af.fs).Reconnector
-	var lastErr error
-	prepare := func() error {
-		if resilient.Pushback(lastErr) {
-			// Pushback means the connection and the descriptor are both
-			// fine; the server is just shedding. Retry in place.
-			return nil
-		}
-		if rc != nil {
-			if rerr := rc.Reconnect(); rerr != nil {
-				return rerr
-			}
-			af.a.Stats.Reconnects.Add(1)
-			af.a.mReconnects.Inc()
-		}
-		if rerr := af.recoverFile(); rerr != nil {
-			if rerr == vfs.ESTALE {
-				af.a.Stats.Stale.Add(1)
-				af.a.mStale.Inc()
-				// A stale handle is unrecoverable: abort the loop.
-				return resilient.Permanent(vfs.ESTALE)
-			}
-			return rerr
-		}
-		return nil
-	}
-	err, exhausted := af.a.policy().Do(func() error {
-		lastErr = op(af.f)
-		return lastErr
-	}, prepare, resilient.RetryableOrPushback)
-	if exhausted {
-		return af.a.giveUp(err)
-	}
-	return err
+	return af.a.policy.Run(af.fs, func() error { return op(af.f) }, af.reopen)
 }
 
 func (af *adapterFile) Pread(p []byte, off int64) (int, error) {

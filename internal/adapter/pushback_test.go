@@ -121,3 +121,107 @@ func TestRetryBudgetBoundsRetryVolume(t *testing.T) {
 		t.Errorf("budget tokens after success = %v, want > 0", tokens)
 	}
 }
+
+// noLinkFS sheds like shedFS but cannot reconnect, like a local
+// directory or any layer that forwards no Reconnector.
+type noLinkFS struct {
+	vfs.FileSystem
+	fails atomic.Int32
+}
+
+func (s *noLinkFS) Stat(path string) (vfs.FileInfo, error) {
+	if s.fails.Add(-1) >= 0 {
+		return vfs.FileInfo{}, vfs.EAGAIN
+	}
+	return s.FileSystem.Stat(path)
+}
+
+// Pushback needs no reconnect, so a path verb backs off and retries it
+// whether or not the filesystem could reconnect — as the handle verbs
+// on the same mount always did.
+func TestPushbackRetriedWithoutReconnector(t *testing.T) {
+	fs := &noLinkFS{FileSystem: localFS(t)}
+	if vfs.Capabilities(fs).Reconnector != nil {
+		t.Fatal("the fixture can reconnect; the test would prove nothing")
+	}
+	a := New(Config{MaxRetries: 5, Sleep: noSleep})
+	if err := a.MountFS("/srv", fs); err != nil {
+		t.Fatal(err)
+	}
+	if err := vfs.WriteFile(a, "/srv/f", []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs.fails.Store(2)
+	if _, err := a.Stat("/srv/f"); err != nil {
+		t.Fatalf("stat through pushback = %v, want success after retries", err)
+	}
+	if got := a.Stats.Retries.Load(); got != 2 {
+		t.Errorf("Stats.Retries = %d, want 2 (one per shed reply)", got)
+	}
+	fs.fails.Store(100)
+	if _, err := a.Stat("/srv/f"); vfs.AsErrno(err) != vfs.EAGAIN {
+		t.Fatalf("exhausted pushback = %v, want EAGAIN", err)
+	}
+	if got := a.Stats.GaveUp.Load(); got != 1 {
+		t.Errorf("Stats.GaveUp = %d, want 1", got)
+	}
+}
+
+// nopFS answers every verb with success and no work, so what is left to
+// measure is the adapter.
+type nopFS struct{ vfs.FileSystem }
+
+func (nopFS) Stat(path string) (vfs.FileInfo, error) {
+	if path == "/absent" {
+		return vfs.FileInfo{}, vfs.ENOENT
+	}
+	return vfs.FileInfo{}, nil
+}
+func (nopFS) Open(string, int, uint32) (vfs.File, error) { return nopFile{}, nil }
+
+type nopFile struct{ vfs.File }
+
+func (nopFile) Pread(p []byte, off int64) (int, error) { return len(p), nil }
+func (nopFile) Fstat() (vfs.FileInfo, error)           { return vfs.FileInfo{}, nil }
+func (nopFile) Close() error                           { return nil }
+
+// The recovery protocol costs the success path nothing: the driver's
+// closures and hooks are built on the first failure or once per
+// adapter, never per call. smallio_rw is 14 allocations an operation
+// end to end, so one stray closure here is a 7 % regression.
+func TestRecoveryAllocationGuards(t *testing.T) {
+	a := New(Config{Metrics: obs.NewRegistry(), RetryTokens: 10})
+	if err := a.MountFS("/srv", nopFS{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := a.Stat("/srv/f"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Adapter.Stat allocates %.1f/op on the success path, want 0", n)
+	}
+	// A semantic error is classified and returned; nothing is probed or
+	// built for it. sp5 fails four search-path stats per unit. (The two
+	// are errors.As looking for the errno, twice, as on the parent.)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := a.Stat("/srv/absent"); err != vfs.ENOENT {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("Adapter.Stat allocates %.1f/op on ENOENT, want at most 2", n)
+	}
+	f, err := a.Open("/srv/f", vfs.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 8192)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := f.Pread(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("adapterFile.Pread allocates %.1f/op on the success path, want 0 (the parent paid 1)", n)
+	}
+}

@@ -3,6 +3,7 @@ package adapter
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // TrapEmulator charges file operations the cost of ptrace-style
@@ -28,8 +29,14 @@ type TrapEmulator struct {
 	mu  sync.Mutex
 	buf []byte
 
-	src []byte // source data for the emulated copy
+	src    []byte       // source data for the emulated copy
+	copied atomic.Int64 // bytes moved through buf so far
 }
+
+// Copied returns how many bytes the emulator has copied through its
+// intermediate buffer: the extra copy per byte of §7's Figure 5, as a
+// count that does not depend on the speed of the host.
+func (t *TrapEmulator) Copied() int64 { return t.copied.Load() }
 
 // NewTrapEmulator starts the service goroutine.
 func NewTrapEmulator() *TrapEmulator {
@@ -63,6 +70,7 @@ func (t *TrapEmulator) serve() {
 				copy(b[off:off+c], t.src[:c])
 			}
 			t.mu.Unlock()
+			t.copied.Add(int64(n))
 		}
 		t.done <- struct{}{}
 	}

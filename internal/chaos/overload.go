@@ -288,10 +288,10 @@ func runOverload(cfg Config, tl Timeline) (*Result, error) {
 			path := fmt.Sprintf("/data/w%02d-%06d", id, seq)
 			content := make([]byte, payload)
 			rng.Read(content)
-			err, _ := policy.Do(func() error {
+			err := policy.Run(c, func() error {
 				//lint:ignore copyapi the closed-loop workload issues bare single-shot writes on purpose
 				return vfs.PutReader(c, path, 0o644, int64(len(content)), bytes.NewReader(content))
-			}, nil, resilient.RetryableOrPushback)
+			}, nil)
 			if err == nil {
 				s.recordAck(path, content)
 				goodput.Add(1)
@@ -449,10 +449,10 @@ func runRetryStorm(cfg Config, tl Timeline) (*Result, error) {
 			path := fmt.Sprintf("/data/w%02d-%06d", id, seq)
 			content := make([]byte, 4<<10)
 			rng.Read(content)
-			err, _ := policy.Do(func() error {
+			err := policy.Run(c, func() error {
 				//lint:ignore copyapi the storm workload issues bare single-shot writes on purpose
 				return vfs.PutReader(c, path, 0o644, int64(len(content)), bytes.NewReader(content))
-			}, nil, resilient.RetryableOrPushback)
+			}, nil)
 			if err == nil {
 				s.recordAck(path, content)
 				successes.Add(1)

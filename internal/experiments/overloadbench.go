@@ -330,23 +330,15 @@ func runOverloadArm(cfg OverloadBenchConfig, admission bool) (*OverloadArm, obs.
 				}
 			},
 		}
-		var lastErr error
-		prepare := func() error {
-			if resilient.Pushback(lastErr) {
-				return nil
-			}
-			return c.Reconnect()
-		}
 		for seq := 0; !stop.Load(); seq++ {
 			path := fmt.Sprintf("/data/w%02d-%06d", id, seq)
 			// Restamp the head so every write is distinct without paying
 			// for a full payload's worth of fresh randomness per op.
 			rng.Read(content[:16])
-			err, _ := policy.Do(func() error {
+			err := policy.Run(c, func() error {
 				//lint:ignore copyapi the closed loop issues bare single-shot writes on purpose
-				lastErr = vfs.PutReader(c, path, 0o644, int64(len(content)), bytes.NewReader(content))
-				return lastErr
-			}, prepare, resilient.RetryableOrPushback)
+				return vfs.PutReader(c, path, 0o644, int64(len(content)), bytes.NewReader(content))
+			}, nil)
 			if !measuring.Load() {
 				continue
 			}

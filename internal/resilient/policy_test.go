@@ -8,67 +8,34 @@ import (
 	"tss/internal/vfs"
 )
 
-func TestNewPolicyDefaults(t *testing.T) {
-	p, err := NewPolicy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Attempts != DefaultAttempts || p.Base != DefaultBase || p.Max != DefaultMax || p.Jitter != DefaultJitter {
-		t.Errorf("defaults = %+v", p)
-	}
-}
-
-func TestNewPolicyOptions(t *testing.T) {
-	var seen int
-	p, err := NewPolicy(
-		WithAttempts(7),
-		WithBase(5*time.Millisecond),
-		WithMax(time.Second),
-		WithJitter(0.5),
-		WithBudget(10*time.Second),
-		WithOnRetry(func(int, error) { seen++ }),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Attempts != 7 || p.Base != 5*time.Millisecond || p.Max != time.Second || p.Jitter != 0.5 || p.Budget != 10*time.Second {
-		t.Errorf("options not applied: %+v", p)
-	}
-	p.OnRetry(1, nil)
-	if seen != 1 {
-		t.Error("OnRetry not installed")
-	}
-}
-
+// TestNewPolicyValidation: what a user can mistype on a command line is
+// rejected by Validate before a new policy is used.
 func TestNewPolicyValidation(t *testing.T) {
-	bad := [][]PolicyOption{
-		{WithAttempts(-1)},
-		{WithBase(0)},
-		{WithBase(-time.Second)},
-		{WithMax(-time.Second)},
-		{WithJitter(-0.1)},
-		{WithJitter(1.0)},
-		{WithBudget(-time.Second)},
-		{WithBase(time.Second), WithMax(time.Millisecond)}, // max below base
+	ok := Policy{Attempts: 2, Base: 100 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.2}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("valid policy: %v", err)
 	}
-	for i, opts := range bad {
-		if _, err := NewPolicy(opts...); err == nil {
-			t.Errorf("case %d: invalid options accepted", i)
+	bad := map[string]func(*Policy){
+		"negative attempts": func(p *Policy) { p.Attempts = -1 },
+		"zero base":         func(p *Policy) { p.Base = 0 },
+		"negative base":     func(p *Policy) { p.Base = -time.Second },
+		"negative max":      func(p *Policy) { p.Max = -time.Second },
+		"max below base":    func(p *Policy) { p.Base, p.Max = time.Second, time.Millisecond },
+	}
+	for name, mutate := range bad {
+		p := ok
+		mutate(&p)
+		if p.Validate() == nil {
+			t.Errorf("%s accepted", name)
 		}
 	}
-	// WithMax(0) means uncapped and must pass the cross-check.
-	if _, err := NewPolicy(WithMax(0)); err != nil {
-		t.Errorf("WithMax(0): %v", err)
+	// Max 0 means uncapped and must pass the cross-check; so does
+	// "run once".
+	p := ok
+	p.Max, p.Attempts = 0, 0
+	if err := p.Validate(); err != nil {
+		t.Errorf("uncapped run-once policy: %v", err)
 	}
-}
-
-func TestMustPolicyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustPolicy with invalid options must panic")
-		}
-	}()
-	MustPolicy(WithAttempts(-1))
 }
 
 func TestZeroValuePolicyStillRetriesNothing(t *testing.T) {

@@ -8,8 +8,10 @@
 // implementation honored that for error *values* but not for error
 // *behavior*: only the adapter retried, the mirror re-probed a dead
 // replica on every read, and nothing remembered that a backend was
-// down. This package centralizes that memory so the adapter, the
-// mirror, and the stripe all recover the same way:
+// down. This package centralizes that memory — one retry driver
+// (Policy.Run) for every caller that retries, one breaker for every
+// layer that chooses among backends — so all of them recover the same
+// way:
 //
 //   - Transport failures (ENOTCONN, ETIMEDOUT, EIO) mean "the backend,
 //     not the request, failed" — they are candidates for retry,
@@ -69,10 +71,10 @@ func Pushback(err error) bool {
 	return vfs.AsErrno(err) == vfs.EAGAIN
 }
 
-// RetryableOrPushback is the retry predicate for callers that honor
-// overload pushback: the reconnect-curable transport errors plus
-// EAGAIN. Hedging layers must still treat pushback differently from
-// transport loss (back off rather than fail over).
+// RetryableOrPushback is everything Run re-drives: the
+// reconnect-curable transport errors plus EAGAIN. Hedging layers must
+// still treat pushback differently from transport loss (back off rather
+// than fail over).
 func RetryableOrPushback(err error) bool {
 	return Retryable(err) || Pushback(err)
 }

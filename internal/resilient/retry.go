@@ -2,13 +2,16 @@ package resilient
 
 import (
 	"errors"
+	"fmt"
 	"time"
+
+	"tss/internal/vfs"
 )
 
 // Policy is the shared retry policy: a budget of attempts, a jittered
 // exponential backoff between them, and an optional wall-clock budget
 // that caps the total time spent retrying. The zero value retries
-// nothing (Do runs the operation exactly once).
+// nothing (Run and Do run the operation exactly once).
 //
 // A Policy value is immutable once configured and safe to share.
 type Policy struct {
@@ -37,6 +40,11 @@ type Policy struct {
 	// OnRetry, when non-nil, observes each retry about to be made: the
 	// 0-based retry index and the error that provoked it.
 	OnRetry func(attempt int, err error)
+	// OnReconnect and OnGiveUp, when non-nil, observe Run: each
+	// successful reconnect, and each recovery it abandons. Layers hang
+	// their counters here.
+	OnReconnect func()
+	OnGiveUp    func()
 	// Sleep replaces time.Sleep (tests). Nil means time.Sleep.
 	Sleep func(time.Duration)
 	// Now replaces time.Now for the Budget clock (tests).
@@ -44,6 +52,21 @@ type Policy struct {
 	// Rand is a uniform [0,1) source for jitter. Nil picks a private
 	// seeded source on first use with jitter enabled.
 	Rand func() float64
+}
+
+// Validate checks the knobs a user can set: a negative attempt count,
+// a non-positive base delay, or a cap below the base are typing errors,
+// not policies.
+func (p Policy) Validate() error {
+	switch {
+	case p.Attempts < 0:
+		return fmt.Errorf("resilient: attempts must be >= 0, got %d", p.Attempts)
+	case p.Base <= 0:
+		return fmt.Errorf("resilient: base delay must be > 0, got %v", p.Base)
+	case p.Max != 0 && p.Max < p.Base:
+		return fmt.Errorf("resilient: max delay %v is below base delay %v", p.Max, p.Base)
+	}
+	return nil
 }
 
 // permanentError aborts a retry loop from inside a prepare func.
@@ -77,9 +100,9 @@ func (p Policy) Backoff(i int) time.Duration {
 // is returned unwrapped.
 //
 // Do returns the final error and whether the loop gave up with a
-// retryable error still standing (budget exhausted). Callers map
-// exhaustion to their layer's error — the adapter, mirror, and stripe
-// all use ETIMEDOUT, the value §6 gives for abandoned recovery.
+// retryable error still standing (budget exhausted). It is the loop
+// under Run, which decides what prepare does and what exhaustion means;
+// nothing outside this package calls it.
 func (p Policy) Do(op func() error, prepare func() error, retryable func(error) bool) (err error, exhausted bool) {
 	sleep := p.Sleep
 	if sleep == nil {
@@ -128,4 +151,88 @@ func (p Policy) Do(op func() error, prepare func() error, retryable func(error) 
 		p.RetryBudget.Success()
 	}
 	return err, retryable(err)
+}
+
+// abandoned is what Run returns when recovery runs out of attempts,
+// time or tokens. It reads as its errno everywhere (AsErrno, errors.Is)
+// but Run never drives it again, so driven layers stacked on each other
+// make 1 + Attempts attempts in total, not a product.
+type abandoned struct{ vfs.Errno }
+
+func (a abandoned) Unwrap() error { return a.Errno }
+
+// Run is the one retry site of the system: the recovery protocol of
+// the paper's §6, for any operation against any filesystem. The first
+// attempt runs bare. A transport error (Retryable) is answered by
+// backing off, reconnecting fs through its Reconnector capability when
+// it has one, then running reopen — the step that re-establishes an
+// open handle, nil for path operations; a Permanent error from it ends
+// recovery with that error — and re-running op. With neither a
+// Reconnector nor a reopen step nothing could cure a lost connection,
+// and the error surfaces unchanged. Overload pushback (EAGAIN) needs no
+// cure: the connection and the handle are fine, so op is re-run in
+// place after the backoff whatever fs can do, and reconnecting — dial
+// load aimed at a server that is shedding — is skipped.
+//
+// Every retry is charged to RetryBudget and every success credits it.
+// Abandoned recovery returns EAGAIN when pushback was left standing —
+// the caller must still see the overload signal — and ETIMEDOUT
+// otherwise, and that verdict is final: Run does not retry an error
+// another Run gave up with.
+func (p Policy) Run(fs vfs.FileSystem, op func() error, reopen func() error) error {
+	err := op()
+	if err == nil {
+		p.RetryBudget.Success()
+		return nil
+	}
+	// Semantic errors — most failures: every ENOENT of a search path —
+	// leave here, before anything is probed or built.
+	if p.Attempts <= 0 || !RetryableOrPushback(err) {
+		return err
+	}
+	rc := vfs.Capabilities(fs).Reconnector
+	retryable := func(e error) bool {
+		if errors.As(e, new(abandoned)) {
+			return false
+		}
+		return Pushback(e) || Retryable(e) && (rc != nil || reopen != nil)
+	}
+	if !retryable(err) {
+		return err
+	}
+	first := true
+	err, exhausted := p.Do(func() error {
+		// Do opens with an attempt; that one has been made.
+		if !first {
+			err = op()
+		}
+		first = false
+		return err
+	}, func() error {
+		if Pushback(err) {
+			return nil
+		}
+		if rc != nil {
+			if rerr := rc.Reconnect(); rerr != nil {
+				return rerr
+			}
+			if p.OnReconnect != nil {
+				p.OnReconnect()
+			}
+		}
+		if reopen != nil {
+			return reopen()
+		}
+		return nil
+	}, retryable)
+	if !exhausted {
+		return err
+	}
+	if p.OnGiveUp != nil {
+		p.OnGiveUp()
+	}
+	if Pushback(err) {
+		return abandoned{vfs.EAGAIN}
+	}
+	return abandoned{vfs.ETIMEDOUT}
 }

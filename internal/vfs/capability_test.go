@@ -128,3 +128,37 @@ func TestSubtreeForwardsInnerCapabilities(t *testing.T) {
 		t.Fatalf("stored at %q = %q, want %q (err %v)", "/vol/f", got, body, err)
 	}
 }
+
+// wrappedLink forwards a Reconnector the way layered filesystems do —
+// through Capabilities, with no Reconnect method of its own.
+type wrappedLink struct {
+	FileSystem
+	link *countingLink
+}
+
+type countingLink struct{ reconnects int }
+
+func (l *countingLink) Reconnect() error { l.reconnects++; return nil }
+
+func (w wrappedLink) Capabilities() Capability { return Capability{Reconnector: w.link} }
+
+// A subtree view reconnects what its inner layer reports it can
+// reconnect, not only what the inner type happens to assert to: a
+// mountlist target over a cached or instrumented mount must recover.
+func TestSubtreeReconnectsThroughTheProbe(t *testing.T) {
+	inner := wrappedLink{FileSystem: newLocal(t), link: &countingLink{}}
+	view, err := Subtree(inner, "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := Capabilities(view).Reconnector
+	if rc == nil {
+		t.Fatal("subtree hides the inner Reconnector")
+	}
+	if err := rc.Reconnect(); err != nil || inner.link.reconnects != 1 {
+		t.Errorf("Reconnect through the view: %v, inner reconnected %d times, want 1", err, inner.link.reconnects)
+	}
+	if err := ReconnectAll(nil, newLocal(t), view); err != nil || inner.link.reconnects != 2 {
+		t.Errorf("ReconnectAll skipping a nil and a local filesystem: %v, inner reconnected %d times, want 2", err, inner.link.reconnects)
+	}
+}

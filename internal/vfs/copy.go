@@ -41,12 +41,15 @@ type Loc struct {
 	Path string
 }
 
-// Retryer runs an operation under a retry policy; resilient.Policy
-// satisfies it. It is declared here (rather than importing the
-// resilient package, which itself builds on vfs) so CopyOptions can
-// carry a policy without an import cycle.
+// Retryer drives an operation against a filesystem under the §6
+// recovery protocol — back off, reconnect fs, run reopen if there is an
+// open handle to re-establish, re-run op; pushback re-runs in place —
+// and returns ETIMEDOUT or EAGAIN once it gives up.
+// resilient.Policy.Run is the implementation; it is declared here
+// (rather than importing the resilient package, which itself builds on
+// vfs) so CopyOptions can carry a policy without an import cycle.
 type Retryer interface {
-	Do(op func() error, prepare func() error, retryable func(error) bool) (err error, exhausted bool)
+	Run(fs FileSystem, op func() error, reopen func() error) error
 }
 
 // CopyOptions tunes a Copy. The zero value is a safe single-stream,
@@ -72,10 +75,13 @@ type CopyOptions struct {
 	// Progress, when non-nil, observes cumulative transfer progress. It
 	// is called from transfer goroutines, serialized by the engine.
 	Progress func(copied, total int64)
-	// Retry, when non-nil, is applied at two levels: around each chunk
-	// operation (a failed chunk retries independently, reconnecting its
-	// side first) and around the whole transfer (an integrity failure
-	// at completion re-runs the copy). resilient.Policy satisfies it.
+	// Retry, when non-nil, drives every operation of the transfer that
+	// can fail on its own — a negotiation probe, a chunk read, a chunk
+	// write, the completion, or a single-stream transfer as a whole —
+	// so a lost connection or a shed request costs one operation's
+	// retries, at one level. It also turns on one fresh run of a chunk
+	// or a transfer that failed verification. Nil runs everything once,
+	// bare. resilient.Policy satisfies it.
 	Retry Retryer
 }
 
@@ -124,14 +130,7 @@ func PutBytes(ctx context.Context, dst Loc, mode uint32, data []byte, opts CopyO
 			return nil
 		}, func() {}
 	}
-	op := func() error {
-		bc.copied.Store(0)
-		if bc.multipartEligible() {
-			return bc.runMultipart(ctx)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	return bc.transfer(ctx, func() error {
 		if err := PutReader(dst.FS, dst.Path, mode, size, bc.meterReader(bytes.NewReader(data))); err != nil {
 			return err
 		}
@@ -140,8 +139,7 @@ func PutBytes(ctx context.Context, dst Loc, mode uint32, data []byte, opts CopyO
 			return bc.verifyDst(want)
 		}
 		return nil
-	}
-	return bc.runWithRetry(op)
+	})
 }
 
 // BulkCopier is the transfer engine behind Copy: one value per
@@ -216,61 +214,58 @@ func (m *meterW) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// connRetryable marks errors a reconnect-and-retry can cure.
-func connRetryable(err error) bool {
-	switch AsErrno(err) {
-	case ENOTCONN, ETIMEDOUT:
-		return true
-	}
-	return false
+// drivePart is drive for a chunk, which is verified on its own.
+func (bc *BulkCopier) drivePart(fs FileSystem, op func() error) error {
+	return bc.verified(func() error { return bc.drive(fs, op) })
 }
 
-// transferRetryable additionally retries integrity failures: a
-// corrupted or torn transfer re-run is a fresh transfer.
-func transferRetryable(err error) bool {
-	return connRetryable(err) || errors.Is(err, ErrIntegrity) || AsErrno(err) == EBADMSG
-}
-
-// retryOn runs op under the configured policy (or once, without one),
-// reconnecting fs — when it can — before each retry. retryable
-// classifies which failures are worth another attempt.
-func (bc *BulkCopier) retryOn(fs FileSystem, op func() error, retryable func(error) bool) error {
+// drive runs one operation of the transfer against fs: under the retry
+// policy when there is one, bare otherwise.
+func (bc *BulkCopier) drive(fs FileSystem, op func() error) error {
 	if bc.opts.Retry == nil {
 		return op()
 	}
-	var prepare func() error
-	if fs != nil {
-		if rc := Capabilities(fs).Reconnector; rc != nil {
-			prepare = rc.Reconnect
-		}
+	return bc.opts.Retry.Run(fs, op, nil)
+}
+
+// verified runs op and, under a retry policy, runs it once more when it
+// failed verification: a chunk corrupted or torn in flight arrives
+// whole the second time, and after a rejected completion the server has
+// removed the file, so the cure is a fresh transfer. Bytes that are
+// wrong at rest fail twice and surface.
+func (bc *BulkCopier) verified(op func() error) error {
+	err := op()
+	if bc.opts.Retry != nil && (errors.Is(err, ErrIntegrity) || AsErrno(err) == EBADMSG) {
+		err = op()
 	}
-	err, _ := bc.opts.Retry.Do(op, prepare, retryable)
 	return err
 }
 
-// prepareBoth reconnects whichever endpoints can be reconnected; it is
-// the recovery step for whole-transfer retries.
-func (bc *BulkCopier) prepareBoth() error {
-	for _, l := range []Loc{bc.src, bc.dst} {
-		if l.FS == nil {
-			continue
-		}
-		if rc := Capabilities(l.FS).Reconnector; rc != nil {
-			if err := rc.Reconnect(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// ends is the filesystem a single-stream transfer is driven against: a
+// connection lost on either side is cured by reconnecting both.
+type ends struct {
+	FileSystem // the destination
+	src        FileSystem
 }
 
-// runWithRetry applies the whole-transfer retry level around op.
-func (bc *BulkCopier) runWithRetry(op func() error) error {
-	if bc.opts.Retry == nil {
-		return op()
-	}
-	err, _ := bc.opts.Retry.Do(op, bc.prepareBoth, transferRetryable)
-	return err
+func (e ends) Reconnect() error { return ReconnectAll(e.src, e.FileSystem) }
+
+// transfer runs the whole transfer: multipart when eligible, otherwise
+// single, one stream driven as one operation.
+func (bc *BulkCopier) transfer(ctx context.Context, single func() error) error {
+	return bc.verified(func() error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if bc.multipartEligible() {
+			bc.copied.Store(0)
+			return bc.runMultipart(ctx)
+		}
+		return bc.drive(ends{bc.dst.FS, bc.src.FS}, func() error {
+			bc.copied.Store(0)
+			return single()
+		})
+	})
 }
 
 func (bc *BulkCopier) multipartEligible() bool {
@@ -294,20 +289,8 @@ func (bc *BulkCopier) Run(ctx context.Context) (int64, error) {
 	if bc.mode == 0 {
 		bc.mode = 0o644
 	}
-	op := func() error {
-		bc.copied.Store(0)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if bc.multipartEligible() {
-			return bc.runMultipart(ctx)
-		}
-		return bc.runSingle()
-	}
-	if err := bc.runWithRetry(op); err != nil {
-		return bc.copied.Load(), err
-	}
-	return bc.copied.Load(), nil
+	err = bc.transfer(ctx, bc.runSingle)
+	return bc.copied.Load(), err
 }
 
 // runSingle moves the file in one stream, picking the best pairing of
@@ -466,10 +449,10 @@ func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 	if bc.newChunkReader == nil {
 		srcPart = Capabilities(bc.src.FS).PartGetter
 		if srcPart != nil {
-			err := bc.retryOn(bc.src.FS, func() error {
+			err := bc.drive(bc.src.FS, func() error {
 				_, _, e := srcPart.GetPart(bc.src.Path, 0, 0, "", io.Discard)
 				return e
-			}, connRetryable)
+			})
 			if err != nil {
 				if AsErrno(err) != EINVAL || errors.Is(err, ErrIntegrity) {
 					return err
@@ -485,9 +468,9 @@ func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 	// also what the positional fallback needs.
 	dstPart := Capabilities(bc.dst.FS).PartPutter
 	if dstPart != nil {
-		err := bc.retryOn(bc.dst.FS, func() error {
+		err := bc.drive(bc.dst.FS, func() error {
 			return dstPart.PutBegin(bc.dst.Path, bc.mode, bc.size)
-		}, connRetryable)
+		})
 		if err != nil {
 			if AsErrno(err) != EINVAL {
 				return err
@@ -540,7 +523,7 @@ func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 		newReader = func() (func(p []byte, off int64) error, func()) {
 			var f File
 			read := func(p []byte, off int64) error {
-				return bc.retryOn(bc.src.FS, func() error {
+				return bc.drivePart(bc.src.FS, func() error {
 					if srcPart != nil {
 						sw := &sliceWriter{p: p}
 						got, _, err := srcPart.GetPart(bc.src.Path, off, int64(len(p)), algo, sw)
@@ -568,7 +551,7 @@ func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 						return err
 					}
 					return nil
-				}, transferRetryable)
+				})
 			}
 			closer := func() {
 				if f != nil {
@@ -617,7 +600,7 @@ func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 				if bc.opts.Verify {
 					crcs[i] = CRC32C(0, p)
 				}
-				err := bc.retryOn(bc.dst.FS, func() error {
+				err := bc.drivePart(bc.dst.FS, func() error {
 					if dstPart != nil {
 						_, err := dstPart.PutPart(bc.dst.Path, off, n, algo, bytes.NewReader(p))
 						return err
@@ -635,7 +618,7 @@ func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 						return err
 					}
 					return nil
-				}, transferRetryable)
+				})
 				if err != nil {
 					fail(err)
 					return
@@ -671,13 +654,12 @@ func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 		if bc.opts.Verify {
 			sum = FormatCRC32C(composed)
 		}
-		// Completion is deliberately not integrity-retried: after a
-		// digest mismatch the server has already removed the file, so
-		// the cure is re-running the whole transfer (the outer retry
-		// level), not re-asking.
-		err := bc.retryOn(bc.dst.FS, func() error {
+		// After a digest mismatch the server has already removed the
+		// file, so the cure is a fresh transfer (see verified), not
+		// re-asking.
+		err := bc.drive(bc.dst.FS, func() error {
 			return dstPart.PutComplete(bc.dst.Path, bc.size, algo, sum)
-		}, connRetryable)
+		})
 		if err != nil {
 			bc.cleanupMultipart(dstPart)
 			if AsErrno(err) == EBADMSG && !errors.Is(err, ErrIntegrity) {

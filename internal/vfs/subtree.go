@@ -131,12 +131,7 @@ func (s *SubtreeFS) StatFS() (FSInfo, error) { return s.inner.StatFS() }
 
 // Reconnect forwards to the inner filesystem when it supports
 // reconnection, so recovery works through subtree views.
-func (s *SubtreeFS) Reconnect() error {
-	if rc, ok := s.inner.(Reconnector); ok {
-		return rc.Reconnect()
-	}
-	return nil
-}
+func (s *SubtreeFS) Reconnect() error { return ReconnectAll(s.inner) }
 
 // OpenStat forwards the open-with-stat fast path when the inner
 // filesystem provides one.

@@ -261,6 +261,24 @@ func Capabilities(fs FileSystem) Capability {
 	return caps
 }
 
+// ReconnectAll reconnects every one of fss that can be reconnected and
+// returns the first failure. It is the body of Reconnect on a
+// filesystem made of several others (a distributed tree and its
+// members, a mirror's replicas, the two ends of a copy): the members
+// that cannot reconnect, and nil ones, are skipped, and one that stays
+// down does not stop the rest — failure coherence tolerates it.
+func ReconnectAll(fss ...FileSystem) error {
+	var first error
+	for _, fs := range fss {
+		if rc := Capabilities(fs).Reconnector; rc != nil {
+			if err := rc.Reconnect(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}
+
 // GetWholeFile reads an entire file, using the FileGetter fast path
 // when fs provides it and open/pread/close otherwise.
 //
