@@ -2,8 +2,11 @@ package chirp
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net"
 	"sync"
@@ -536,28 +539,118 @@ func (c *Client) SetACL(path, subject, rights string) error {
 	return err
 }
 
+// bodyRecv receives the body of one getfile, getfilesum or getpart
+// response: the bytes stream socket → pooled window → w, folded into h
+// on the way when there is one, and the digest trailer behind them is
+// then checked against it.
+//
+// A failure of w is not a failure of the connection. The rest of the
+// body and the trailer are still read, so the stream stays framed, and
+// the sink's own error is reported in err with the connection — and
+// every descriptor open on it — left alone: a full local disk is
+// ENOSPC, not ENOTCONN.
+type bodyRecv struct {
+	verb, path string
+	off        int64 // getpart only: where the chunk starts, for messages
+	w          io.Writer
+	h          hash.Hash // non-nil: a digest trailer of algo follows the body
+	algo       string
+
+	copied    int64  // bytes w accepted
+	sum       string // the verified digest, lowercase hex
+	err       error  // what w, or the digest check, failed with
+	inTrailer bool   // the body arrived whole; the trailer was being read
+}
+
+// name is what the messages call the body: the path, and for a chunk
+// its offset.
+func (b *bodyRecv) name() string {
+	if b.verb == "getpart" {
+		return fmt.Sprintf("%s@%d", b.path, b.off)
+	}
+	return b.path
+}
+
+// handle is the rpc body handler. The error it returns is the
+// socket's, which costs the connection; everything else lands in b.err.
+func (b *bodyRecv) handle(code int64, br *bufio.Reader) error {
+	if code < 0 {
+		return nil
+	}
+	bp := vfs.GetWindow(code)
+	defer vfs.PutBuf(bp)
+	buf := *bp
+	for left := code; left > 0; {
+		n, err := io.ReadFull(br, buf[:min(int64(len(buf)), left)])
+		if err != nil {
+			return err
+		}
+		left -= int64(n)
+		if b.h != nil {
+			b.h.Write(buf[:n])
+		}
+		if b.err == nil {
+			var m int
+			m, b.err = b.w.Write(buf[:n])
+			b.copied += int64(m)
+		}
+	}
+	if b.h == nil {
+		return nil
+	}
+	b.inTrailer = true
+	line, err := proto.ReadLine(br)
+	if err != nil {
+		return err
+	}
+	if b.err != nil {
+		return nil
+	}
+	a, raw, perr := proto.ParseDigestTrailer(line)
+	if perr != nil || a != b.algo {
+		b.err = fmt.Errorf("chirp: %s %s: malformed digest trailer: %w",
+			b.verb, b.name(), errors.Join(vfs.EIO, vfs.ErrIntegrity))
+	} else if got := b.h.Sum(nil); !bytes.Equal(raw, got) {
+		b.err = vfs.ChecksumMismatch(b.name(), a, hex.EncodeToString(raw), hex.EncodeToString(got))
+	} else {
+		b.sum = hex.EncodeToString(raw)
+	}
+	return nil
+}
+
+// receive sends req and streams the response body through b. It
+// returns what rpc returns — the server's refusal or a lost connection
+// — so a caller can tell a refusal that arrived before the data phase
+// from anything the sink did; result folds the two into one answer.
+func (c *Client) receive(req *proto.Request, b *bodyRecv) error {
+	// Copied, not pointed at: req can then stay on its caller's stack.
+	b.verb, b.path, b.off, b.algo = req.Verb, req.Path, req.Offset, req.Algo
+	_, err := c.rpc(req, nil, b.handle)
+	return err
+}
+
+// result is the (bytes, error) a receive path returns, given what
+// receive returned.
+func (b *bodyRecv) result(rpcErr error) (int64, error) {
+	if rpcErr != nil && b.inTrailer {
+		// The body arrived whole but its digest trailer did not: the
+		// bytes cannot be trusted and the connection is gone.
+		return b.copied, fmt.Errorf("chirp: %s %s: short digest trailer: %w",
+			b.verb, b.name(), errors.Join(rpcErr, vfs.ErrIntegrity))
+	}
+	if rpcErr != nil {
+		return b.copied, rpcErr
+	}
+	return b.copied, b.err
+}
+
 // getFilePlain streams the whole named file to w (the getfile RPC):
 // one round trip regardless of size, on the same connection as
 // control. GetFile (client_sum.go) routes here unless verification is
 // on.
 func (c *Client) getFilePlain(path string, w io.Writer) (int64, error) {
-	var copied int64
-	var copyErr error
-	_, err := c.rpc(&proto.Request{Verb: "getfile", Path: path}, nil, func(code int64, br *bufio.Reader) error {
-		if code < 0 {
-			return nil
-		}
-		copied, copyErr = io.CopyN(w, br, code)
-		if copyErr != nil && copied < code {
-			// Stream broken mid-body: connection is desynced.
-			return copyErr
-		}
-		return nil
-	})
-	if err != nil {
-		return copied, err
-	}
-	return copied, copyErr
+	b := bodyRecv{w: w}
+	return b.result(c.receive(&proto.Request{Verb: "getfile", Path: path}, &b))
 }
 
 // putStream writes one put-style request and streams its body on the
@@ -612,8 +705,23 @@ func (c *Client) putStream(req *proto.Request, size int64, r io.Reader, trailer 
 			return vfs.FromCode(int(ready))
 		}
 	}
-	if _, err := io.CopyN(c.bw, r, size); err != nil {
-		return c.failLocked(err)
+	// The body streams r → pooled window → socket, each Read forwarded
+	// as it returns: a slow source keeps the server fed, and a reader
+	// that hands over its last bytes together with io.EOF is not asked
+	// again.
+	bp := vfs.GetWindow(size)
+	defer vfs.PutBuf(bp)
+	buf := *bp
+	for left := size; left > 0; {
+		n, rerr := r.Read(buf[:min(int64(len(buf)), left)])
+		left -= int64(n)
+		if _, err := c.bw.Write(buf[:n]); err != nil {
+			return c.failLocked(err)
+		}
+		if rerr != nil && left > 0 {
+			// The promised body cannot be completed: the stream is lost.
+			return c.failLocked(rerr)
+		}
 	}
 	if trailer != nil {
 		if _, err := c.bw.Write(trailer(nil)); err != nil {

@@ -1,8 +1,6 @@
 package chirp
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -38,68 +36,17 @@ var (
 // engine's whole-file composition. The server clamps the transfer at
 // end of file, so the returned count can be short.
 func (c *Client) GetPart(path string, off, length int64, algo string, w io.Writer) (int64, string, error) {
-	var h = io.Discard
-	var hasher = (interface {
-		io.Writer
-		Sum([]byte) []byte
-	})(nil)
+	b := bodyRecv{w: w}
 	if algo != "" {
-		hh, err := vfs.NewHash(algo)
+		h, err := vfs.NewHash(algo)
 		if err != nil {
 			return 0, "", err
 		}
-		hasher, h = hh, hh
+		b.h = h
 	}
-	var copied int64
-	var sum string
-	var verifyErr error
-	var inTrailer bool
-	_, err := c.rpc(&proto.Request{Verb: "getpart", Path: path, Offset: off, Length: length, Algo: algo}, nil,
-		func(code int64, br *bufio.Reader) error {
-			if code < 0 {
-				return nil
-			}
-			var copyErr error
-			copied, copyErr = io.CopyN(io.MultiWriter(w, h), br, code)
-			if copyErr != nil {
-				// Stream broken mid-body: connection is desynced.
-				return copyErr
-			}
-			if algo == "" {
-				return nil
-			}
-			inTrailer = true
-			line, err := proto.ReadLine(br)
-			if err != nil {
-				return err
-			}
-			a, raw, perr := proto.ParseDigestTrailer(line)
-			if perr != nil || a != algo {
-				verifyErr = fmt.Errorf("chirp: getpart %s@%d: malformed digest trailer: %w",
-					path, off, errors.Join(vfs.EIO, vfs.ErrIntegrity))
-				return nil
-			}
-			if got := hasher.Sum(nil); !bytes.Equal(raw, got) {
-				verifyErr = vfs.ChecksumMismatch(fmt.Sprintf("%s@%d", path, off), algo,
-					hex.EncodeToString(raw), hex.EncodeToString(got))
-				return nil
-			}
-			sum = hex.EncodeToString(raw)
-			return nil
-		})
-	if err != nil {
-		if inTrailer {
-			// The chunk arrived whole but its digest trailer did not: the
-			// bytes cannot be trusted and the connection is gone.
-			return copied, "", fmt.Errorf("chirp: getpart %s@%d: short digest trailer: %w",
-				path, off, errors.Join(err, vfs.ErrIntegrity))
-		}
-		return copied, "", err
-	}
-	if verifyErr != nil {
-		return copied, "", verifyErr
-	}
-	return copied, sum, nil
+	n, err := b.result(c.receive(
+		&proto.Request{Verb: "getpart", Path: path, Offset: off, Length: length, Algo: algo}, &b))
+	return n, b.sum, err
 }
 
 // PutBegin opens a multipart upload (vfs.PartPutter, the putbegin

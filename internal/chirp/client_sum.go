@@ -2,7 +2,6 @@ package chirp
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -97,67 +96,24 @@ func (c *Client) GetFile(path string, w io.Writer) (int64, error) {
 	if !c.cfg.Verify || !c.supports(proto.Sums) {
 		return c.getFilePlain(path, w)
 	}
-	n, err := c.getFileSum(path, w)
-	if legacyRefusal(err) {
-		// Refused before the data phase: nothing was written to w. Only
-		// a successful plain retry proves the verb — not the argument —
-		// was the problem.
-		if n, err = c.getFilePlain(path, w); err == nil {
-			c.refuse(proto.Sums)
-		}
-	}
-	return n, err
-}
-
-// getFileSum is GetFile over the getfilesum verb: body bytes are teed
-// through the digest and checked against the server's trailer.
-func (c *Client) getFileSum(path string, w io.Writer) (int64, error) {
 	algo := c.algo()
 	h, err := vfs.NewHash(algo)
 	if err != nil {
 		return 0, err
 	}
-	var copied int64
-	var verifyErr error
-	var inTrailer bool
-	_, err = c.rpc(&proto.Request{Verb: "getfilesum", Path: path, Algo: algo}, nil,
-		func(code int64, br *bufio.Reader) error {
-			if code < 0 {
-				return nil
-			}
-			var copyErr error
-			copied, copyErr = io.CopyN(io.MultiWriter(w, h), br, code)
-			if copyErr != nil {
-				// Stream broken mid-body: connection is desynced.
-				return copyErr
-			}
-			inTrailer = true
-			line, err := proto.ReadLine(br)
-			if err != nil {
-				return err
-			}
-			a, sum, perr := proto.ParseDigestTrailer(line)
-			if perr != nil || a != algo {
-				verifyErr = fmt.Errorf("chirp: getfile %s: malformed digest trailer: %w",
-					path, errors.Join(vfs.EIO, vfs.ErrIntegrity))
-				return nil
-			}
-			if got := h.Sum(nil); !bytes.Equal(sum, got) {
-				verifyErr = vfs.ChecksumMismatch(path, algo,
-					hex.EncodeToString(sum), hex.EncodeToString(got))
-			}
-			return nil
-		})
-	if err != nil {
-		if inTrailer {
-			// The body arrived whole but its digest trailer did not: the
-			// payload cannot be trusted and the connection is gone.
-			return copied, fmt.Errorf("chirp: getfile %s: short digest trailer: %w",
-				path, errors.Join(err, vfs.ErrIntegrity))
+	b := bodyRecv{w: w, h: h}
+	err = c.receive(&proto.Request{Verb: "getfilesum", Path: path, Algo: algo}, &b)
+	if legacyRefusal(err) {
+		// Refused before the data phase: nothing was written to w. Only
+		// a successful plain retry proves the verb — not the argument —
+		// was the problem.
+		n, err := c.getFilePlain(path, w)
+		if err == nil {
+			c.refuse(proto.Sums)
 		}
-		return copied, err
+		return n, err
 	}
-	return copied, verifyErr
+	return b.result(err)
 }
 
 // PutFile streams size bytes from r into the named file

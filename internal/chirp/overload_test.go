@@ -462,10 +462,11 @@ func TestDeadlineAbortsMidStream(t *testing.T) {
 	if _, err := c.rpc(&proto.Request{Verb: "deadline", Budget: 50}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	// The slow sink keeps the body in flight past the 50ms budget; the
+	// The slow sink keeps the body in flight past the 50ms budget (it is
+	// written one 256 KiB window at a time, four for this body); the
 	// server's per-chunk deadline check must cut the stream off.
 	var sink bytes.Buffer
-	_, err = c.GetFile("/big", &slowWriter{w: &sink, delay: 10 * time.Millisecond})
+	_, err = c.GetFile("/big", &slowWriter{w: &sink, delay: 40 * time.Millisecond})
 	if err == nil {
 		t.Fatal("getfile past its deadline completed")
 	}

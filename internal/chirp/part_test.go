@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +20,7 @@ import (
 	"tss/internal/faultfs"
 	"tss/internal/netsim"
 	"tss/internal/obs"
+	"tss/internal/resilient"
 	"tss/internal/vfs"
 )
 
@@ -516,6 +519,309 @@ func TestMultipartManyChunksPooled(t *testing.T) {
 		}
 		if want := vfs.FormatCRC32C(vfs.CRC32C(0, data)); sum != want {
 			t.Errorf("size %d: server digest %s, want %s", size, sum, want)
+		}
+	}
+}
+
+// tcpPool starts a server on loopback TCP — a transport with
+// backpressure, unlike netsim, whose queue would hold a body whole —
+// and dials a pool of the given size to it, its clients counting into
+// reg when there is one.
+func tcpPool(t *testing.T, size int, reg *obs.Registry) (*Server, *Pool) {
+	t.Helper()
+	srv, err := NewServer(t.TempDir(), ServerConfig{
+		Name:      "localhost",
+		Owner:     "hostname:localhost",
+		Verifiers: []auth.Verifier{&auth.HostnameVerifier{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go srv.Serve(l)
+	p, err := NewPool(ClientConfig{
+		Dial: func() (net.Conn, error) {
+			return net.DialTimeout("tcp", l.Addr().String(), 5*time.Second)
+		},
+		Credentials: []auth.Credential{auth.HostnameCredential{}},
+		Timeout:     10 * time.Second,
+		PoolSize:    size,
+		Metrics:     reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	return srv, p
+}
+
+// TestMultipartBoundedMemory pins what a multipart transfer holds: one
+// window per worker, whatever the chunk size. A verified 16 MiB put and
+// get — client, server and both local files in this process — each
+// allocate well under one chunk once connections are dialed and the
+// window pool is warm.
+func TestMultipartBoundedMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the bound leans on a warm sync.Pool, which the race detector empties at random")
+	}
+	_, p := tcpPool(t, 2, nil)
+	const size = 16 << 20
+	up := localEndpoint(t, "up.bin", partPayload(size))
+	down := localEndpoint(t, "down.bin", nil)
+	remote := vfs.Loc{FS: p, Path: "/mem"}
+	for _, chunk := range []int64{4 << 20, 8 << 20} {
+		opts := vfs.CopyOptions{Concurrency: 2, ChunkSize: chunk, Verify: true}
+		steps := []struct {
+			name     string
+			dst, src vfs.Loc
+		}{{"put", remote, up}, {"get", down, remote}}
+		for round := 0; round < 2; round++ { // the first round warms
+			for _, s := range steps {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				n, err := vfs.Copy(context.Background(), s.dst, s.src, opts)
+				runtime.ReadMemStats(&after)
+				if err != nil || n != size {
+					t.Fatalf("%s at chunk %d: %d bytes, %v", s.name, chunk, n, err)
+				}
+				if got := after.TotalAlloc - before.TotalAlloc; round > 0 && got > 512<<10 {
+					t.Errorf("%s at chunk %d allocated %d KiB, want at most 512", s.name, chunk, got>>10)
+				}
+			}
+		}
+	}
+}
+
+// TestMultipartContentAllPairings moves the same bytes through every
+// pairing of ends the engine distinguishes — memory → remote, local →
+// remote, remote → remote, remote → local, local → local — at sizes on
+// either side of a window and of a chunk, verified and not, and compares
+// what arrived after every hop.
+func TestMultipartContentAllPairings(t *testing.T) {
+	ts := startServer(t, nil)
+	p := ts.pool(t, "owner.sim", 4, 0)
+	const chunk = 300_000 // more than a window: a chunk takes two
+	remote := func(path string) []byte {
+		var b bytes.Buffer
+		if _, err := p.GetFile(path, &b); err != nil {
+			t.Fatalf("getfile %s: %v", path, err)
+		}
+		return b.Bytes()
+	}
+	local := func(l vfs.Loc) []byte {
+		b, err := vfs.ReadFile(l.FS, l.Path)
+		if err != nil {
+			t.Fatalf("read %s: %v", l.Path, err)
+		}
+		return b
+	}
+	for _, verify := range []bool{false, true} {
+		for _, size := range []int{0, 1, vfs.Window - 1, vfs.Window + 1, 2*chunk + 123} {
+			data := partPayload(size)
+			opts := vfs.CopyOptions{Concurrency: 2, ChunkSize: chunk, Verify: verify}
+			l0 := localEndpoint(t, "l0.bin", data)
+			l1 := localEndpoint(t, "l1.bin", nil)
+			l2 := localEndpoint(t, "l2.bin", nil)
+			ra, rb, rc := vfs.Loc{FS: p, Path: "/a"}, vfs.Loc{FS: p, Path: "/b"}, vfs.Loc{FS: p, Path: "/c"}
+			hops := []struct {
+				name     string
+				dst, src vfs.Loc
+				landed   func() []byte
+			}{
+				{"local to remote", ra, l0, func() []byte { return remote("/a") }},
+				{"remote to remote", rb, ra, func() []byte { return remote("/b") }},
+				{"remote to local", l1, rb, func() []byte { return local(l1) }},
+				{"local to local", l2, l1, func() []byte { return local(l2) }},
+			}
+			for _, h := range hops {
+				n, err := vfs.Copy(context.Background(), h.dst, h.src, opts)
+				if err != nil || n != int64(size) {
+					t.Fatalf("%s, %d bytes, verify=%v: copied %d, %v", h.name, size, verify, n, err)
+				}
+				if !bytes.Equal(h.landed(), data) {
+					t.Fatalf("%s, %d bytes, verify=%v: content differs", h.name, size, verify)
+				}
+			}
+			if err := vfs.PutBytes(context.Background(), rc, 0o644, data, opts); err != nil {
+				t.Fatalf("memory to remote, %d bytes, verify=%v: %v", size, verify, err)
+			}
+			if !bytes.Equal(remote("/c"), data) {
+				t.Fatalf("memory to remote, %d bytes, verify=%v: content differs", size, verify)
+			}
+		}
+	}
+}
+
+// TestMultipartSharedConnection copies between two paths of one server
+// over a single connection with two workers. A getpart and a putpart of
+// one transfer must never need the connection at the same time: the
+// engine fetches a chunk, then sends it.
+func TestMultipartSharedConnection(t *testing.T) {
+	ts := startServer(t, nil)
+	c := ts.client(t, "owner.sim")
+	data := partPayload(3*vfs.Window + 5)
+	if err := vfs.WriteFile(c, "/from", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := vfs.Copy(context.Background(), vfs.Loc{FS: c, Path: "/to"}, vfs.Loc{FS: c, Path: "/from"},
+			vfs.CopyOptions{Concurrency: 2, ChunkSize: 1 << 20, Cutover: 1, Verify: true})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("a chunk's getpart and putpart wait for each other on the one connection")
+	}
+	got, err := vfs.ReadFile(c, "/to")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("copy over one connection differs from its source (%v)", err)
+	}
+}
+
+// fullDisk is a local destination whose files accept room bytes in all
+// and then fail with ENOSPC.
+type fullDisk struct {
+	vfs.FileSystem
+	room atomic.Int64
+}
+
+func (d *fullDisk) Open(path string, flags int, mode uint32) (vfs.File, error) {
+	f, err := d.FileSystem.Open(path, flags, mode)
+	if err != nil {
+		return nil, err
+	}
+	return &fullDiskFile{File: f, d: d}, nil
+}
+
+type fullDiskFile struct {
+	vfs.File
+	d *fullDisk
+}
+
+func (f *fullDiskFile) Pwrite(p []byte, off int64) (int, error) {
+	if f.d.room.Add(-int64(len(p))) < 0 {
+		return 0, vfs.ENOSPC
+	}
+	return f.File.Pwrite(p, off)
+}
+
+// TestMultipartLocalWriteError fills the local disk in the middle of a
+// chunk of a get, under a retry policy. The transfer fails with the
+// write's own errno after one attempt, the partial destination is
+// removed, and the pool still has the connections it had: the getpart
+// bodies were drained, not abandoned.
+func TestMultipartLocalWriteError(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, p := tcpPool(t, 2, reg)
+	data := partPayload(4 << 20)
+	if err := vfs.PutBytes(context.Background(), vfs.Loc{FS: p, Path: "/big"}, 0o644, data,
+		vfs.CopyOptions{Concurrency: 2, ChunkSize: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	conns := p.Conns()
+	dst := localEndpoint(t, "out.bin", nil)
+	disk := &fullDisk{FileSystem: dst.FS}
+	disk.room.Store(1<<20 + vfs.Window + 100) // gives out inside a chunk, past its first window
+	var retries atomic.Int64
+	_, err := vfs.Copy(context.Background(), vfs.Loc{FS: disk, Path: dst.Path}, vfs.Loc{FS: p, Path: "/big"},
+		vfs.CopyOptions{Concurrency: 2, ChunkSize: 1 << 20, Verify: true,
+			Retry: resilient.Policy{Attempts: 3, Base: time.Millisecond, Sleep: func(time.Duration) {},
+				OnRetry: func(int, error) { retries.Add(1) }}})
+	if vfs.AsErrno(err) != vfs.ENOSPC {
+		t.Fatalf("get onto a full disk = %v, want ENOSPC", err)
+	}
+	if n := retries.Load(); n != 0 {
+		t.Errorf("a full disk was retried %d times", n)
+	}
+	if _, serr := dst.FS.Stat(dst.Path); vfs.AsErrno(serr) != vfs.ENOENT {
+		t.Errorf("partial destination left behind (stat = %v)", serr)
+	}
+	if got := p.Conns(); got != conns {
+		t.Errorf("pool has %d live connections after the failure, had %d", got, conns)
+	}
+	if n := reg.Snapshot().Counters["chirp_client.reconnects"]; n != 0 {
+		t.Errorf("%d reconnects after a local write error", n)
+	}
+	sum, err := p.Checksum("/big", "crc32c")
+	if err != nil || sum != vfs.FormatCRC32C(vfs.CRC32C(0, data)) {
+		t.Errorf("pool unusable after the failure: checksum = %q, %v", sum, err)
+	}
+}
+
+// failAfter is a sink that accepts room bytes and then fails with err.
+type failAfter struct {
+	room int
+	err  error
+}
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.room {
+		n := w.room
+		w.room = 0
+		return n, w.err
+	}
+	w.room -= len(p)
+	return len(p), nil
+}
+
+// TestGetfileSinkErrorKeepsConnection fails the caller's writer in the
+// middle of a getfile, a getfilesum and a getpart body. That is the
+// sink's failure, not the connection's: the caller sees the sink's
+// errno, a retry driver does not re-run the transfer, the stream stays
+// framed — the next RPC on the same connection works — and a descriptor
+// opened before is still good.
+func TestGetfileSinkErrorKeepsConnection(t *testing.T) {
+	ts := startServer(t, nil)
+	data := partPayload(3*vfs.Window + 17)
+	receive := map[string]func(c *Client, w io.Writer) error{
+		"getfile":    func(c *Client, w io.Writer) error { _, err := c.getFilePlain("/body", w); return err },
+		"getfilesum": func(c *Client, w io.Writer) error { _, err := c.GetFile("/body", w); return err },
+		"getpart": func(c *Client, w io.Writer) error {
+			_, _, err := c.GetPart("/body", 5, int64(len(data))-5, "crc32c", w)
+			return err
+		},
+	}
+	for verb, get := range receive {
+		for _, room := range []int{0, 1000, vfs.Window + 1} {
+			c := ts.verifyClient(t, "owner.sim")
+			if err := vfs.WriteFile(c, "/body", data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := c.Open("/body", vfs.O_RDONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := 0
+			err = resilient.Policy{Attempts: 3, Base: time.Millisecond, Sleep: func(time.Duration) {}}.Run(c,
+				func() error {
+					runs++
+					return get(c, &failAfter{room: room, err: vfs.ENOSPC})
+				}, nil)
+			if vfs.AsErrno(err) != vfs.ENOSPC || errors.Is(err, vfs.ErrIntegrity) {
+				t.Errorf("%s, sink full after %d bytes: %v, want ENOSPC", verb, room, err)
+			}
+			if runs != 1 {
+				t.Errorf("%s, sink full after %d bytes: ran %d times, want 1", verb, room, runs)
+			}
+			if _, err := c.Stat("/body"); err != nil {
+				t.Errorf("%s, sink full after %d bytes: next RPC = %v", verb, room, err)
+			}
+			if got := preadAll(t, f, 16); !bytes.Equal(got, data[:16]) {
+				t.Errorf("%s, sink full after %d bytes: descriptor opened before reads %x", verb, room, got)
+			}
+			var whole bytes.Buffer
+			if err := get(c, &whole); err != nil {
+				t.Errorf("%s after a failed sink: %v", verb, err)
+			}
 		}
 	}
 }

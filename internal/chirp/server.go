@@ -234,29 +234,6 @@ var handlerByVerb = func() map[string]*serverVerb {
 	return m
 }()
 
-// ioBufPool recycles bulk-data buffers across requests and
-// connections, so the data path's steady state allocates nothing: a
-// busy server otherwise pays one fresh buffer — up to proto.MaxIOSize —
-// per pread/pwrite. Entries are *[]byte (a pool of slices would box a
-// fresh header on every Put) and grow to the largest request they have
-// served.
-var ioBufPool sync.Pool
-
-// getIOBuf returns a pooled buffer of length n.
-func getIOBuf(n int) *[]byte {
-	v, _ := ioBufPool.Get().(*[]byte)
-	if v == nil {
-		v = new([]byte)
-	}
-	if cap(*v) < n {
-		*v = make([]byte, n)
-	}
-	*v = (*v)[:n]
-	return v
-}
-
-func putIOBuf(v *[]byte) { ioBufPool.Put(v) }
-
 // connState tracks one connection's drain-relevant state: whether a
 // request is mid-flight (never interrupt it) and whether Shutdown has
 // nudged the connection's read deadline to unblock an idle ReadLine.
@@ -939,8 +916,8 @@ func (ss *session) handlePread(req *proto.Request, conn net.Conn, br *bufio.Read
 	if req.Length < 0 || req.Length > proto.MaxIOSize || req.Offset < 0 {
 		return ss.respondErr(bw, vfs.EINVAL)
 	}
-	bp := getIOBuf(int(req.Length))
-	defer putIOBuf(bp)
+	bp := vfs.GetBuf(int(req.Length))
+	defer vfs.PutBuf(bp)
 	buf := *bp
 	n, err := f.file.Pread(buf, req.Offset)
 	if err != nil {
@@ -961,8 +938,8 @@ func (ss *session) handlePwrite(req *proto.Request, conn net.Conn, br *bufio.Rea
 		ss.respondErr(bw, vfs.EINVAL)
 		return fmt.Errorf("pwrite length out of range")
 	}
-	bp := getIOBuf(int(req.Length))
-	defer putIOBuf(bp)
+	bp := vfs.GetBuf(int(req.Length))
+	defer vfs.PutBuf(bp)
 	buf := *bp
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return err
@@ -1240,8 +1217,8 @@ func (ss *session) handleGetfile(req *proto.Request, conn net.Conn, br *bufio.Re
 			off = n // a shrunken file leaves off < fi.Size: pad below
 		}
 	}
-	bp := getIOBuf(256 << 10)
-	defer putIOBuf(bp)
+	bp := vfs.GetWindow(fi.Size - off)
+	defer vfs.PutBuf(bp)
 	buf := *bp
 	for off < fi.Size {
 		if ss.deadlineLapsed() {
@@ -1366,8 +1343,8 @@ func (ss *session) handlePutfile(req *proto.Request, conn net.Conn, br *bufio.Re
 		}
 		return respondCode(bw, req.Length)
 	}
-	bp := getIOBuf(256 << 10)
-	defer putIOBuf(bp)
+	bp := vfs.GetWindow(req.Length)
+	defer vfs.PutBuf(bp)
 	buf := *bp
 	var off int64
 	for off < req.Length {

@@ -74,8 +74,8 @@ func drainBody(br *bufio.Reader, req *proto.Request) error {
 // pre-sized hole putbegin left there: a chunk that failed verification
 // is discarded, not left as wrong bytes at rest.
 func zeroPartRange(f vfs.File, off, length int64) {
-	bp := getIOBuf(256 << 10)
-	defer putIOBuf(bp)
+	bp := vfs.GetWindow(length)
+	defer vfs.PutBuf(bp)
 	buf := *bp
 	for i := range buf {
 		buf[i] = 0
@@ -178,8 +178,8 @@ func (ss *session) handlePutpart(req *proto.Request, conn net.Conn, br *bufio.Re
 			}
 		}
 	}
-	bp := getIOBuf(256 << 10)
-	defer putIOBuf(bp)
+	bp := vfs.GetWindow(req.Length)
+	defer vfs.PutBuf(bp)
 	buf := *bp
 	var done int64
 	var writeErr error
@@ -341,8 +341,8 @@ func (ss *session) handleGetpart(req *proto.Request, conn net.Conn, br *bufio.Re
 			}
 		}
 	}
-	bp := getIOBuf(256 << 10)
-	defer putIOBuf(bp)
+	bp := vfs.GetWindow(n - sent)
+	defer vfs.PutBuf(bp)
 	buf := *bp
 	for sent < n {
 		if ss.deadlineLapsed() {

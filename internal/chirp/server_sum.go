@@ -71,8 +71,8 @@ func (ss *session) handleGetfilesum(req *proto.Request, conn net.Conn, br *bufio
 	// Exactly fi.Size bytes were promised; a concurrently shrinking file
 	// is zero-padded (and the padding is hashed: the digest covers what
 	// was sent, which is the contract).
-	bp := getIOBuf(256 << 10)
-	defer putIOBuf(bp)
+	bp := vfs.GetWindow(fi.Size)
+	defer vfs.PutBuf(bp)
 	buf := *bp
 	var off int64
 	for off < fi.Size {
@@ -141,8 +141,8 @@ func (ss *session) handlePutfilesum(req *proto.Request, conn net.Conn, br *bufio
 		f.Close()
 		return err
 	}
-	bp := getIOBuf(256 << 10)
-	defer putIOBuf(bp)
+	bp := vfs.GetWindow(req.Length)
+	defer vfs.PutBuf(bp)
 	buf := *bp
 	var off int64
 	var writeErr error

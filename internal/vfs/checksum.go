@@ -95,7 +95,9 @@ func HashFile(fs FileSystem, path, algo string) (string, error) {
 		return "", err
 	}
 	defer f.Close()
-	buf := make([]byte, 256<<10)
+	bp := GetBuf(Window)
+	defer PutBuf(bp)
+	buf := *bp
 	var off int64
 	for {
 		n, err := f.Pread(buf, off)

@@ -123,13 +123,7 @@ func PutBytes(ctx context.Context, dst Loc, mode uint32, data []byte, opts CopyO
 		mode = 0o644
 	}
 	size := int64(len(data))
-	bc := &BulkCopier{dst: dst, opts: opts, size: size, mode: mode}
-	bc.newChunkReader = func() (func(p []byte, off int64) error, func()) {
-		return func(p []byte, off int64) error {
-			copy(p, data[off:off+int64(len(p))])
-			return nil
-		}, func() {}
-	}
+	bc := &BulkCopier{dst: dst, opts: opts, size: size, mode: mode, data: data}
 	return bc.transfer(ctx, func() error {
 		if err := PutReader(dst.FS, dst.Path, mode, size, bc.meterReader(bytes.NewReader(data))); err != nil {
 			return err
@@ -152,10 +146,9 @@ type BulkCopier struct {
 	size     int64
 	mode     uint32
 
-	// newChunkReader, when set, overrides the source side of multipart
-	// chunk reads (PutBytes feeds chunks from memory). Each worker gets
-	// its own reader from the factory and closes it when done.
-	newChunkReader func() (read func(p []byte, off int64) error, closer func())
+	// data is the source when src.FS is nil: PutBytes feeds a transfer
+	// from memory.
+	data []byte
 
 	copied atomic.Int64
 	progMu sync.Mutex
@@ -391,7 +384,11 @@ func (bc *BulkCopier) singlePositional() error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 256<<10)
+	// One byte beyond the size, so a file that grew since the stat is
+	// still read to its end.
+	bp := GetWindow(bc.size + 1)
+	defer PutBuf(bp)
+	buf := *bp
 	var off int64
 	for {
 		n, err := in.Pread(buf, off)
@@ -412,20 +409,154 @@ func (bc *BulkCopier) singlePositional() error {
 	return out.Close()
 }
 
-// sliceWriter fills a fixed slice; the multipart engine points one at
-// each chunk buffer so GetPart streams land in place.
-type sliceWriter struct {
-	p []byte
-	n int
+// part is the engine's view of one attempt at one chunk: the reader it
+// hands a PartPutter, or the writer it hands a PartGetter. The chunk
+// passes through it exactly once — through Read when it is pulled from
+// r, through Write when a PartGetter pushes it to w — and is counted
+// and, under Verify, folded into the engine's own crc32c as it passes.
+// That digest is taken over the very bytes the engine moved, below
+// whatever the part verb's own trailer check covered, so a layer that
+// damages them after that check is still caught by the composed digest.
+type part struct {
+	r      io.Reader
+	w      io.Writer
+	off    int64 // where the chunk starts, for messages
+	want   int64 // the chunk's length
+	n      int64 // bytes passed so far
+	verify bool
+	crc    uint32
+	srcErr error // what r failed with, which the far end reports as a lost stream
 }
 
-func (s *sliceWriter) Write(q []byte) (int, error) {
-	n := copy(s.p[s.n:], q)
-	s.n += n
-	if n < len(q) {
-		return n, io.ErrShortWrite
+func (p *part) take(b []byte) {
+	p.n += int64(len(b))
+	if p.verify {
+		p.crc = CRC32C(p.crc, b)
 	}
-	return n, nil
+}
+
+// short is the error of a source that ended before the chunk did.
+func (p *part) short(got int64) error {
+	return fmt.Errorf("short part read at %d: got %d, want %d: %w", p.off, got, p.want, EIO)
+}
+
+// Read reads from r, never beyond the chunk's end.
+func (p *part) Read(b []byte) (int, error) {
+	if p.n == p.want {
+		return 0, io.EOF
+	}
+	if left := p.want - p.n; int64(len(b)) > left {
+		b = b[:left]
+	}
+	n, err := p.r.Read(b)
+	p.take(b[:n])
+	if err == io.EOF && p.n < p.want {
+		err = p.short(p.n)
+	}
+	if err != nil && err != io.EOF && p.srcErr == nil {
+		p.srcErr = err
+	}
+	return n, err
+}
+
+func (p *part) Write(b []byte) (int, error) {
+	n, err := p.w.Write(b)
+	p.take(b[:n])
+	return n, err
+}
+
+// chunkWorker is one multipart worker: the two ends as negotiated, and
+// the positional handles it opens on an end without a part verb.
+type chunkWorker struct {
+	bc               *BulkCopier
+	srcPart          PartGetter
+	dstPart          PartPutter
+	algo             string
+	srcFile, dstFile File
+}
+
+func (w *chunkWorker) close() {
+	if w.srcFile != nil {
+		w.srcFile.Close()
+		w.srcFile = nil
+	}
+	if w.dstFile != nil {
+		w.dstFile.Close()
+		w.dstFile = nil
+	}
+}
+
+// move is one attempt at the chunk [off, off+n): source → window →
+// destination, no copy of the chunk in between. A part verb streams
+// through its own window — GetPart writes straight into the destination
+// file at off, PutPart reads straight from the source file or slice at
+// off — and a chunk with neither goes through a window of the engine's
+// own. It returns the engine's crc32c of the bytes moved.
+//
+// A window lands at the destination before the chunk's trailer has been
+// checked. That is safe because a failed chunk is either run again over
+// the same range or fails the transfer, which removes the destination.
+func (w *chunkWorker) move(off, n int64) (crc uint32, err error) {
+	bc := w.bc
+	p := &part{off: off, want: n, verify: bc.opts.Verify}
+	defer func() {
+		if err != nil {
+			// A handle may be fenced to a dead connection; drop both so
+			// the next attempt reopens.
+			w.close()
+		}
+	}()
+	if bc.src.FS == nil {
+		p.r = bytes.NewReader(bc.data[off : off+n])
+	} else if w.srcPart == nil {
+		if w.srcFile == nil {
+			if w.srcFile, err = bc.src.FS.Open(bc.src.Path, O_RDONLY, 0); err != nil {
+				return 0, err
+			}
+		}
+		p.r = &SeqFile{f: w.srcFile, off: off}
+	}
+	if w.dstPart == nil {
+		if w.dstFile == nil {
+			if w.dstFile, err = bc.dst.FS.Open(bc.dst.Path, O_WRONLY, 0); err != nil {
+				return 0, err
+			}
+		}
+		p.w = &SeqFile{f: w.dstFile, off: off}
+	}
+	switch {
+	case w.srcPart != nil && w.dstPart != nil:
+		// Fetched whole into the window, then sent: see runMultipart on
+		// why such a chunk is no larger than that.
+		bp := GetWindow(n)
+		defer PutBuf(bp)
+		held := bytes.NewBuffer((*bp)[:0])
+		if _, _, err = w.srcPart.GetPart(bc.src.Path, off, n, w.algo, held); err != nil {
+			return 0, err
+		}
+		if got := int64(held.Len()); got != n {
+			return 0, p.short(got)
+		}
+		p.r = held
+		_, err = w.dstPart.PutPart(bc.dst.Path, off, n, w.algo, p)
+	case w.srcPart != nil:
+		_, _, err = w.srcPart.GetPart(bc.src.Path, off, n, w.algo, p)
+	case w.dstPart != nil:
+		_, err = w.dstPart.PutPart(bc.dst.Path, off, n, w.algo, p)
+	default:
+		bp := GetWindow(n)
+		defer PutBuf(bp)
+		_, err = io.CopyBuffer(p.w, p, *bp)
+	}
+	if p.srcErr != nil {
+		// A put whose source failed loses its stream and says so; what
+		// went wrong is what the source said.
+		err = p.srcErr
+	}
+	if err == nil && p.n != n {
+		err = p.short(p.n)
+	}
+	return p.crc, err
 }
 
 // runMultipart is one parallel multipart transfer attempt: negotiate
@@ -433,7 +564,8 @@ func (s *sliceWriter) Write(q []byte) (int, error) {
 // where a side lacks it or its server predates the verbs), fan chunks
 // out over Concurrency workers, then complete — verifying the composed
 // whole-file digest when Verify is on. Any failure removes the partial
-// destination before returning.
+// destination before returning. A transfer holds one window per worker
+// (see chunkWorker.move), whatever the chunk size.
 func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 	algo := ""
 	if bc.opts.Verify {
@@ -446,7 +578,7 @@ func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 	// probe costs one tiny RPC; memoizing it per transfer keeps the
 	// negotiation logic in one place.
 	var srcPart PartGetter
-	if bc.newChunkReader == nil {
+	if bc.src.FS != nil {
 		srcPart = Capabilities(bc.src.FS).PartGetter
 		if srcPart != nil {
 			err := bc.drive(bc.src.FS, func() error {
@@ -494,6 +626,16 @@ func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 	}
 
 	chunk := bc.opts.ChunkSize
+	if srcPart != nil && dstPart != nil {
+		// Two part verbs cannot stream into each other. Each holds its
+		// connection until its body is through, and the two ends may
+		// share connections (two paths of one server; fewer connections
+		// than workers): a getpart blocked on a putpart that waits for
+		// the getpart's connection never ends. So such a chunk is
+		// fetched whole and then sent, and is no larger than the window
+		// that holds it in between.
+		chunk = min(chunk, Window)
+	}
 	nchunks := (bc.size + chunk - 1) / chunk
 	crcs := make([]uint32, nchunks)
 
@@ -518,63 +660,12 @@ func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 		stop.Store(true)
 	}
 
-	newReader := bc.newChunkReader
-	if newReader == nil {
-		newReader = func() (func(p []byte, off int64) error, func()) {
-			var f File
-			read := func(p []byte, off int64) error {
-				return bc.drivePart(bc.src.FS, func() error {
-					if srcPart != nil {
-						sw := &sliceWriter{p: p}
-						got, _, err := srcPart.GetPart(bc.src.Path, off, int64(len(p)), algo, sw)
-						if err != nil {
-							return err
-						}
-						if got != int64(len(p)) {
-							return fmt.Errorf("short part read at %d: got %d, want %d: %w",
-								off, got, len(p), EIO)
-						}
-						return nil
-					}
-					if f == nil {
-						var err error
-						f, err = bc.src.FS.Open(bc.src.Path, O_RDONLY, 0)
-						if err != nil {
-							return err
-						}
-					}
-					if err := ReadFull(f, p, off); err != nil {
-						// The handle may be fenced to a dead connection;
-						// drop it so the retry reopens.
-						f.Close()
-						f = nil
-						return err
-					}
-					return nil
-				})
-			}
-			closer := func() {
-				if f != nil {
-					f.Close()
-				}
-			}
-			return read, closer
-		}
-	}
-
-	for w := 0; w < workers; w++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			read, closeRead := newReader()
-			defer closeRead()
-			var dstFile File
-			defer func() {
-				if dstFile != nil {
-					dstFile.Close()
-				}
-			}()
-			buf := make([]byte, chunk)
+			w := &chunkWorker{bc: bc, srcPart: srcPart, dstPart: dstPart, algo: algo}
+			defer w.close()
 			for {
 				if stop.Load() {
 					return
@@ -588,36 +679,14 @@ func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 					return
 				}
 				off := i * chunk
-				n := chunk
-				if bc.size-off < n {
-					n = bc.size - off
-				}
-				p := buf[:n]
-				if err := read(p, off); err != nil {
-					fail(err)
-					return
-				}
-				if bc.opts.Verify {
-					crcs[i] = CRC32C(0, p)
-				}
-				err := bc.drivePart(bc.dst.FS, func() error {
-					if dstPart != nil {
-						_, err := dstPart.PutPart(bc.dst.Path, off, n, algo, bytes.NewReader(p))
-						return err
-					}
-					if dstFile == nil {
-						var err error
-						dstFile, err = bc.dst.FS.Open(bc.dst.Path, O_WRONLY, 0)
-						if err != nil {
-							return err
-						}
-					}
-					if err := WriteAll(dstFile, p, off); err != nil {
-						dstFile.Close()
-						dstFile = nil
-						return err
-					}
-					return nil
+				n := min(chunk, bc.size-off)
+				// A chunk is one operation against both ends: a connection
+				// lost on either is cured by reconnecting both, and a chunk
+				// that failed verification goes through again whole.
+				err := bc.drivePart(ends{bc.dst.FS, bc.src.FS}, func() error {
+					var err error
+					crcs[i], err = w.move(off, n)
+					return err
 				})
 				if err != nil {
 					fail(err)

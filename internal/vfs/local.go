@@ -241,10 +241,19 @@ func (l *LocalFS) Checksum(path, algo string) (string, error) {
 		return "", AsErrno(err)
 	}
 	defer f.Close()
-	if st, err := f.Stat(); err == nil && st.IsDir() {
+	st, err := f.Stat()
+	if err != nil {
+		return "", AsErrno(err)
+	}
+	if st.IsDir() {
 		return "", EISDIR
 	}
-	if _, err := io.Copy(h, f); err != nil {
+	// The size only picks the buffer (one byte more, so an empty file
+	// still gets one); the file is read to its end. The wrapper hides
+	// the file's own WriteTo, which would bring a buffer of its own.
+	bp := GetWindow(st.Size() + 1)
+	defer PutBuf(bp)
+	if _, err := io.CopyBuffer(h, struct{ io.Reader }{f}, *bp); err != nil {
 		return "", AsErrno(err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil

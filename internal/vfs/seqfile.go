@@ -33,11 +33,14 @@ func (s *SeqFile) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Write writes at the current offset.
+// Write writes all of p at the current offset, looping over short
+// writes as io.Writer requires.
 func (s *SeqFile) Write(p []byte) (int, error) {
-	n, err := s.f.Pwrite(p, s.off)
-	s.off += int64(n)
-	return n, err
+	if err := WriteAll(s.f, p, s.off); err != nil {
+		return 0, err
+	}
+	s.off += int64(len(p))
+	return len(p), nil
 }
 
 // Seek repositions the offset.
