@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test verify lint fuzz-short bench bench-cache benchmark chaos-short loc
+.PHONY: build test verify lint fuzz-short benchmark chaos-short loc
 
 build:
 	$(GO) build ./...
@@ -38,21 +38,6 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzACLParse$$' -fuzztime=$(FUZZTIME) ./internal/acl/
 	$(GO) test -run='^$$' -fuzz='^FuzzConfine$$' -fuzztime=$(FUZZTIME) ./internal/pathutil/
 
-# bench runs the quick instrumented benchmarks — the per-layer latency
-# decomposition and the transport-pool parallel-load comparison — and
-# captures both as one JSON artifact.
-bench:
-	$(GO) run ./cmd/tssbench -quick -json > BENCH_chirp.json
-	@echo "wrote BENCH_chirp.json"
-
-# bench-cache runs the client-cache ablation at full size: the same
-# attr/dirent/read syscall mix with the cache disabled, cold, and warm,
-# reporting the RPC reduction and latency gain the caching tier buys.
-# The quick variant of the same ablation also lands in BENCH_chirp.json
-# under the "cache" key via `make bench`.
-bench-cache:
-	$(GO) run ./cmd/tssbench -run cache
-
 # benchmark runs the repository benchmark (BENCHMARK.json, benchmark/):
 # five workloads on the real in-process stack, twelve end-to-end metrics
 # each plus the per-layer trace, written to benchmark/out/result.json.
@@ -66,13 +51,14 @@ loc:
 	@$(GO) list -f '{{.ImportPath}} {{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | \
 	while read pkg files; do echo "$$(cat $$files </dev/null | wc -l) $$pkg"; done
 
-# chaos-short runs the quick chaos sweep: every canned fault timeline
+# chaos-short runs the chaos tests: every canned fault timeline
 # (partitions, flapping, slowness, corruption, torn writes,
-# crash/restart) executed against the full stack with the whole-stack
-# invariant checkers armed — under the race detector, since the chaos
-# engine is the densest concurrency workout in the repo. The rendered
-# report lands in chaos_report.txt either way; on failure it carries
-# the (timeline, seed, step) coordinates that replay each violation.
+# crash/restart, leases, overload) executed against the full stack
+# with the whole-stack invariant checkers armed — under the race
+# detector, since the chaos engine is the densest concurrency workout
+# in the repo. The verbose test log lands in chaos_report.txt either
+# way; each violation in it carries the (timeline, seed, step)
+# coordinates that replay it.
 chaos-short:
-	@$(GO) run -race ./cmd/tssbench -quick -run chaos > chaos_report.txt 2>&1; \
+	@$(GO) test -race -count=1 -v -run 'Timeline|SplitBrain' ./internal/chaos/ > chaos_report.txt 2>&1; \
 	status=$$?; cat chaos_report.txt; exit $$status

@@ -7,13 +7,12 @@
 //	tssbench -run fig3,fig4,sp5
 //
 // Experiments: fig3 fig4 fig5 fig6 fig7 fig8 sp5 fig9 pool, plus the
-// cachesweep ablation, the cache (client caching tier) ablation, obs
-// decomposition, integrity corruption experiment, multipart transfer
-// scaling, and the chaos invariant sweep (not in 'all').
+// cachesweep ablation and the overload (admission-control) ablation,
+// which fails unless it clears its bars (not in 'all'). The
+// repository benchmark, `go run ./benchmark`, measures the rest.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -27,70 +26,11 @@ import (
 
 func main() {
 	var (
-		run     = flag.String("run", "all", "comma-separated experiments (fig3..fig9, sp5, obs, pool) or 'all'")
+		run     = flag.String("run", "all", "comma-separated experiments (fig3..fig9, sp5, pool, cachesweep, overload) or 'all'")
 		quick   = flag.Bool("quick", false, "reduced iteration counts and WAN latency for a fast pass")
 		clients = flag.Int("clients", 8, "concurrent client goroutines for the pool experiment")
-		jsonOut = flag.Bool("json", false, "run the instrumented chirp benchmarks and emit a combined JSON report to stdout (for BENCH_chirp.json)")
 	)
 	flag.Parse()
-
-	if *jsonOut {
-		obsRes, err := experiments.RunObsBench(experiments.DefaultObsBench(*quick))
-		if err != nil {
-			log.Fatalf("tssbench: obs: %v", err)
-		}
-		poolRes, err := experiments.RunPoolBench(experiments.DefaultPoolBench(*quick, *clients))
-		if err != nil {
-			log.Fatalf("tssbench: pool: %v", err)
-		}
-		intRes, err := experiments.RunCorruptBench(experiments.DefaultCorruptBench(*quick))
-		if err != nil {
-			log.Fatalf("tssbench: integrity: %v", err)
-		}
-		mpRes, err := experiments.RunMultipartBench(experiments.DefaultMultipartBench(*quick))
-		if err != nil {
-			log.Fatalf("tssbench: multipart: %v", err)
-		}
-		chaosRes, err := experiments.RunChaosBench(experiments.DefaultChaosBench(*quick))
-		if err != nil {
-			log.Fatalf("tssbench: chaos: %v", err)
-		}
-		cacheRes, err := experiments.RunCacheBench(experiments.DefaultCacheBench(*quick))
-		if err != nil {
-			log.Fatalf("tssbench: cache: %v", err)
-		}
-		overloadRes, err := experiments.RunOverloadBench(experiments.DefaultOverloadBench(*quick))
-		if err != nil {
-			log.Fatalf("tssbench: overload: %v", err)
-		}
-		data, err := json.MarshalIndent(map[string]any{
-			"obs":       obsRes,
-			"pool":      poolRes,
-			"integrity": intRes,
-			"multipart": mpRes,
-			"chaos":     chaosRes,
-			"cache":     cacheRes,
-			"overload":  overloadRes,
-		}, "", "  ")
-		if err != nil {
-			log.Fatalf("tssbench: json: %v", err)
-		}
-		os.Stdout.Write(append(data, '\n'))
-		fmt.Fprint(os.Stderr, obsRes.Render())
-		fmt.Fprint(os.Stderr, poolRes.Render())
-		fmt.Fprint(os.Stderr, intRes.Render())
-		fmt.Fprint(os.Stderr, mpRes.Render())
-		fmt.Fprint(os.Stderr, chaosRes.Render())
-		fmt.Fprint(os.Stderr, cacheRes.Render())
-		fmt.Fprint(os.Stderr, overloadRes.Render())
-		if err := overloadRes.Bars(); err != nil {
-			log.Fatalf("tssbench: overload: %v", err)
-		}
-		if chaosRes.TotalViolations > 0 {
-			log.Fatalf("tssbench: chaos: %d invariant violations (replay coordinates in the report)", chaosRes.TotalViolations)
-		}
-		return
-	}
 
 	all := []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "sp5", "fig9", "pool"}
 	var list []string
@@ -162,32 +102,8 @@ func runOne(name string, quick bool, clients int) (string, error) {
 		return res.Render(), nil
 	case "cachesweep":
 		return experiments.RunCacheSweep(3, nil).Render(), nil
-	case "cache":
-		res, err := experiments.RunCacheBench(experiments.DefaultCacheBench(quick))
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "obs":
-		res, err := experiments.RunObsBench(experiments.DefaultObsBench(quick))
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
 	case "pool":
 		res, err := experiments.RunPoolBench(experiments.DefaultPoolBench(quick, clients))
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "integrity":
-		res, err := experiments.RunCorruptBench(experiments.DefaultCorruptBench(quick))
-		if err != nil {
-			return "", err
-		}
-		return res.Render(), nil
-	case "multipart":
-		res, err := experiments.RunMultipartBench(experiments.DefaultMultipartBench(quick))
 		if err != nil {
 			return "", err
 		}
@@ -199,15 +115,6 @@ func runOne(name string, quick bool, clients int) (string, error) {
 		}
 		if err := res.Bars(); err != nil {
 			return res.Render(), err
-		}
-		return res.Render(), nil
-	case "chaos":
-		res, err := experiments.RunChaosBench(experiments.DefaultChaosBench(quick))
-		if err != nil {
-			return "", err
-		}
-		if res.TotalViolations > 0 {
-			return res.Render(), fmt.Errorf("%d invariant violations", res.TotalViolations)
 		}
 		return res.Render(), nil
 	}

@@ -1,12 +1,15 @@
 package abstraction
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"tss/internal/adapter"
 	"tss/internal/faultfs"
+	"tss/internal/obs"
 	"tss/internal/resilient"
 	"tss/internal/vfs"
 )
@@ -379,5 +382,60 @@ func TestMirrorProbeReconnectsBackend(t *testing.T) {
 	}
 	if m.Stats.Readmits.Load() < 1 {
 		t.Errorf("readmits = %d, want >= 1", m.Stats.Readmits.Load())
+	}
+}
+
+// TestConcurrentMirrorReadsWithMetrics drives parallel open/pread/close
+// cycles through a mirror wired to a metrics registry, so the race
+// detector sees the mirror's metric emission under concurrent reads; a
+// healthy pair of replicas must serve every read and trip no breaker.
+func TestConcurrentMirrorReadsWithMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	data := bytes.Repeat([]byte("x"), 8192)
+	var replicas []vfs.FileSystem
+	for i := 0; i < 2; i++ {
+		lfs := localFS(t)
+		if err := vfs.WriteFile(lfs, "/data", data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		replicas = append(replicas, lfs)
+	}
+	m, err := NewMirrorOptions(MirrorOptions{Metrics: reg, Layer: "mirror"}, replicas...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const readers, reads = 8, 25
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, len(data))
+			for i := 0; i < reads; i++ {
+				f, err := m.Open("/data", vfs.O_RDONLY, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n, err := f.Pread(buf, 0); err != nil || !bytes.Equal(buf[:n], data) {
+					t.Errorf("pread = %d, %v; want the %d bytes written", n, err, len(data))
+				}
+				f.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	s := reg.Snapshot()
+	for _, name := range []string{"mirror.trips", "mirror.fast_fails"} {
+		if v, ok := s.Counters[name]; !ok || v != 0 {
+			t.Errorf("%s = %d (registered %v), want 0 on healthy replicas", name, v, ok)
+		}
+	}
+	for i := range replicas {
+		name := fmt.Sprintf("mirror.replica%d.breaker_state", i)
+		if v, ok := s.Gauges[name]; !ok || v != int64(resilient.Closed) {
+			t.Errorf("%s = %d (registered %v), want closed", name, v, ok)
+		}
 	}
 }

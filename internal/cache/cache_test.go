@@ -684,3 +684,63 @@ func TestCloseReleasesLeases(t *testing.T) {
 		t.Fatalf("close released %d of %d leases", got, granted)
 	}
 }
+
+// TestWarmMixCostsNoInnerCalls pins the claim the caching tier exists
+// for: once a stat, listing, open, read-to-EOF and close mix has run
+// over a working set, repeating it inside the lease horizon reaches the
+// inner filesystem zero times — not one stat, readdir, open, pread or
+// lease.
+func TestWarmMixCostsNoInnerCalls(t *testing.T) {
+	const files, size = 4, 10 << 10
+	inner := newCountingFS(t)
+	fs, clk := newCache(t, inner, Options{AttrTTL: time.Second})
+	data := bytes.Repeat([]byte("warm-mix "), size/9+1)[:size]
+	for i := 0; i < files; i++ {
+		if err := vfs.WriteFile(inner, fmt.Sprintf("/f%d", i), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mix := func() {
+		t.Helper()
+		buf := make([]byte, 4<<10)
+		for i := 0; i < files; i++ {
+			p := fmt.Sprintf("/f%d", i)
+			if _, err := fs.Stat(p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.ReadDir("/"); err != nil {
+				t.Fatal(err)
+			}
+			f, err := fs.Open(p, vfs.O_RDONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []byte
+			for {
+				n, err := f.Pread(buf, int64(len(got)))
+				got = append(got, buf[:n]...)
+				if n == 0 || err != nil {
+					break
+				}
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("%s read %d bytes, want the %d written", p, len(got), len(data))
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	counters := func() [5]int64 {
+		return [5]int64{inner.stats.Load(), inner.readdirs.Load(), inner.opens.Load(),
+			inner.preads.Load(), inner.leases.Load()}
+	}
+
+	mix() // cold: fills every tier
+	cold := counters()
+	clk.Advance(500 * time.Millisecond)
+	mix() // warm: inside the horizon
+	if warm := counters(); warm != cold {
+		t.Fatalf("warm mix reached the inner filesystem: [stats readdirs opens preads leases] %v -> %v", cold, warm)
+	}
+}

@@ -95,6 +95,27 @@ func TestTimelineStaleLease(t *testing.T) {
 	}
 }
 
+// dedicated lists the timelines that have their own TestTimelineX with
+// extra assertions; TestTimelineRest runs every other one.
+var dedicated = map[string]bool{
+	"partition-rolling": true, "partition-split": true, "flap": true,
+	"corrupt-one": true, "corrupt-correlated": true, "torn-writes": true,
+	"crash-restart": true, "kitchen-sink": true, staleLeaseName: true,
+	overloadName: true, retryStormName: true,
+}
+
+// TestTimelineRest runs each canned timeline without a dedicated test
+// clean, so a newly added timeline is exercised with no further test.
+func TestTimelineRest(t *testing.T) {
+	for i, tl := range Timelines() {
+		if dedicated[tl.Name] {
+			continue
+		}
+		seed := int64(i + 1)
+		t.Run(tl.Name, func(t *testing.T) { runClean(t, tl.Name, seed) })
+	}
+}
+
 // TestSplitBrainViolationReplays is the deliberate-violation test: with
 // quorum writes disabled (the mirror's historical semantics), a
 // disjoint partition lets both clients win the same exclusive create —

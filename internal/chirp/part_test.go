@@ -134,6 +134,11 @@ func TestMultipartCopyThroughPool(t *testing.T) {
 	if n != int64(len(data)) {
 		t.Errorf("put copied %d, want %d", n, len(data))
 	}
+	// Four workers with parts in flight at once must spread over pool
+	// members, not queue on one connection.
+	if got := p.Conns(); got < 2 {
+		t.Errorf("4-way put used %d pooled connection(s), want >= 2", got)
+	}
 
 	dst := localEndpoint(t, "down.bin", nil)
 	n, err = vfs.Copy(context.Background(), dst, vfs.Loc{FS: p, Path: "/up"}, opts)

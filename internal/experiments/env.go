@@ -2,11 +2,14 @@
 // paper's evaluation (§7-§9). Each driver assembles the systems under
 // test — real Chirp servers, the NFS baseline, adapters, abstractions,
 // or the cluster model — runs the paper's workload, and reports rows
-// in the same form the paper plots.
+// in the same form the paper plots. Beside the figures sit three
+// ablations: the Figure 7 buffer-cache sweep, the transport pool under many
+// clients, and admission control under overload.
 //
 // The drivers are used both by the root-level Go benchmarks
 // (bench_test.go) and by the cmd/tssbench tool, and their output is
-// recorded against the paper's numbers in EXPERIMENTS.md.
+// recorded against the paper's numbers in EXPERIMENTS.md. Everything
+// else is measured by the repository benchmark (benchmark/).
 package experiments
 
 import (

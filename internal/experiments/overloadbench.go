@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
@@ -41,7 +40,7 @@ import (
 
 // RequiredOverloadMetrics are the observability series the overload
 // armor exports; RunOverloadBench fails if any is missing from the
-// registry snapshot embedded in the JSON artifact.
+// admission arm's merged server and client registry snapshot.
 var RequiredOverloadMetrics = []string{
 	"chirp_server.inflight",
 	"chirp_server.queue_depth",
@@ -111,7 +110,7 @@ type OverloadArm struct {
 	ProbeFailures   int64   `json:"probe_failures"`
 }
 
-// OverloadBenchReport is the ablation result for BENCH_chirp.json.
+// OverloadBenchReport is the ablation result.
 type OverloadBenchReport struct {
 	Name        string `json:"name"`
 	Quick       bool   `json:"quick"`
@@ -127,16 +126,6 @@ type OverloadBenchReport struct {
 	// ControlP99Ratio is with-admission-under-pressure / unloaded; the
 	// armor's bar is <= 5.
 	ControlP99Ratio float64 `json:"control_p99_ratio"`
-	// Metrics is the merged registry snapshot (admission-arm server +
-	// client side), so the exported overload series land in the JSON
-	// artifact; MetricNames lists the asserted-present series.
-	Metrics     obs.Snapshot `json:"metrics"`
-	MetricNames []string     `json:"metric_names"`
-}
-
-// JSON renders the report for BENCH_chirp.json.
-func (r *OverloadBenchReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Render renders the ablation table.
@@ -411,8 +400,6 @@ func RunOverloadBench(cfg OverloadBenchConfig) (*OverloadBenchReport, error) {
 		UnloadedControlP99Ms: unloadedP99,
 		WithAdmission:        withArm,
 		WithoutAdmission:     withoutArm,
-		Metrics:              serverSnap,
-		MetricNames:          RequiredOverloadMetrics,
 	}
 	if withoutArm.GoodputPerSec > 0 {
 		rep.GoodputRatio = withArm.GoodputPerSec / withoutArm.GoodputPerSec
@@ -424,10 +411,10 @@ func RunOverloadBench(cfg OverloadBenchConfig) (*OverloadBenchReport, error) {
 	}
 	var missing []string
 	for _, name := range RequiredOverloadMetrics {
-		if _, ok := rep.Metrics.Counters[name]; ok {
+		if _, ok := serverSnap.Counters[name]; ok {
 			continue
 		}
-		if _, ok := rep.Metrics.Gauges[name]; ok {
+		if _, ok := serverSnap.Gauges[name]; ok {
 			continue
 		}
 		missing = append(missing, name)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -89,11 +88,6 @@ type PoolBenchReport struct {
 	Rows     []PoolBenchRow `json:"rows"`
 	// Speedup is pooled aggregate MB/s over single-connection MB/s.
 	Speedup float64 `json:"speedup"`
-}
-
-// JSON renders the report for BENCH_chirp.json.
-func (r *PoolBenchReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // Render renders the comparison as a table.

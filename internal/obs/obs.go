@@ -5,10 +5,10 @@
 // The paper's entire evaluation is latency and throughput measurement
 // (Figures 3-9), and its users distrust transparent layers (§3); obs
 // makes every layer of a running stack report what it is doing. A
-// Registry holds named metrics; Instrument wraps any vfs.FileSystem so
-// a CFS-over-mirror-over-chirp stack reports per-layer latency exactly
-// like the paper's figure decomposition; Handler publishes a snapshot
-// over HTTP.
+// Registry holds named metrics, which the adapter, cache, mirror and
+// Chirp client and server record into under their own layer prefix;
+// Handler publishes a snapshot over HTTP. The per-layer decomposition
+// of one operation is the repository benchmark's trace (benchmark/).
 //
 // All metric types are safe for concurrent use, and every method is
 // nil-receiver-safe: a component wired with a nil *Counter (because no
