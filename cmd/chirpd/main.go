@@ -146,16 +146,9 @@ func main() {
 		}
 		rep := &catalog.Reporter{
 			Describe: func() catalog.Report {
-				n, o, info, rootACL := srv.Describe()
-				return catalog.Report{
-					Name: n, Addr: l.Addr().String(), Owner: o,
-					TotalBytes: info.TotalBytes, FreeBytes: info.FreeBytes,
-					RootACL:      rootACL,
-					Connections:  srv.Stats.Connections.Load(),
-					Requests:     srv.Stats.Requests.Load(),
-					BytesRead:    srv.Stats.BytesRead.Load(),
-					BytesWritten: srv.Stats.BytesWriten.Load(),
-				}
+				r := srv.Report()
+				r.Addr = l.Addr().String()
+				return r
 			},
 			Send:     sends,
 			Interval: *interval,

@@ -88,8 +88,7 @@ func (m *MirrorFS) GetFile(path string, w io.Writer) (int64, error) {
 		m.maybeProbe(i)
 	}
 	if len(ready) == 0 {
-		m.Stats.FastFails.Add(1)
-		m.mFastFails.Inc()
+		m.Stats.FastFails.Inc()
 		return 0, vfs.ENOTCONN
 	}
 	var lastErr error = vfs.ENOTCONN
@@ -129,8 +128,7 @@ func (m *MirrorFS) getFileVerified(path string, w io.Writer) (int64, error) {
 		m.maybeProbe(i)
 	}
 	if len(ready) == 0 {
-		m.Stats.FastFails.Add(1)
-		m.mFastFails.Inc()
+		m.Stats.FastFails.Inc()
 		return 0, vfs.ENOTCONN
 	}
 	var lastErr error = vfs.ENOTCONN
@@ -176,8 +174,7 @@ func (m *MirrorFS) getFileVerified(path string, w io.Writer) (int64, error) {
 			// same scrutiny on the next iteration.
 			m.strikes[i].Add(1)
 			m.record(i, ierr)
-			m.Stats.IntegrityFailovers.Add(1)
-			m.mIntegrityFails.Inc()
+			m.Stats.IntegrityFailovers.Inc()
 			continue
 		}
 		// One against one with equal records: unarbitrable. Fail stop

@@ -39,7 +39,6 @@ type MirrorFS struct {
 	breakers []*resilient.Breaker
 	hedge    time.Duration
 	quorum   int
-	probe    func(fs vfs.FileSystem) error
 
 	// Verify-on-read configuration (see integrity.go).
 	verifyReads bool
@@ -58,61 +57,46 @@ type MirrorFS struct {
 	// the mirror stops piling retries onto a server that asked for room.
 	pushbackNanos []atomic.Int64
 
-	// Registry counters shadowing Stats (nil without a registry): the
-	// same numbers, visible on /metrics next to the latency histograms.
-	mTrips          *obs.Counter
-	mProbes         *obs.Counter
-	mReadmits       *obs.Counter
-	mHedges         *obs.Counter
-	mHedgeWins      *obs.Counter
-	mHedgeLosses    *obs.Counter
-	mFastFails      *obs.Counter
-	mPushbacks      *obs.Counter
-	mIntegrityFails *obs.Counter
-	mScrubFiles     *obs.Counter
-	mScrubDivergent *obs.Counter
-	mScrubRepaired  *obs.Counter
-
 	// Stats exposes health and hedging counters.
 	Stats MirrorStats
 }
 
-// MirrorStats counts mirror health activity; all fields are safe to
-// read concurrently. The paper's users distrust transparent layers
-// (§3) — counters make this one observable.
+// MirrorStats counts mirror health activity; each field is a handle to
+// a registry counter (DESIGN.md §8). The paper's users distrust
+// transparent layers (§3) — counters make this one observable.
 type MirrorStats struct {
 	// Trips counts breaker Closed→Open transitions across replicas.
-	Trips atomic.Int64
+	Trips *obs.Counter
 	// Probes counts half-open probes launched.
-	Probes atomic.Int64
+	Probes *obs.Counter
 	// Readmits counts replicas re-admitted by a successful probe.
-	Readmits atomic.Int64
+	Readmits *obs.Counter
 	// Hedges counts hedged requests launched.
-	Hedges atomic.Int64
+	Hedges *obs.Counter
 	// HedgeWins counts reads answered first by the hedge.
-	HedgeWins atomic.Int64
+	HedgeWins *obs.Counter
 	// HedgeLosses counts hedged requests that lost the race (their
 	// result was reaped after another replica answered first). Together
 	// with HedgeWins this tells whether the hedge delay is earning its
 	// extra load.
-	HedgeLosses atomic.Int64
+	HedgeLosses *obs.Counter
 	// FastFails counts operations refused immediately because every
 	// replica's breaker was open.
-	FastFails atomic.Int64
+	FastFails *obs.Counter
 	// Pushbacks counts EAGAIN answers from replicas — overload shedding
 	// noted in the pushback window, deliberately not charged to the
 	// breakers (a busy server is not a dead server).
-	Pushbacks atomic.Int64
+	Pushbacks *obs.Counter
 	// IntegrityFailovers counts verified reads whose payload failed
 	// cross-replica digest confirmation and were re-served from a
 	// sibling replica (integrity.go).
-	IntegrityFailovers atomic.Int64
+	IntegrityFailovers *obs.Counter
 	// ScrubFiles, ScrubDivergent, and ScrubRepaired count scrub
 	// activity: files examined, files whose replicas disagreed, and
 	// replica copies rewritten (scrub.go).
-	ScrubFiles     atomic.Int64
-	ScrubDivergent atomic.Int64
-	ScrubRepaired  atomic.Int64
+	ScrubFiles     *obs.Counter
+	ScrubDivergent *obs.Counter
+	ScrubRepaired  *obs.Counter
 }
 
 // MirrorOptions configures the mirror's health layer. The zero value
@@ -123,9 +107,6 @@ type MirrorOptions struct {
 	// Hedge, when > 0, launches the same read on the next healthy
 	// replica if the first has not answered within this delay.
 	Hedge time.Duration
-	// Probe is the half-open health check run against a demoted
-	// replica; nil means Stat of the root.
-	Probe func(fs vfs.FileSystem) error
 	// WriteQuorum is the minimum number of replicas a modifying
 	// operation must succeed on. Zero keeps the historical "everywhere
 	// reachable, at least one" semantics. Setting it to a majority
@@ -145,12 +126,10 @@ type MirrorOptions struct {
 	// ChecksumAlgo selects the digest for verification and scrubbing
 	// (default vfs.DefaultAlgo).
 	ChecksumAlgo string
-	// Metrics, when non-nil, receives per-replica breaker state gauges
-	// ("<layer>.replica<i>.breaker_state": 0 closed, 1 open, 2
-	// half-open) and health counters under the layer prefix.
+	// Metrics, when non-nil, holds the Stats counters and receives
+	// per-replica breaker state gauges ("mirror.replica<i>.breaker_state":
+	// 0 closed, 1 open, 2 half-open); nil keeps the counters private.
 	Metrics *obs.Registry
-	// Layer tags this mirror's metrics (default "mirror").
-	Layer string
 }
 
 var _ vfs.FileSystem = (*MirrorFS)(nil)
@@ -169,22 +148,6 @@ func NewMirrorOptions(opts MirrorOptions, replicas ...vfs.FileSystem) (*MirrorFS
 	if opts.WriteQuorum < 0 || opts.WriteQuorum > len(replicas) {
 		return nil, vfs.EINVAL
 	}
-	probe := opts.Probe
-	if probe == nil {
-		// Probes only run against demoted replicas, whose transport is
-		// presumed dead — clients like chirp's never redial on their
-		// own (recovery belongs to the caller, §6), so re-establish
-		// the connection before asking for proof of life.
-		probe = func(fs vfs.FileSystem) error {
-			if rc := vfs.Capabilities(fs).Reconnector; rc != nil {
-				if err := rc.Reconnect(); err != nil {
-					return err
-				}
-			}
-			_, err := fs.Stat("/")
-			return err
-		}
-	}
 	algo := opts.ChecksumAlgo
 	if algo == "" {
 		algo = vfs.DefaultAlgo
@@ -194,37 +157,33 @@ func NewMirrorOptions(opts MirrorOptions, replicas ...vfs.FileSystem) (*MirrorFS
 		breakers:    make([]*resilient.Breaker, len(replicas)),
 		hedge:       opts.Hedge,
 		quorum:      opts.WriteQuorum,
-		probe:       probe,
 		verifyReads: opts.VerifyReads,
 		sumAlgo:     algo,
 		strikes:     make([]atomic.Int64, len(replicas)),
 	}
 	m.pushbackNanos = make([]atomic.Int64, len(replicas))
-	layer := opts.Layer
-	if layer == "" {
-		layer = "mirror"
-	}
-	if reg := opts.Metrics; reg != nil {
-		m.mTrips = reg.Counter(layer + ".trips")
-		m.mProbes = reg.Counter(layer + ".probes")
-		m.mReadmits = reg.Counter(layer + ".readmits")
-		m.mHedges = reg.Counter(layer + ".hedges")
-		m.mHedgeWins = reg.Counter(layer + ".hedge_wins")
-		m.mHedgeLosses = reg.Counter(layer + ".hedge_losses")
-		m.mFastFails = reg.Counter(layer + ".fast_fails")
-		m.mPushbacks = reg.Counter(layer + ".pushbacks")
-		m.mIntegrityFails = reg.Counter(layer + ".integrity_failover")
-		m.mScrubFiles = reg.Counter(layer + ".scrub_files")
-		m.mScrubDivergent = reg.Counter(layer + ".scrub_divergent")
-		m.mScrubRepaired = reg.Counter(layer + ".scrub_repaired")
+	reg := obs.OrNew(opts.Metrics)
+	m.Stats = MirrorStats{
+		Trips:              reg.Counter("mirror.trips"),
+		Probes:             reg.Counter("mirror.probes"),
+		Readmits:           reg.Counter("mirror.readmits"),
+		Hedges:             reg.Counter("mirror.hedges"),
+		HedgeWins:          reg.Counter("mirror.hedge_wins"),
+		HedgeLosses:        reg.Counter("mirror.hedge_losses"),
+		FastFails:          reg.Counter("mirror.fast_fails"),
+		Pushbacks:          reg.Counter("mirror.pushbacks"),
+		IntegrityFailovers: reg.Counter("mirror.integrity_failover"),
+		ScrubFiles:         reg.Counter("mirror.scrub_files"),
+		ScrubDivergent:     reg.Counter("mirror.scrub_divergent"),
+		ScrubRepaired:      reg.Counter("mirror.scrub_repaired"),
 	}
 	for i := range replicas {
 		cfg := opts.Breaker
 		if reg := opts.Metrics; reg != nil {
 			// Chain a state gauge onto any observer the caller installed:
 			// each transition lands the new state in
-			// "<layer>.replica<i>.breaker_state".
-			gauge := reg.Gauge(fmt.Sprintf("%s.replica%d.breaker_state", layer, i))
+			// "mirror.replica<i>.breaker_state".
+			gauge := reg.Gauge(fmt.Sprintf("mirror.replica%d.breaker_state", i))
 			user := cfg.OnStateChange
 			cfg.OnStateChange = func(from, to resilient.State) {
 				gauge.Set(int64(to))
@@ -269,13 +228,11 @@ const mirrorPushbackWindow = time.Second
 func (m *MirrorFS) record(i int, err error) {
 	if resilient.Pushback(err) {
 		m.pushbackNanos[i].Store(time.Now().Add(mirrorPushbackWindow).UnixNano())
-		m.Stats.Pushbacks.Add(1)
-		m.mPushbacks.Inc()
+		m.Stats.Pushbacks.Inc()
 		return
 	}
 	if m.breakers[i].Record(err) {
-		m.Stats.Trips.Add(1)
-		m.mTrips.Inc()
+		m.Stats.Trips.Inc()
 	}
 }
 
@@ -312,15 +269,26 @@ func (m *MirrorFS) maybeProbe(i int) {
 	if !m.breakers[i].TryProbe() {
 		return
 	}
-	m.Stats.Probes.Add(1)
-	m.mProbes.Inc()
+	m.Stats.Probes.Inc()
 	go func() {
-		err := m.probe(m.replicas[i])
-		if m.breakers[i].RecordProbe(err) {
-			m.Stats.Readmits.Add(1)
-			m.mReadmits.Inc()
+		if m.breakers[i].RecordProbe(probe(m.replicas[i])) {
+			m.Stats.Readmits.Inc()
 		}
 	}()
+}
+
+// probe is the half-open health check of a demoted replica. Its
+// transport is presumed dead, and clients like chirp's never redial on
+// their own (recovery belongs to the caller, §6), so it re-establishes
+// the connection before asking for proof of life: a Stat of the root.
+func probe(fs vfs.FileSystem) error {
+	if rc := vfs.Capabilities(fs).Reconnector; rc != nil {
+		if err := rc.Reconnect(); err != nil {
+			return err
+		}
+	}
+	_, err := fs.Stat("/")
+	return err
 }
 
 // mirrorRead runs op against the healthiest replica, failing over in
@@ -337,8 +305,7 @@ func mirrorRead[T any](m *MirrorFS, op func(fs vfs.FileSystem) (T, error), disca
 		m.maybeProbe(i)
 	}
 	if len(ready) == 0 {
-		m.Stats.FastFails.Add(1)
-		m.mFastFails.Inc()
+		m.Stats.FastFails.Inc()
 		return zero, -1, vfs.ENOTCONN
 	}
 	if m.hedge > 0 && len(ready) > 1 {
@@ -391,8 +358,7 @@ func hedgedRead[T any](m *MirrorFS, ready []int, op func(fs vfs.FileSystem) (T, 
 			for j := 0; j < n; j++ {
 				r := <-ch
 				if r.hedged {
-					m.Stats.HedgeLosses.Add(1)
-					m.mHedgeLosses.Inc()
+					m.Stats.HedgeLosses.Inc()
 				}
 				if r.err == nil && discard != nil {
 					discard(r.v)
@@ -407,8 +373,7 @@ func hedgedRead[T any](m *MirrorFS, ready []int, op func(fs vfs.FileSystem) (T, 
 			pending--
 			if r.err == nil || !unreachable(r.err) {
 				if r.hedged && r.err == nil {
-					m.Stats.HedgeWins.Add(1)
-					m.mHedgeWins.Inc()
+					m.Stats.HedgeWins.Inc()
 				}
 				reap(pending)
 				return r.v, r.idx, r.err
@@ -424,8 +389,7 @@ func hedgedRead[T any](m *MirrorFS, ready []int, op func(fs vfs.FileSystem) (T, 
 			// replica that is already shedding (failover on a real error
 			// still may, below: a busy server beats no server).
 			if launched < len(ready) && !m.pushingBack(ready[launched]) {
-				m.Stats.Hedges.Add(1)
-				m.mHedges.Inc()
+				m.Stats.Hedges.Inc()
 				launch(launched, true)
 				launched++
 				pending++
@@ -450,8 +414,7 @@ func (m *MirrorFS) applyAll(op func(i int, fs vfs.FileSystem) error) error {
 		m.maybeProbe(i)
 	}
 	if len(ready) < need {
-		m.Stats.FastFails.Add(1)
-		m.mFastFails.Inc()
+		m.Stats.FastFails.Inc()
 		return vfs.ENOTCONN
 	}
 	reached := 0

@@ -2,6 +2,7 @@ package abstraction
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"tss/internal/adapter"
 	"tss/internal/faultfs"
 	"tss/internal/obs"
+	"tss/internal/obs/obstest"
 	"tss/internal/resilient"
 	"tss/internal/vfs"
 )
@@ -389,6 +391,7 @@ func TestMirrorProbeReconnectsBackend(t *testing.T) {
 // cycles through a mirror wired to a metrics registry, so the race
 // detector sees the mirror's metric emission under concurrent reads; a
 // healthy pair of replicas must serve every read and trip no breaker.
+// After a scrub, every MirrorStats field is the registry's own series.
 func TestConcurrentMirrorReadsWithMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	data := bytes.Repeat([]byte("x"), 8192)
@@ -400,7 +403,7 @@ func TestConcurrentMirrorReadsWithMetrics(t *testing.T) {
 		}
 		replicas = append(replicas, lfs)
 	}
-	m, err := NewMirrorOptions(MirrorOptions{Metrics: reg, Layer: "mirror"}, replicas...)
+	m, err := NewMirrorOptions(MirrorOptions{Metrics: reg}, replicas...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,4 +441,27 @@ func TestConcurrentMirrorReadsWithMetrics(t *testing.T) {
 			t.Errorf("%s = %d (registered %v), want closed", name, v, ok)
 		}
 	}
+	if _, err := m.Scrub(context.Background(), ScrubOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats.ScrubFiles.Load() == 0 {
+		t.Error("scrub examined no files")
+	}
+	obstest.SameStore(t, reg, m.Stats, mirrorSeries)
+}
+
+// mirrorSeries names the registry series behind each MirrorStats field.
+var mirrorSeries = map[string]string{
+	"Trips":              "mirror.trips",
+	"Probes":             "mirror.probes",
+	"Readmits":           "mirror.readmits",
+	"Hedges":             "mirror.hedges",
+	"HedgeWins":          "mirror.hedge_wins",
+	"HedgeLosses":        "mirror.hedge_losses",
+	"FastFails":          "mirror.fast_fails",
+	"Pushbacks":          "mirror.pushbacks",
+	"IntegrityFailovers": "mirror.integrity_failover",
+	"ScrubFiles":         "mirror.scrub_files",
+	"ScrubDivergent":     "mirror.scrub_divergent",
+	"ScrubRepaired":      "mirror.scrub_repaired",
 }

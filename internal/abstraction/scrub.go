@@ -104,8 +104,7 @@ func (m *MirrorFS) Scrub(ctx context.Context, opts ScrubOptions) (*ScrubReport, 
 			defer mu.Unlock()
 			if scanned {
 				rep.FilesScanned++
-				m.Stats.ScrubFiles.Add(1)
-				m.mScrubFiles.Inc()
+				m.Stats.ScrubFiles.Inc()
 			}
 			if sf == nil {
 				return
@@ -115,11 +114,9 @@ func (m *MirrorFS) Scrub(ctx context.Context, opts ScrubOptions) (*ScrubReport, 
 				return
 			}
 			rep.Divergent++
-			m.Stats.ScrubDivergent.Add(1)
-			m.mScrubDivergent.Inc()
+			m.Stats.ScrubDivergent.Inc()
 			rep.Repaired += len(sf.Repaired)
 			m.Stats.ScrubRepaired.Add(int64(len(sf.Repaired)))
-			m.mScrubRepaired.Add(int64(len(sf.Repaired)))
 			rep.Files = append(rep.Files, *sf)
 		}(path)
 	}

@@ -26,10 +26,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"tss/internal/cache"
 	"tss/internal/obs"
 	"tss/internal/pathutil"
 	"tss/internal/resilient"
@@ -46,14 +44,6 @@ type Config struct {
 	// RetryBase is the first backoff delay; it doubles per attempt
 	// (§6: "exponentially increasing delay"). Default 10 ms.
 	RetryBase time.Duration
-	// RetryJitter > 0 enables full-jitter backoff: each delay is drawn
-	// uniformly from [0, backoff), so a fleet of recovering clients
-	// does not reconnect in lockstep. Default 0 (deterministic).
-	RetryJitter float64
-	// RetryBudget caps the total wall-clock time one operation may
-	// spend retrying; once the next backoff would cross it, recovery
-	// gives up with ETIMEDOUT. 0 means attempts alone bound recovery.
-	RetryBudget time.Duration
 	// RetryTokens > 0 installs a token-bucket retry budget shared by
 	// every operation through this adapter (DESIGN.md §15): the bucket
 	// starts with this many tokens, each retry spends one, and each
@@ -71,16 +61,9 @@ type Config struct {
 	// Sleep replaces time.Sleep in backoff loops (tests). Nil means
 	// time.Sleep.
 	Sleep func(time.Duration)
-	// Metrics, when non-nil, shadows Stats into registry counters
-	// ("adapter.ops", "adapter.retries", "adapter.reconnects",
-	// "adapter.stale", "adapter.gave_up") so per-process syscall counts
-	// appear on /metrics. Nil disables instrumentation at zero cost.
+	// Metrics, when non-nil, holds the Stats counters, so per-process
+	// syscall counts appear on /metrics; nil keeps them private.
 	Metrics *obs.Registry
-	// Cache, when non-nil, wraps every abstraction entering the
-	// namespace — explicit mounts and default-namespace resolutions —
-	// in a client cache tier (internal/cache) with these options. The
-	// Sync switch composes: O_SYNC opens write through the cache.
-	Cache *cache.Options
 }
 
 // Mount binds a logical path prefix to an abstraction.
@@ -89,23 +72,23 @@ type Mount struct {
 	FS     vfs.FileSystem
 }
 
-// Stats counts adapter activity; all fields are safe to read
-// concurrently. The paper's users distrust transparent layers (§3) —
-// counters make this one observable.
+// Stats counts adapter activity; each field is a handle to a registry
+// counter (DESIGN.md §8). The paper's users distrust transparent layers
+// (§3) — counters make this one observable.
 type Stats struct {
 	// Ops counts operations entering the adapter.
-	Ops atomic.Int64
+	Ops *obs.Counter
 	// Reconnects counts successful reconnections during recovery.
-	Reconnects atomic.Int64
+	Reconnects *obs.Counter
 	// Stale counts operations that ended in ESTALE.
-	Stale atomic.Int64
+	Stale *obs.Counter
 	// GaveUp counts operations that exhausted their retry budget.
-	GaveUp atomic.Int64
+	GaveUp *obs.Counter
 	// Retries counts individual retry attempts across all operations.
-	Retries atomic.Int64
+	Retries *obs.Counter
 	// BudgetExhausted counts retries refused because the token-bucket
 	// retry budget (Config.RetryTokens) was empty.
-	BudgetExhausted atomic.Int64
+	BudgetExhausted *obs.Counter
 }
 
 // Adapter assembles abstractions into one namespace and transparently
@@ -113,20 +96,12 @@ type Stats struct {
 type Adapter struct {
 	cfg Config
 
-	// Registry counters shadowing Stats; all nil without a registry.
-	mOps             *obs.Counter
-	mRetries         *obs.Counter
-	mReconnects      *obs.Counter
-	mStale           *obs.Counter
-	mGaveUp          *obs.Counter
-	mBudgetExhausted *obs.Counter
-
 	// budget is the shared token-bucket retry budget, nil (unlimited)
 	// unless Config.RetryTokens is set.
 	budget *resilient.RetryBudget
 	// policy is §6's recovery as configured — "exponentially increasing
-	// delay", bounded by attempts, wall-clock budget and tokens — with
-	// the Stats counters on its hooks. Every verb runs under policy.Run.
+	// delay", bounded by attempts and tokens — with the Stats counters
+	// on its hooks. Every verb runs under policy.Run.
 	policy resilient.Policy
 
 	// Stats exposes operation and recovery counters.
@@ -147,41 +122,27 @@ func New(cfg Config) *Adapter {
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 10 * time.Millisecond
 	}
-	a := &Adapter{cfg: cfg, resolved: make(map[string]vfs.FileSystem)}
-	if reg := cfg.Metrics; reg != nil {
-		a.mOps = reg.Counter("adapter.ops")
-		a.mRetries = reg.Counter("adapter.retries")
-		a.mReconnects = reg.Counter("adapter.reconnects")
-		a.mStale = reg.Counter("adapter.stale")
-		a.mGaveUp = reg.Counter("adapter.gave_up")
-		a.mBudgetExhausted = reg.Counter("resilient.budget_exhausted")
-	}
+	reg := obs.OrNew(cfg.Metrics)
+	a := &Adapter{cfg: cfg, resolved: make(map[string]vfs.FileSystem), Stats: Stats{
+		Ops:             reg.Counter("adapter.ops"),
+		Reconnects:      reg.Counter("adapter.reconnects"),
+		Stale:           reg.Counter("adapter.stale"),
+		GaveUp:          reg.Counter("adapter.gave_up"),
+		Retries:         reg.Counter("adapter.retries"),
+		BudgetExhausted: reg.Counter("resilient.budget_exhausted"),
+	}}
 	if cfg.RetryTokens > 0 {
 		a.budget = resilient.NewRetryBudget(cfg.RetryTokens, 0)
-		a.budget.OnExhausted = func() {
-			a.Stats.BudgetExhausted.Add(1)
-			a.mBudgetExhausted.Inc()
-		}
+		a.budget.OnExhausted = a.Stats.BudgetExhausted.Inc
 	}
 	a.policy = resilient.Policy{
 		Attempts:    cfg.MaxRetries,
 		Base:        cfg.RetryBase,
-		Jitter:      cfg.RetryJitter,
-		Budget:      cfg.RetryBudget,
 		RetryBudget: a.budget,
 		Sleep:       cfg.Sleep,
-		OnRetry: func(int, error) {
-			a.Stats.Retries.Add(1)
-			a.mRetries.Inc()
-		},
-		OnReconnect: func() {
-			a.Stats.Reconnects.Add(1)
-			a.mReconnects.Inc()
-		},
-		OnGiveUp: func() {
-			a.Stats.GaveUp.Add(1)
-			a.mGaveUp.Inc()
-		},
+		OnRetry:     func(int, error) { a.Stats.Retries.Inc() },
+		OnReconnect: a.Stats.Reconnects.Inc,
+		OnGiveUp:    a.Stats.GaveUp.Inc,
 	}
 	return a
 }
@@ -196,18 +157,7 @@ func (a *Adapter) RetryBudgetTokens() float64 {
 }
 
 // MountFS binds prefix to fs; longer prefixes shadow shorter ones.
-// With Config.Cache set, fs is mounted behind a cache tier.
 func (a *Adapter) MountFS(prefix string, fs vfs.FileSystem) error {
-	if a.cfg.Cache != nil {
-		fs = cache.New(fs, *a.cfg.Cache)
-	}
-	return a.addMount(prefix, fs)
-}
-
-// addMount binds prefix to fs exactly as given — the uncached seam for
-// mountlist targets, which resolve through abstractions that are
-// already cache-wrapped.
-func (a *Adapter) addMount(prefix string, fs vfs.FileSystem) error {
 	n, err := pathutil.Norm(prefix)
 	if err != nil {
 		return vfs.EINVAL
@@ -287,7 +237,7 @@ func (a *Adapter) ApplyMountlist(text string) error {
 		if err != nil {
 			return err
 		}
-		if err := a.addMount(p[0], view); err != nil {
+		if err := a.MountFS(p[0], view); err != nil {
 			return fmt.Errorf("adapter: mounting %q: %w", p[0], err)
 		}
 	}
@@ -323,9 +273,6 @@ func (a *Adapter) resolve(path string) (vfs.FileSystem, string, error) {
 				if err != nil {
 					return nil, "", err
 				}
-				if a.cfg.Cache != nil {
-					fs = cache.New(fs, *a.cfg.Cache)
-				}
 				a.mu.Lock()
 				a.resolved[key] = fs
 				a.mu.Unlock()
@@ -339,8 +286,7 @@ func (a *Adapter) resolve(path string) (vfs.FileSystem, string, error) {
 // trap charges the interposition overhead for one call moving n bytes,
 // and counts the operation.
 func (a *Adapter) trap(n int) {
-	a.Stats.Ops.Add(1)
-	a.mOps.Inc()
+	a.Stats.Ops.Inc()
 	if a.cfg.Trap != nil {
 		a.cfg.Trap.Trap(n)
 	}
@@ -597,8 +543,7 @@ func (af *adapterFile) recoverFile() error {
 func (af *adapterFile) reopen() error {
 	err := af.recoverFile()
 	if err == vfs.ESTALE {
-		af.a.Stats.Stale.Add(1)
-		af.a.mStale.Inc()
+		af.a.Stats.Stale.Inc()
 		return resilient.Permanent(err)
 	}
 	return err

@@ -12,6 +12,8 @@ import (
 	"tss/internal/auth"
 	"tss/internal/chirp"
 	"tss/internal/netsim"
+	"tss/internal/obs"
+	"tss/internal/obs/obstest"
 	"tss/internal/vfs"
 )
 
@@ -539,44 +541,63 @@ func TestRecoveryThroughDSFSMount(t *testing.T) {
 	}
 }
 
-// Adapter counters make the transparent layer observable.
+// adapterSeries names the registry series behind each Stats field.
+var adapterSeries = map[string]string{
+	"Ops":             "adapter.ops",
+	"Reconnects":      "adapter.reconnects",
+	"Stale":           "adapter.stale",
+	"GaveUp":          "adapter.gave_up",
+	"Retries":         "adapter.retries",
+	"BudgetExhausted": "resilient.budget_exhausted",
+}
+
+// Adapter counters make the transparent layer observable. They are the
+// registry's own: with a registry every Stats field is the series
+// /metrics serves, and without one Stats still counts.
 func TestAdapterStatsCounters(t *testing.T) {
-	b := startBouncer(t)
-	cli := b.client()
-	defer cli.Close()
-	a := New(Config{Sleep: noSleep, MaxRetries: 8})
-	a.MountFS("/srv", cli)
-	if err := vfs.WriteFile(a, "/srv/f", []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats.Ops.Load() == 0 {
-		t.Error("ops not counted")
-	}
-	// Force one recovery.
-	cli.Close()
-	if _, err := a.Stat("/srv/f"); err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats.Reconnects.Load() == 0 {
-		t.Error("reconnects not counted")
-	}
-	// Force an ESTALE.
-	f, err := a.Open("/srv/f", vfs.O_RDONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli.Close()
-	b.srv.FS().Unlink("/f")
-	buf := make([]byte, 1)
-	f.Pread(buf, 0)
-	if a.Stats.Stale.Load() == 0 {
-		t.Error("stale handles not counted")
-	}
-	// Force a give-up.
-	b.down()
-	cli.Close()
-	a.Stat("/srv/f")
-	if a.Stats.GaveUp.Load() == 0 {
-		t.Error("give-ups not counted")
+	for _, reg := range []*obs.Registry{obs.NewRegistry(), nil} {
+		t.Run(fmt.Sprintf("registry=%v", reg != nil), func(t *testing.T) {
+			b := startBouncer(t)
+			cli := b.client()
+			defer cli.Close()
+			a := New(Config{Sleep: noSleep, MaxRetries: 8, Metrics: reg})
+			a.MountFS("/srv", cli)
+			if err := vfs.WriteFile(a, "/srv/f", []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if a.Stats.Ops.Load() == 0 {
+				t.Error("ops not counted")
+			}
+			// Force one recovery.
+			cli.Close()
+			if _, err := a.Stat("/srv/f"); err != nil {
+				t.Fatal(err)
+			}
+			if a.Stats.Reconnects.Load() == 0 {
+				t.Error("reconnects not counted")
+			}
+			// Force an ESTALE.
+			f, err := a.Open("/srv/f", vfs.O_RDONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli.Close()
+			b.srv.FS().Unlink("/f")
+			buf := make([]byte, 1)
+			f.Pread(buf, 0)
+			if a.Stats.Stale.Load() == 0 {
+				t.Error("stale handles not counted")
+			}
+			// Force a give-up.
+			b.down()
+			cli.Close()
+			a.Stat("/srv/f")
+			if a.Stats.GaveUp.Load() == 0 {
+				t.Error("give-ups not counted")
+			}
+			if reg != nil {
+				obstest.SameStore(t, reg, a.Stats, adapterSeries)
+			}
+		})
 	}
 }

@@ -108,7 +108,7 @@ func TestRetryBudgetBoundsRetryVolume(t *testing.T) {
 	if got := a.Stats.BudgetExhausted.Load(); got != 1 {
 		t.Errorf("Stats.BudgetExhausted = %d, want 1", got)
 	}
-	if got := reg.Counter("resilient.budget_exhausted").Value(); got != 1 {
+	if got := reg.Counter("resilient.budget_exhausted").Load(); got != 1 {
 		t.Errorf("resilient.budget_exhausted = %d, want 1", got)
 	}
 	// Successes refill the bucket: after the window of shedding ends,

@@ -35,9 +35,9 @@ const (
 	DefaultAttrTTL   = 2 * time.Second
 	DefaultDataBytes = 64 << 20
 	DefaultPageSize  = 64 << 10
-	// DefaultFlushAt bounds how much dirty write-back data a single
-	// open file accumulates before it is pushed to the server.
-	DefaultFlushAt = 1 << 20
+	// flushAt bounds how much dirty write-back data a single open file
+	// accumulates before it is pushed to the server.
+	flushAt = 1 << 20
 	// DefaultMaxPaths bounds how many paths the metadata tier tracks
 	// (attrs, listings, lease/version state), so a walk over a large
 	// tree cannot grow client memory for the FS lifetime.
@@ -61,8 +61,6 @@ type Options struct {
 	// the server before it returns. Opening a file with vfs.O_SYNC
 	// forces the same per handle regardless of this setting.
 	WriteThrough bool
-	// FlushAt bounds the dirty extent of one open file.
-	FlushAt int64
 	// MaxPaths bounds the number of paths with cached metadata; the
 	// least recently used path's attrs, listing, pages, and lease are
 	// dropped past the bound. 0 means DefaultMaxPaths, negative
@@ -71,18 +69,16 @@ type Options struct {
 	// Verify digest-checks whole-file fills against the inner layer's
 	// Checksummer, when it has one.
 	Verify bool
-	// Metrics registers hit/miss counters and per-tier latency
-	// histograms under Layer; nil disables registration.
+	// Metrics holds the Stats counters and receives per-tier latency
+	// histograms; nil keeps the counters private and disables the
+	// histograms.
 	Metrics *obs.Registry
-	// Layer is the metric name prefix; empty means "cache".
-	Layer string
 	// Clock is the time source, a seam for deterministic tests; nil
 	// means time.Now.
 	Clock func() time.Time
 }
 
-// Stats counts cache activity; all fields are safe to read
-// concurrently.
+// Stats is a snapshot of the cache counters (FS.Stats).
 type Stats struct {
 	AttrHits, AttrMisses     int64
 	DirentHits, DirentMisses int64
@@ -159,20 +155,20 @@ type FS struct {
 	degraded bool
 	closed   bool
 
-	stats struct {
-		mu sync.Mutex
-		s  Stats
-	}
+	c counters
+	// Per-tier latency histograms; nil without a registry.
+	hAttr, hDirent, hRead *obs.Histogram
+}
 
-	// Registry shadows of Stats plus per-tier latency histograms (nil
-	// without a registry; obs instruments are nil-safe).
-	cAttrHits, cAttrMisses     *obs.Counter
-	cDirentHits, cDirentMisses *obs.Counter
-	cPageHits, cPageMisses     *obs.Counter
-	cRenewals, cRevalidations  *obs.Counter
-	cInvalidations, cFlushes   *obs.Counter
-	cVerifyFails               *obs.Counter
-	hAttr, hDirent, hRead      *obs.Histogram
+// counters holds the registry counters behind Stats, one per Stats
+// field (DESIGN.md §8).
+type counters struct {
+	attrHits, attrMisses     *obs.Counter
+	direntHits, direntMisses *obs.Counter
+	pageHits, pageMisses     *obs.Counter
+	renewals, revalidations  *obs.Counter
+	invalidations, flushes   *obs.Counter
+	verifyFails              *obs.Counter
 }
 
 var (
@@ -192,14 +188,8 @@ func New(inner vfs.FileSystem, opt Options) *FS {
 	if opt.PageSize <= 0 {
 		opt.PageSize = DefaultPageSize
 	}
-	if opt.FlushAt <= 0 {
-		opt.FlushAt = DefaultFlushAt
-	}
 	if opt.Clock == nil {
 		opt.Clock = time.Now
-	}
-	if opt.Layer == "" {
-		opt.Layer = "cache"
 	}
 	if opt.MaxPaths == 0 {
 		opt.MaxPaths = DefaultMaxPaths
@@ -208,12 +198,29 @@ func New(inner vfs.FileSystem, opt Options) *FS {
 	if maxPaths < 0 {
 		maxPaths = 1<<63 - 1
 	}
+	reg := obs.OrNew(opt.Metrics)
 	f := &FS{
 		inner:  inner,
 		opt:    opt,
 		paths:  NewLRU[string, *pathState](maxPaths),
 		dirs:   make(map[string]int),
 		leaser: vfs.Capabilities(inner).Leaser,
+		c: counters{
+			attrHits:      reg.Counter("cache.attr_hits"),
+			attrMisses:    reg.Counter("cache.attr_misses"),
+			direntHits:    reg.Counter("cache.dirent_hits"),
+			direntMisses:  reg.Counter("cache.dirent_misses"),
+			pageHits:      reg.Counter("cache.page_hits"),
+			pageMisses:    reg.Counter("cache.page_misses"),
+			renewals:      reg.Counter("cache.lease_renewals"),
+			revalidations: reg.Counter("cache.lease_revalidations"),
+			invalidations: reg.Counter("cache.invalidations"),
+			flushes:       reg.Counter("cache.writeback_flushes"),
+			verifyFails:   reg.Counter("cache.verify_fails"),
+		},
+		hAttr:   opt.Metrics.Histogram("cache.attr"),
+		hDirent: opt.Metrics.Histogram("cache.dirent"),
+		hRead:   opt.Metrics.Histogram("cache.read"),
 	}
 	// Capacity eviction of a path's metadata takes its pages with it
 	// and queues a live lease for off-lock release. Nil-ing the tiers
@@ -247,38 +254,26 @@ func New(inner vfs.FileSystem, opt Options) *FS {
 			}
 		}
 	}
-	if reg := opt.Metrics; reg != nil {
-		l := opt.Layer
-		f.cAttrHits = reg.Counter(l + ".attr_hits")
-		f.cAttrMisses = reg.Counter(l + ".attr_misses")
-		f.cDirentHits = reg.Counter(l + ".dirent_hits")
-		f.cDirentMisses = reg.Counter(l + ".dirent_misses")
-		f.cPageHits = reg.Counter(l + ".page_hits")
-		f.cPageMisses = reg.Counter(l + ".page_misses")
-		f.cRenewals = reg.Counter(l + ".lease_renewals")
-		f.cRevalidations = reg.Counter(l + ".lease_revalidations")
-		f.cInvalidations = reg.Counter(l + ".invalidations")
-		f.cFlushes = reg.Counter(l + ".writeback_flushes")
-		f.cVerifyFails = reg.Counter(l + ".verify_fails")
-		f.hAttr = reg.Histogram(l + ".attr")
-		f.hDirent = reg.Histogram(l + ".dirent")
-		f.hRead = reg.Histogram(l + ".read")
-	}
 	return f
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the cache counters. Each field is read on
+// its own, so a snapshot taken under traffic may mix moments.
 func (f *FS) Stats() Stats {
-	f.stats.mu.Lock()
-	defer f.stats.mu.Unlock()
-	return f.stats.s
-}
-
-func (f *FS) count(c *obs.Counter, field *int64) {
-	f.stats.mu.Lock()
-	*field++
-	f.stats.mu.Unlock()
-	c.Inc()
+	c := &f.c
+	return Stats{
+		AttrHits:      c.attrHits.Load(),
+		AttrMisses:    c.attrMisses.Load(),
+		DirentHits:    c.direntHits.Load(),
+		DirentMisses:  c.direntMisses.Load(),
+		PageHits:      c.pageHits.Load(),
+		PageMisses:    c.pageMisses.Load(),
+		Renewals:      c.renewals.Load(),
+		Revalidations: c.revalidations.Load(),
+		Invalidations: c.invalidations.Load(),
+		Flushes:       c.flushes.Load(),
+		VerifyFails:   c.verifyFails.Load(),
+	}
 }
 
 // state returns the pathState for path, creating it if needed (which
@@ -347,7 +342,7 @@ func (f *FS) revalidate(path string, ps *pathState, now time.Time) bool {
 		f.releaseLease(oldID)
 	}
 	f.mu.Lock()
-	f.count(f.cRenewals, &f.stats.s.Renewals)
+	f.c.renewals.Inc()
 	if err != nil {
 		if vfs.AsErrno(err) == vfs.EINVAL {
 			f.degraded = true
@@ -362,7 +357,7 @@ func (f *FS) revalidate(path string, ps *pathState, now time.Time) bool {
 	now = f.opt.Clock()
 	fresh := ps.haveVersion && ps.version == lease.Version
 	if fresh {
-		f.count(f.cRevalidations, &f.stats.s.Revalidations)
+		f.c.revalidations.Inc()
 	} else if ps.haveVersion {
 		f.invalidateLocked(path, ps)
 	}
@@ -403,7 +398,7 @@ func (f *FS) invalidateLocked(path string, ps *pathState) {
 	ps.pages = nil
 	ps.validUntil = time.Time{}
 	if had {
-		f.count(f.cInvalidations, &f.stats.s.Invalidations)
+		f.c.invalidations.Inc()
 	}
 }
 
@@ -505,12 +500,12 @@ func (f *FS) Stat(path string) (vfs.FileInfo, error) {
 		} else {
 			fi = *ps.attr
 		}
-		f.count(f.cAttrHits, &f.stats.s.AttrHits)
+		f.c.attrHits.Inc()
 		f.mu.Unlock()
 		f.hAttr.Observe(time.Since(start))
 		return fi, err
 	}
-	f.count(f.cAttrMisses, &f.stats.s.AttrMisses)
+	f.c.attrMisses.Inc()
 	needLease := !f.validLocked(ps, f.opt.Clock())
 	f.mu.Unlock()
 
@@ -561,7 +556,7 @@ func (f *FS) lease(path string) {
 	var oldID int64
 	var oldLive bool
 	f.mu.Lock()
-	f.count(f.cRenewals, &f.stats.s.Renewals)
+	f.c.renewals.Inc()
 	ps := f.state(path)
 	if err != nil {
 		if vfs.AsErrno(err) == vfs.EINVAL {
@@ -607,12 +602,12 @@ func (f *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 	// across the lease RPC.
 	if ps.dirents != nil && (f.validLocked(ps, start) || f.revalidate(path, ps, start)) && ps.dirents != nil {
 		ents := append([]vfs.DirEntry(nil), ps.dirents...)
-		f.count(f.cDirentHits, &f.stats.s.DirentHits)
+		f.c.direntHits.Inc()
 		f.mu.Unlock()
 		f.hDirent.Observe(time.Since(start))
 		return ents, nil
 	}
-	f.count(f.cDirentMisses, &f.stats.s.DirentMisses)
+	f.c.direntMisses.Inc()
 	needLease := !f.validLocked(ps, f.opt.Clock())
 	f.mu.Unlock()
 
@@ -839,9 +834,7 @@ func (f *FS) verifyFill(path string, data []byte) error {
 	h.Write(data)
 	got := hex.EncodeToString(h.Sum(nil))
 	if got != want {
-		f.mu.Lock()
-		f.count(f.cVerifyFails, &f.stats.s.VerifyFails)
-		f.mu.Unlock()
+		f.c.verifyFails.Inc()
 		return vfs.ChecksumMismatch(path, vfs.AlgoCRC32C, want, got)
 	}
 	return nil
@@ -942,7 +935,7 @@ func preadFull(f vfs.File, p []byte, off int64) (int, error) {
 // write-back buffering. Reads see this handle's unflushed writes;
 // flushes happen on Sync, Fstat, Ftruncate, Close, on a
 // non-contiguous write, and when the dirty extent reaches
-// Options.FlushAt. Lazy read-only handles carry no server descriptor
+// flushAt. Lazy read-only handles carry no server descriptor
 // until a miss materializes one.
 type cacheFile struct {
 	fs           *FS
@@ -1015,7 +1008,7 @@ func (cf *cacheFile) preadCached(p []byte, off int64) (int, error) {
 		page, ok := fs.readPage(cf.path, idx)
 		if !ok {
 			fs.mu.Lock()
-			fs.count(fs.cPageMisses, &fs.stats.s.PageMisses)
+			fs.c.pageMisses.Inc()
 			cps, _ := fs.paths.Peek(cf.path)
 			needLease := !fs.validLocked(cps, fs.opt.Clock())
 			fs.mu.Unlock()
@@ -1052,9 +1045,7 @@ func (cf *cacheFile) preadCached(p []byte, off int64) (int, error) {
 			}
 			fs.storePage(cf.path, idx, page)
 		} else {
-			fs.mu.Lock()
-			fs.count(fs.cPageHits, &fs.stats.s.PageHits)
-			fs.mu.Unlock()
+			fs.c.pageHits.Inc()
 		}
 		if inPage >= int64(len(page)) {
 			// EOF inside this page.
@@ -1132,7 +1123,7 @@ func (cf *cacheFile) Pwrite(p []byte, off int64) (int, error) {
 		cf.dOff = off
 	}
 	cf.dirty = append(cf.dirty, p...)
-	if int64(len(cf.dirty)) >= cf.fs.opt.FlushAt {
+	if int64(len(cf.dirty)) >= flushAt {
 		if err := cf.flushLocked(); err != nil {
 			return 0, err
 		}
@@ -1150,9 +1141,7 @@ func (cf *cacheFile) flushLocked() error {
 	}
 	err := vfs.WriteAll(cf.inner, cf.dirty, cf.dOff)
 	cf.dirty = cf.dirty[:0]
-	cf.fs.mu.Lock()
-	cf.fs.count(cf.fs.cFlushes, &cf.fs.stats.s.Flushes)
-	cf.fs.mu.Unlock()
+	cf.fs.c.flushes.Inc()
 	cf.fs.wrote(cf.path)
 	return err
 }
@@ -1177,7 +1166,7 @@ func (cf *cacheFile) Fstat() (vfs.FileInfo, error) {
 	cf.mu.Unlock()
 	if lazy {
 		if fi, have, _ := cf.fs.cachedAttr(cf.path); have {
-			cf.fs.count(cf.fs.cAttrHits, &cf.fs.stats.s.AttrHits)
+			cf.fs.c.attrHits.Inc()
 			return fi, nil
 		}
 	}

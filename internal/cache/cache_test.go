@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"tss/internal/obs"
+	"tss/internal/obs/obstest"
 	"tss/internal/vfs"
 )
 
@@ -743,4 +745,48 @@ func TestWarmMixCostsNoInnerCalls(t *testing.T) {
 	if warm := counters(); warm != cold {
 		t.Fatalf("warm mix reached the inner filesystem: [stats readdirs opens preads leases] %v -> %v", cold, warm)
 	}
+}
+
+// cacheSeries names the registry series behind each Stats field.
+var cacheSeries = map[string]string{
+	"AttrHits":      "cache.attr_hits",
+	"AttrMisses":    "cache.attr_misses",
+	"DirentHits":    "cache.dirent_hits",
+	"DirentMisses":  "cache.dirent_misses",
+	"PageHits":      "cache.page_hits",
+	"PageMisses":    "cache.page_misses",
+	"Renewals":      "cache.lease_renewals",
+	"Revalidations": "cache.lease_revalidations",
+	"Invalidations": "cache.invalidations",
+	"Flushes":       "cache.writeback_flushes",
+	"VerifyFails":   "cache.verify_fails",
+}
+
+// TestStatsAreRegistrySeries drives every tier, a renewal and a
+// write-back flush, then checks each Stats field is the series the
+// registry serves.
+func TestStatsAreRegistrySeries(t *testing.T) {
+	reg := obs.NewRegistry()
+	inner := newCountingFS(t)
+	fs, clk := newCache(t, inner, Options{AttrTTL: time.Second, Metrics: reg})
+	if err := vfs.WriteFile(fs, "/f", []byte("counted"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := vfs.ReadFile(fs, "/f"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.ReadDir("/"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Stat("/f"); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(2 * time.Second)
+	}
+	s := fs.Stats()
+	if s.AttrHits+s.AttrMisses == 0 || s.PageHits+s.PageMisses == 0 || s.DirentHits+s.DirentMisses == 0 || s.Renewals == 0 || s.Flushes == 0 {
+		t.Errorf("a tier went uncounted: %+v", s)
+	}
+	obstest.SameStore(t, reg, s, cacheSeries)
 }

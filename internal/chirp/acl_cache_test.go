@@ -225,7 +225,7 @@ func TestACLInheritedTreeTakesNoLock(t *testing.T) {
 	if _, err := c.Stat("/found/as/is/f"); err != nil { // caches the root's list
 		t.Fatal(err)
 	}
-	before := ts.srv.mACLInvalidated.Value()
+	before := ts.srv.Stats.ACLInvalidations.Load()
 	ts.srv.aclMu.Lock()
 	done := make(chan error, 1)
 	go func() {
@@ -241,7 +241,7 @@ func TestACLInheritedTreeTakesNoLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, inv := ts.cachedACLs(), ts.srv.mACLInvalidated.Value()-before; n != 1 || inv != 0 {
+	if n, inv := ts.cachedACLs(), ts.srv.Stats.ACLInvalidations.Load()-before; n != 1 || inv != 0 {
 		t.Errorf("%d entries and %d invalidations after inherited checks, want 1 (the root) and 0", n, inv)
 	}
 }
@@ -279,14 +279,14 @@ func TestACLOutOfBandEdit(t *testing.T) {
 		if cached {
 			settleACLs()
 		}
-		hits := ts.srv.mACLHits.Value()
+		hits := ts.srv.Stats.ACLHits.Load()
 		if _, err := guest.Stat("/"); err != nil {
 			t.Fatalf("stat before the edit (cached %v): %v", cached, err)
 		}
 		if _, err := guest.Stat("/"); err != nil {
 			t.Fatal(err)
 		}
-		if got := ts.srv.mACLHits.Value() > hits; got != cached {
+		if got := ts.srv.Stats.ACLHits.Load() > hits; got != cached {
 			t.Errorf("served from the cache = %v, want %v", got, cached)
 		}
 		edit(without)
@@ -416,11 +416,11 @@ func runACLCacheModel(t *testing.T, seed int64) {
 			t.Errorf("seed %d: step %q never succeeded", seed, s.name)
 		}
 	}
-	if h, inv := ts.srv.mACLHits.Value(), ts.srv.mACLInvalidated.Value(); h == 0 || inv == 0 {
+	if h, inv := ts.srv.Stats.ACLHits.Load(), ts.srv.Stats.ACLInvalidations.Load(); h == 0 || inv == 0 {
 		t.Errorf("seed %d: %d hits, %d invalidations: the cache was not exercised", seed, h, inv)
 	}
 	t.Logf("seed %d: steps that worked %v; %d hits, %d misses, %d invalidations", seed, worked,
-		ts.srv.mACLHits.Value(), ts.srv.mACLMisses.Value(), ts.srv.mACLInvalidated.Value())
+		ts.srv.Stats.ACLHits.Load(), ts.srv.Stats.ACLMisses.Load(), ts.srv.Stats.ACLInvalidations.Load())
 }
 
 // TestACLFollowsDirectoryRename: a renamed directory takes its ACLs,
@@ -478,7 +478,7 @@ func TestACLCheckAllocationGuards(t *testing.T) {
 	if err := ts.srv.checkDir(subject, "/d", acl.L); err != nil {
 		t.Fatal(err)
 	}
-	hits := ts.srv.mACLHits.Value()
+	hits := ts.srv.Stats.ACLHits.Load()
 	if n := testing.AllocsPerRun(200, func() {
 		if err := ts.srv.checkParent(subject, "/d/f", acl.L); err != nil {
 			t.Fatal(err)
@@ -486,7 +486,7 @@ func TestACLCheckAllocationGuards(t *testing.T) {
 	}); n > 2 {
 		t.Errorf("warm checkParent allocates %.1f/op, want <= 2", n)
 	}
-	if got := ts.srv.mACLHits.Value() - hits; got < 200 {
+	if got := ts.srv.Stats.ACLHits.Load() - hits; got < 200 {
 		t.Errorf("%d cache hits over 200 checks: the guard measured the miss path", got)
 	}
 	if n := testing.AllocsPerRun(200, func() {

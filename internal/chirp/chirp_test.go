@@ -2,6 +2,7 @@ package chirp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"tss/internal/chirp/proto"
 	"tss/internal/netsim"
 	"tss/internal/obs"
+	"tss/internal/obs/obstest"
 	"tss/internal/vfs"
 )
 
@@ -488,6 +490,34 @@ func TestStatRequiresListRight(t *testing.T) {
 	}
 }
 
+// serverSeries names the registry series behind each ServerStats field:
+// the names /metrics serves (DESIGN.md §8).
+var serverSeries = map[string]string{
+	"Connections":       "chirp_server.connections",
+	"Requests":          "chirp_server.requests",
+	"BytesRead":         "chirp_server.bytes_read",
+	"BytesWriten":       "chirp_server.bytes_written",
+	"RPCErrors":         "chirp_server.rpc_errors",
+	"RPCUnknown":        "chirp_server.rpc_unknown",
+	"BulkFastpath":      "chirp_server.bulk_fastpath",
+	"MultipartFastpath": "chirp_server.multipart_fastpath",
+	"ACLHits":           "chirp_server.acl_cache_hits",
+	"ACLMisses":         "chirp_server.acl_cache_misses",
+	"ACLInvalidations":  "chirp_server.acl_cache_invalidations",
+	"Drains":            "chirp_server.drains",
+	"DrainForced":       "chirp_server.drain_forced",
+	"Aborts":            "chirp_server.aborts",
+	"LeaseGrants":       "chirp_server.lease_grants",
+	"LeaseBreaks":       "chirp_server.lease_breaks",
+	"Shed":              "chirp_server.shed_total",
+	"SessionsRefused":   "chirp_server.sessions_refused",
+	"DeadlineRejects":   "chirp_server.deadline_rejects",
+}
+
+// TestServerStatsCount checks that Stats counts, that it and the
+// registry are one store (every field is the series /metrics serves,
+// drains and aborts included), and that a server built without a
+// registry still counts.
 func TestServerStatsCount(t *testing.T) {
 	ts := startServer(t, nil)
 	c := ts.client(t, "owner.sim")
@@ -499,5 +529,33 @@ func TestServerStatsCount(t *testing.T) {
 	}
 	if ts.srv.Stats.Connections.Load() < 1 {
 		t.Error("connections not counted")
+	}
+	if err := vfs.WriteFile(c, "/f", []byte("counted"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vfs.ReadFile(c, "/f"); err != nil {
+		t.Fatal(err)
+	}
+	c.Stat("/missing")
+	if err := ts.srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if ts.srv.Stats.Drains.Load() != 1 || ts.srv.Stats.BytesRead.Load() == 0 || ts.srv.Stats.RPCErrors.Load() == 0 {
+		t.Errorf("after traffic and Shutdown: drains %d, bytes read %d, rpc errors %d",
+			ts.srv.Stats.Drains.Load(), ts.srv.Stats.BytesRead.Load(), ts.srv.Stats.RPCErrors.Load())
+	}
+	obstest.SameStore(t, ts.srv.cfg.Metrics, ts.srv.Stats, serverSeries)
+
+	crashed := startServer(t, nil)
+	crashed.srv.Abort()
+	if crashed.srv.Stats.Aborts.Load() != 1 {
+		t.Errorf("aborts = %d, want 1", crashed.srv.Stats.Aborts.Load())
+	}
+	obstest.SameStore(t, crashed.srv.cfg.Metrics, crashed.srv.Stats, serverSeries)
+
+	bare := startServerCfg(t, ServerConfig{})
+	bare.client(t, "owner.sim").Stat("/")
+	if bare.srv.Stats.Requests.Load() == 0 || bare.srv.Stats.Connections.Load() == 0 {
+		t.Error("a server without a registry does not count")
 	}
 }

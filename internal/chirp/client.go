@@ -45,9 +45,6 @@ type ClientConfig struct {
 	// client then falls back to the plain verbs and remembers, so old
 	// peers interoperate at the cost of one probe round trip.
 	Verify bool
-	// ChecksumAlgo selects the digest for Verify and Checksum
-	// (default vfs.DefaultAlgo, crc32c).
-	ChecksumAlgo string
 }
 
 // Client speaks the Chirp protocol to one file server. It implements

@@ -19,14 +19,6 @@ import (
 
 var _ vfs.Checksummer = (*Client)(nil)
 
-// algo returns the configured digest algorithm for verified transfers.
-func (c *Client) algo() string {
-	if c.cfg.ChecksumAlgo != "" {
-		return c.cfg.ChecksumAlgo
-	}
-	return vfs.DefaultAlgo
-}
-
 // Checksum computes the digest of a remote file where it lives — one
 // round trip, no data transfer (vfs.Checksummer). Against a server
 // that predates the verb it falls back to hashing a plain getfile
@@ -34,7 +26,7 @@ func (c *Client) algo() string {
 // versions.
 func (c *Client) Checksum(path, algo string) (string, error) {
 	if algo == "" {
-		algo = c.algo()
+		algo = vfs.DefaultAlgo
 	}
 	if !c.supports(proto.Sums) {
 		return c.hashRemote(path, algo)
@@ -96,13 +88,12 @@ func (c *Client) GetFile(path string, w io.Writer) (int64, error) {
 	if !c.cfg.Verify || !c.supports(proto.Sums) {
 		return c.getFilePlain(path, w)
 	}
-	algo := c.algo()
-	h, err := vfs.NewHash(algo)
+	h, err := vfs.NewHash(vfs.DefaultAlgo)
 	if err != nil {
 		return 0, err
 	}
 	b := bodyRecv{w: w, h: h}
-	err = c.receive(&proto.Request{Verb: "getfilesum", Path: path, Algo: algo}, &b)
+	err = c.receive(&proto.Request{Verb: "getfilesum", Path: path, Algo: vfs.DefaultAlgo}, &b)
 	if legacyRefusal(err) {
 		// Refused before the data phase: nothing was written to w. Only
 		// a successful plain retry proves the verb — not the argument —
@@ -136,16 +127,15 @@ func (c *Client) PutFile(path string, mode uint32, size int64, r io.Reader) erro
 
 // putFileSum is PutFile over the two-phase putfilesum verb.
 func (c *Client) putFileSum(path string, mode uint32, size int64, r io.Reader) error {
-	algo := c.algo()
-	h, err := vfs.NewHash(algo)
+	h, err := vfs.NewHash(vfs.DefaultAlgo)
 	if err != nil {
 		return err
 	}
 	err = c.putStream(
-		&proto.Request{Verb: "putfilesum", Path: path, Mode: int64(mode), Length: size, Algo: algo},
+		&proto.Request{Verb: "putfilesum", Path: path, Mode: int64(mode), Length: size, Algo: vfs.DefaultAlgo},
 		size, io.TeeReader(r, h),
 		func(dst []byte) []byte {
-			return append(proto.AppendDigestTrailer(dst, algo, h.Sum(nil)), '\n')
+			return append(proto.AppendDigestTrailer(dst, vfs.DefaultAlgo, h.Sum(nil)), '\n')
 		})
 	if vfs.AsErrno(err) == vfs.EBADMSG {
 		// The server hashed different bytes than were sent: the body was

@@ -54,7 +54,7 @@ func waitQueued(t *testing.T, a *admission, n int) {
 // The admission gate sheds immediately when the class queue is full and
 // bounds queue waits with its own timeout, both as EAGAIN.
 func TestAdmissionShedAndQueueTimeout(t *testing.T) {
-	a := newAdmission(1, 1, 30*time.Millisecond, nil, nil)
+	a := newAdmission(1, 1, 30*time.Millisecond, nil)
 	if err := a.acquire(true); err != nil {
 		t.Fatalf("first acquire = %v", err)
 	}
@@ -84,7 +84,7 @@ func TestAdmissionShedAndQueueTimeout(t *testing.T) {
 // Under pressure, control-plane waiters are granted before bulk
 // waiters even when the bulk request arrived first.
 func TestAdmissionControlPlanePriority(t *testing.T) {
-	a := newAdmission(1, 4, 5*time.Second, nil, nil)
+	a := newAdmission(1, 4, 5*time.Second, nil)
 	// Fill the bulk slot and the reserved control headroom so both
 	// classes are forced to queue.
 	if err := a.acquire(true); err != nil {
@@ -125,7 +125,7 @@ func TestAdmissionControlPlanePriority(t *testing.T) {
 // waiting out a bulk transfer — and the headroom itself is bounded, so
 // a control-plane storm still sheds.
 func TestAdmissionControlHeadroom(t *testing.T) {
-	a := newAdmission(4, 4, 30*time.Millisecond, nil, nil)
+	a := newAdmission(4, 4, 30*time.Millisecond, nil)
 	for i := 0; i < 4; i++ {
 		if err := a.acquire(true); err != nil {
 			t.Fatalf("bulk acquire %d = %v", i, err)
@@ -149,7 +149,7 @@ func TestAdmissionControlHeadroom(t *testing.T) {
 // A drain fails queued-but-unstarted waiters promptly with ESHUTDOWN —
 // not after the queue timeout — while the admitted holder is untouched.
 func TestAdmissionDrainFailsQueued(t *testing.T) {
-	a := newAdmission(1, 4, 10*time.Second, nil, nil)
+	a := newAdmission(1, 4, 10*time.Second, nil)
 	if err := a.acquire(true); err != nil {
 		t.Fatal(err)
 	}

@@ -111,8 +111,11 @@ func TestPartVerbsRoundTrip(t *testing.T) {
 func TestMultipartCopyThroughPool(t *testing.T) {
 	ts := startServer(t, nil)
 	p, err := NewPool(ClientConfig{
+		// A 100 Mb/s link keeps each part in flight for milliseconds, so
+		// the workers overlap; over loopback one could finish its part
+		// before the next asked for a connection.
 		Dial: func() (net.Conn, error) {
-			return ts.net.DialFrom("owner.sim", "fs.sim", netsim.Loopback)
+			return ts.net.DialFrom("owner.sim", "fs.sim", netsim.Fast100)
 		},
 		Credentials: []auth.Credential{auth.HostnameCredential{}},
 		Timeout:     5 * time.Second,

@@ -27,6 +27,7 @@ import (
 
 	"tss/internal/acl"
 	"tss/internal/auth"
+	"tss/internal/catalog"
 	"tss/internal/chirp/proto"
 	"tss/internal/obs"
 	"tss/internal/pathutil"
@@ -72,37 +73,79 @@ type ServerConfig struct {
 	QueueTimeout time.Duration
 	// Logf, when non-nil, receives one line per connection event.
 	Logf func(format string, args ...any)
-	// Metrics, when non-nil, receives per-RPC counts, latency
-	// histograms ("chirp_server.rpc.<verb>"), byte counters, and the
-	// drain gauge. Nil disables instrumentation at zero cost.
+	// Metrics, when non-nil, holds the server's counters (Stats),
+	// per-RPC latency histograms ("chirp_server.rpc.<verb>") and the
+	// drain and admission gauges. Nil keeps the counters in a private
+	// registry and disables the histograms and gauges.
 	Metrics *obs.Registry
 }
 
-// ServerStats holds monotonic counters exposed for catalogs and tests.
+// ServerStats is the server's counters, exposed for catalogs and tests.
+// Each field is a handle to a registry counter (newServerStats names
+// the series; DESIGN.md §8 lists them).
 type ServerStats struct {
-	Connections atomic.Int64
-	Requests    atomic.Int64
-	BytesRead   atomic.Int64
-	BytesWriten atomic.Int64
+	Connections *obs.Counter
+	// Requests counts request lines, known verbs or not; the deadline
+	// prefix annotates the request after it and is not counted.
+	Requests    *obs.Counter
+	BytesRead   *obs.Counter
+	BytesWriten *obs.Counter
+	// RPCErrors counts requests answered with a negative status;
+	// RPCUnknown those whose verb is not in the §5.1 table.
+	RPCErrors  *obs.Counter
+	RPCUnknown *obs.Counter
+	// BulkFastpath and MultipartFastpath count whole-file and part
+	// transfers that took the sendfile/splice path.
+	BulkFastpath      *obs.Counter
+	MultipartFastpath *obs.Counter
+	// ACLHits, ACLMisses and ACLInvalidations count the ACL cache
+	// (DESIGN.md §5.2).
+	ACLHits          *obs.Counter
+	ACLMisses        *obs.Counter
+	ACLInvalidations *obs.Counter
 	// Drains counts completed Shutdown calls.
-	Drains atomic.Int64
+	Drains *obs.Counter
 	// DrainForced counts connections force-closed because the drain
 	// context expired before they finished.
-	DrainForced atomic.Int64
+	DrainForced *obs.Counter
 	// Aborts counts Abort calls — simulated crashes.
-	Aborts atomic.Int64
+	Aborts *obs.Counter
 	// LeaseGrants counts read leases granted to caching clients.
-	LeaseGrants atomic.Int64
+	LeaseGrants *obs.Counter
 	// LeaseBreaks counts outstanding leases broken by conflicting
 	// writes (client-initiated leasebreak releases are not breaks).
-	LeaseBreaks atomic.Int64
+	LeaseBreaks *obs.Counter
 	// Shed counts RPCs refused with EAGAIN by admission control.
-	Shed atomic.Int64
+	Shed *obs.Counter
 	// SessionsRefused counts connections refused by the session cap.
-	SessionsRefused atomic.Int64
+	SessionsRefused *obs.Counter
 	// DeadlineRejects counts RPCs fast-rejected (or aborted
 	// mid-transfer) because their propagated deadline lapsed.
-	DeadlineRejects atomic.Int64
+	DeadlineRejects *obs.Counter
+}
+
+func newServerStats(reg *obs.Registry) ServerStats {
+	return ServerStats{
+		Connections:       reg.Counter("chirp_server.connections"),
+		Requests:          reg.Counter("chirp_server.requests"),
+		BytesRead:         reg.Counter("chirp_server.bytes_read"),
+		BytesWriten:       reg.Counter("chirp_server.bytes_written"),
+		RPCErrors:         reg.Counter("chirp_server.rpc_errors"),
+		RPCUnknown:        reg.Counter("chirp_server.rpc_unknown"),
+		BulkFastpath:      reg.Counter("chirp_server.bulk_fastpath"),
+		MultipartFastpath: reg.Counter("chirp_server.multipart_fastpath"),
+		ACLHits:           reg.Counter("chirp_server.acl_cache_hits"),
+		ACLMisses:         reg.Counter("chirp_server.acl_cache_misses"),
+		ACLInvalidations:  reg.Counter("chirp_server.acl_cache_invalidations"),
+		Drains:            reg.Counter("chirp_server.drains"),
+		DrainForced:       reg.Counter("chirp_server.drain_forced"),
+		Aborts:            reg.Counter("chirp_server.aborts"),
+		LeaseGrants:       reg.Counter("chirp_server.lease_grants"),
+		LeaseBreaks:       reg.Counter("chirp_server.lease_breaks"),
+		Shed:              reg.Counter("chirp_server.shed_total"),
+		SessionsRefused:   reg.Counter("chirp_server.sessions_refused"),
+		DeadlineRejects:   reg.Counter("chirp_server.deadline_rejects"),
+	}
 }
 
 // Server is a Chirp file server bound to one exported directory.
@@ -133,26 +176,11 @@ type Server struct {
 	listeners map[net.Listener]struct{}
 	connWG    sync.WaitGroup
 
-	// Per-RPC metrics, pre-resolved at construction; all nil without a
-	// registry. rpcHist is indexed like handlers, so /metrics shows
-	// every RPC from boot.
-	rpcHist          []*obs.Histogram
-	mRPCUnknown      *obs.Counter
-	mRPCErrors       *obs.Counter
-	mConnections     *obs.Counter
-	mRequests        *obs.Counter
-	mBytesRead       *obs.Counter
-	mBytesWritten    *obs.Counter
-	mBulkFast        *obs.Counter
-	mMultipartFast   *obs.Counter
-	mLeaseGrants     *obs.Counter
-	mLeaseBreaks     *obs.Counter
-	mDraining        *obs.Gauge
-	mSessionsRefused *obs.Counter
-	mDeadlineRejects *obs.Counter
-	mACLHits         *obs.Counter
-	mACLMisses       *obs.Counter
-	mACLInvalidated  *obs.Counter
+	// Per-RPC histograms and the drain gauge, pre-resolved at
+	// construction; nil without a registry. rpcHist is indexed like
+	// handlers, so /metrics shows every RPC from boot.
+	rpcHist   []*obs.Histogram
+	mDraining *obs.Gauge
 
 	Stats ServerStats
 }
@@ -256,30 +284,15 @@ func NewServer(root string, cfg ServerConfig) (*Server, error) {
 	if cfg.Owner == "" {
 		cfg.Owner = "unix:owner"
 	}
-	s := &Server{cfg: cfg, fs: fs, acls: make(map[string]*aclEntry)}
+	s := &Server{cfg: cfg, fs: fs, acls: make(map[string]*aclEntry), Stats: newServerStats(obs.OrNew(cfg.Metrics))}
 	s.leases.init(cfg.LeaseTTL)
-	s.admission = newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueTimeout, &s.Stats, cfg.Metrics)
+	s.admission = newAdmission(cfg.MaxInflight, cfg.QueueDepth, cfg.QueueTimeout, cfg.Metrics)
 	if reg := cfg.Metrics; reg != nil {
 		s.rpcHist = make([]*obs.Histogram, len(handlers))
 		for i := range handlers {
 			s.rpcHist[i] = reg.Histogram("chirp_server.rpc." + handlers[i].name)
 		}
-		s.mRPCUnknown = reg.Counter("chirp_server.rpc_unknown")
-		s.mRPCErrors = reg.Counter("chirp_server.rpc_errors")
-		s.mConnections = reg.Counter("chirp_server.connections")
-		s.mRequests = reg.Counter("chirp_server.requests")
-		s.mBytesRead = reg.Counter("chirp_server.bytes_read")
-		s.mBytesWritten = reg.Counter("chirp_server.bytes_written")
-		s.mBulkFast = reg.Counter("chirp_server.bulk_fastpath")
-		s.mMultipartFast = reg.Counter("chirp_server.multipart_fastpath")
-		s.mLeaseGrants = reg.Counter("chirp_server.lease_grants")
-		s.mLeaseBreaks = reg.Counter("chirp_server.lease_breaks")
 		s.mDraining = reg.Gauge("chirp_server.draining")
-		s.mSessionsRefused = reg.Counter("chirp_server.sessions_refused")
-		s.mDeadlineRejects = reg.Counter("chirp_server.deadline_rejects")
-		s.mACLHits = reg.Counter("chirp_server.acl_cache_hits")
-		s.mACLMisses = reg.Counter("chirp_server.acl_cache_misses")
-		s.mACLInvalidated = reg.Counter("chirp_server.acl_cache_invalidations")
 	}
 	if err := s.ensureRootACL(); err != nil {
 		return nil, err
@@ -369,7 +382,7 @@ func (s *Server) putACL(dir string, e *aclEntry) {
 	s.aclsMu.Lock()
 	defer s.aclsMu.Unlock()
 	if had {
-		s.mACLInvalidated.Inc()
+		s.Stats.ACLInvalidations.Inc()
 		delete(s.acls, dir)
 	}
 	if e == nil {
@@ -419,11 +432,11 @@ func (s *Server) aclAt(dir string, locked bool) (*acl.List, error) {
 	s.aclsMu.RUnlock()
 	if e != nil {
 		if stamp, err := statACL(e.host); err == nil && stamp == e.stamp {
-			s.mACLHits.Inc()
+			s.Stats.ACLHits.Inc()
 			return e.list, nil
 		}
 	}
-	s.mACLMisses.Inc()
+	s.Stats.ACLMisses.Inc()
 	host, _ := s.fs.HostPath(pathutil.Join(dir, ACLFileName)) // cannot fail on a normalized dir; if it did, so would the stat
 	if e == nil {
 		// No ACL file (data exported as found): one failed stat and no
@@ -561,8 +574,7 @@ func (s *Server) track(conn net.Conn) *connState {
 		return nil
 	}
 	if max := s.cfg.MaxSessions; max > 0 && len(s.conns) >= max {
-		s.Stats.SessionsRefused.Add(1)
-		s.mSessionsRefused.Inc()
+		s.Stats.SessionsRefused.Inc()
 		return nil
 	}
 	if s.conns == nil {
@@ -621,17 +633,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.Stats.Drains.Add(1)
+		s.Stats.Drains.Inc()
 		return nil
 	case <-ctx.Done():
 		s.connMu.Lock()
 		for c := range s.conns {
-			s.Stats.DrainForced.Add(1)
+			s.Stats.DrainForced.Inc()
 			c.Close()
 		}
 		s.connMu.Unlock()
 		<-done
-		s.Stats.Drains.Add(1)
+		s.Stats.Drains.Inc()
 		return ctx.Err()
 	}
 }
@@ -659,7 +671,7 @@ func (s *Server) Abort() {
 	}
 	s.connMu.Unlock()
 	s.connWG.Wait()
-	s.Stats.Aborts.Add(1)
+	s.Stats.Aborts.Inc()
 }
 
 // ServeConn authenticates and serves a single connection, returning
@@ -680,8 +692,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		conn.Close()
 		s.untrack(conn)
 	}()
-	s.Stats.Connections.Add(1)
-	s.mConnections.Inc()
+	s.Stats.Connections.Inc()
 
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
@@ -797,7 +808,7 @@ func (ss *session) writeStat(bw *bufio.Writer, fi vfs.FileInfo) error {
 func (ss *session) respondErr(bw *bufio.Writer, err error) error {
 	code := vfs.Code(err)
 	if code != 0 {
-		ss.srv.mRPCErrors.Inc()
+		ss.srv.Stats.RPCErrors.Inc()
 	}
 	return respondCode(bw, int64(code))
 }
@@ -814,13 +825,12 @@ func (ss *session) dispatch(line string, conn net.Conn, br *bufio.Reader, bw *bu
 	if sv == nil || !sv.wire.Prefix {
 		// A prefix verb annotates the request that follows; it is
 		// protocol overhead, not an RPC of its own.
-		srv.Stats.Requests.Add(1)
-		srv.mRequests.Inc()
+		srv.Stats.Requests.Inc()
 	}
 	if sv == nil {
 		// Unknown verb: nothing is known about a data phase, so nothing
 		// is consumed; the line framing is intact.
-		srv.mRPCUnknown.Inc()
+		srv.Stats.RPCUnknown.Inc()
 		return ss.respondErr(bw, vfs.EINVAL)
 	}
 	req, err := proto.ParseRequest(line)
@@ -841,18 +851,19 @@ func (ss *session) dispatch(line string, conn net.Conn, br *bufio.Reader, bw *bu
 	ss.reqDeadline, ss.armed = ss.armed, time.Time{}
 	if ss.deadlineLapsed() {
 		// Nobody is waiting for this answer; burn no cycles on it.
-		srv.Stats.DeadlineRejects.Add(1)
-		srv.mDeadlineRejects.Inc()
+		srv.Stats.DeadlineRejects.Inc()
 		return ss.reject(sv.wire, req, br, bw, vfs.ETIMEDOUT)
 	}
 	if err := srv.admission.acquire(sv.bulk); err != nil {
+		if err == vfs.EAGAIN {
+			srv.Stats.Shed.Inc()
+		}
 		return ss.reject(sv.wire, req, br, bw, err)
 	}
 	defer srv.admission.release()
 	if ss.deadlineLapsed() {
 		// The deadline lapsed while the request waited for admission.
-		srv.Stats.DeadlineRejects.Add(1)
-		srv.mDeadlineRejects.Inc()
+		srv.Stats.DeadlineRejects.Inc()
 		return ss.reject(sv.wire, req, br, bw, vfs.ETIMEDOUT)
 	}
 	if err := normPaths(sv.wire, req); err != nil {
@@ -924,7 +935,6 @@ func (ss *session) handlePread(req *proto.Request, conn net.Conn, br *bufio.Read
 		return ss.respondErr(bw, err)
 	}
 	ss.srv.Stats.BytesRead.Add(int64(n))
-	ss.srv.mBytesRead.Add(int64(n))
 	if err := respondCode(bw, int64(n)); err != nil {
 		return err
 	}
@@ -954,7 +964,6 @@ func (ss *session) handlePwrite(req *proto.Request, conn net.Conn, br *bufio.Rea
 	}
 	ss.srv.breakLeases(f.path)
 	ss.srv.Stats.BytesWriten.Add(int64(n))
-	ss.srv.mBytesWritten.Add(int64(n))
 	return respondCode(bw, int64(n))
 }
 
@@ -1209,8 +1218,7 @@ func (ss *session) handleGetfile(req *proto.Request, conn net.Conn, br *bufio.Re
 			}
 			n, err := io.Copy(tcp, &io.LimitedReader{R: osf, N: fi.Size})
 			ss.srv.Stats.BytesRead.Add(n)
-			ss.srv.mBytesRead.Add(n)
-			ss.srv.mBulkFast.Inc()
+			ss.srv.Stats.BulkFastpath.Inc()
 			if err != nil {
 				return err
 			}
@@ -1243,7 +1251,6 @@ func (ss *session) handleGetfile(req *proto.Request, conn net.Conn, br *bufio.Re
 		}
 		off += int64(n)
 		ss.srv.Stats.BytesRead.Add(int64(n))
-		ss.srv.mBytesRead.Add(int64(n))
 	}
 	return nil
 }
@@ -1319,8 +1326,7 @@ func (ss *session) handlePutfile(req *proto.Request, conn net.Conn, br *bufio.Re
 		// sequential writes from offset zero are exactly the body.
 		consumed, copyErr, transport := receiveBulk(osf, conn, br, req.Length)
 		ss.srv.Stats.BytesWriten.Add(consumed)
-		ss.srv.mBytesWritten.Add(consumed)
-		ss.srv.mBulkFast.Inc()
+		ss.srv.Stats.BulkFastpath.Inc()
 		if copyErr != nil {
 			f.Close()
 			if transport {
@@ -1369,7 +1375,6 @@ func (ss *session) handlePutfile(req *proto.Request, conn net.Conn, br *bufio.Re
 		}
 		off += want
 		ss.srv.Stats.BytesWriten.Add(want)
-		ss.srv.mBytesWritten.Add(want)
 	}
 	if err := f.Close(); err != nil {
 		return ss.respondErr(bw, err)
@@ -1469,12 +1474,24 @@ func (ss *session) handleStatfs(req *proto.Request, conn net.Conn, br *bufio.Rea
 	return err
 }
 
-// Describe summarizes the server for catalog reports.
-func (s *Server) Describe() (name, owner string, info vfs.FSInfo, rootACL string) {
-	info, _ = s.fs.StatFS()
-	list, err := s.effectiveACL("/", false)
-	if err == nil {
-		rootACL = strings.TrimRight(string(list.Encode()), "\n")
+// Report is the server's catalog report (§4): who it is, its capacity
+// and root ACL, and its load from Stats. Addr is the advertised name; a
+// server that knows its listener address overrides it.
+func (s *Server) Report() catalog.Report {
+	r := catalog.Report{
+		Name:         s.cfg.Name,
+		Addr:         s.cfg.Name,
+		Owner:        string(s.cfg.Owner),
+		Connections:  s.Stats.Connections.Load(),
+		Requests:     s.Stats.Requests.Load(),
+		BytesRead:    s.Stats.BytesRead.Load(),
+		BytesWritten: s.Stats.BytesWriten.Load(),
 	}
-	return s.cfg.Name, string(s.cfg.Owner), info, rootACL
+	if info, err := s.fs.StatFS(); err == nil {
+		r.TotalBytes, r.FreeBytes = info.TotalBytes, info.FreeBytes
+	}
+	if list, err := s.effectiveACL("/", false); err == nil {
+		r.RootACL = strings.TrimRight(string(list.Encode()), "\n")
+	}
+	return r
 }

@@ -50,8 +50,6 @@ type admission struct {
 
 	mInflight   *obs.Gauge
 	mQueueDepth *obs.Gauge
-	mShed       *obs.Counter
-	stats       *ServerStats
 }
 
 // newAdmission builds the admission gate for one server. queueCap <= 0
@@ -60,7 +58,7 @@ type admission struct {
 // control-plane headroom is a quarter of max, at least one slot: big
 // enough that metadata stays responsive while every bulk slot streams,
 // small enough that a control-plane storm is still bounded.
-func newAdmission(max, queueCap int, timeout time.Duration, stats *ServerStats, reg *obs.Registry) *admission {
+func newAdmission(max, queueCap int, timeout time.Duration, reg *obs.Registry) *admission {
 	if queueCap <= 0 {
 		queueCap = max
 	}
@@ -77,12 +75,10 @@ func newAdmission(max, queueCap int, timeout time.Duration, stats *ServerStats, 
 		queueCap: queueCap,
 		timeout:  timeout,
 		drainCh:  make(chan struct{}),
-		stats:    stats,
 	}
 	if reg != nil {
 		a.mInflight = reg.Gauge("chirp_server.inflight")
 		a.mQueueDepth = reg.Gauge("chirp_server.queue_depth")
-		a.mShed = reg.Counter("chirp_server.shed_total")
 	}
 	return a
 }
@@ -117,7 +113,6 @@ func (a *admission) acquire(bulk bool) error {
 	}
 	if len(*q) >= a.queueCap {
 		a.mu.Unlock()
-		a.shed()
 		return vfs.EAGAIN
 	}
 	ch := make(chan struct{})
@@ -133,7 +128,6 @@ func (a *admission) acquire(bulk bool) error {
 		return nil
 	case <-t.C:
 		if a.cancel(ch) {
-			a.shed()
 			return vfs.EAGAIN
 		}
 		// A grant raced the timeout; the slot is ours after all.
@@ -200,14 +194,6 @@ func (a *admission) cancel(ch chan struct{}) bool {
 		}
 	}
 	return false
-}
-
-// shed records one refused request.
-func (a *admission) shed() {
-	a.mShed.Inc()
-	if a.stats != nil {
-		a.stats.Shed.Add(1)
-	}
 }
 
 // drain fails every queued-but-unstarted waiter with ESHUTDOWN and

@@ -40,8 +40,7 @@ func (ss *session) deadlineLapsed() bool {
 // lapsed mid-stream: the client's own timeout has already fired, so the
 // connection is torn down rather than fed bytes nobody will read.
 func (ss *session) abortStream() error {
-	ss.srv.Stats.DeadlineRejects.Add(1)
-	ss.srv.mDeadlineRejects.Inc()
+	ss.srv.Stats.DeadlineRejects.Inc()
 	return fmt.Errorf("chirp: deadline lapsed mid-transfer")
 }
 

@@ -252,7 +252,6 @@ func (s *Server) breakLeaseTrees(dirs ...string) {
 func (s *Server) countBreaks(n int) {
 	if n > 0 {
 		s.Stats.LeaseBreaks.Add(int64(n))
-		s.mLeaseBreaks.Add(int64(n))
 	}
 }
 
@@ -264,8 +263,7 @@ func (ss *session) handleLease(req *proto.Request, conn net.Conn, br *bufio.Read
 		return ss.respondErr(bw, err)
 	}
 	id, version, ttl := ss.srv.leases.grant(path, ss.subject, &ss.leases)
-	ss.srv.Stats.LeaseGrants.Add(1)
-	ss.srv.mLeaseGrants.Inc()
+	ss.srv.Stats.LeaseGrants.Inc()
 	if err := respondCode(bw, 0); err != nil {
 		return err
 	}

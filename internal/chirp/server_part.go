@@ -152,8 +152,7 @@ func (ss *session) handlePutpart(req *proto.Request, conn net.Conn, br *bufio.Re
 				}
 				consumed, copyErr, transport := receiveBulk(osf, conn, br, req.Length)
 				ss.srv.Stats.BytesWriten.Add(consumed)
-				ss.srv.mBytesWritten.Add(consumed)
-				ss.srv.mMultipartFast.Inc()
+				ss.srv.Stats.MultipartFastpath.Inc()
 				if copyErr != nil {
 					f.Close()
 					if transport {
@@ -206,7 +205,6 @@ func (ss *session) handlePutpart(req *proto.Request, conn net.Conn, br *bufio.Re
 		}
 		done += want
 		ss.srv.Stats.BytesWriten.Add(want)
-		ss.srv.mBytesWritten.Add(want)
 	}
 	if req.Algo != "" {
 		line, err := proto.ReadLine(br)
@@ -332,8 +330,7 @@ func (ss *session) handleGetpart(req *proto.Request, conn net.Conn, br *bufio.Re
 				}
 				sent, err = io.Copy(tcp, &io.LimitedReader{R: osf, N: n})
 				ss.srv.Stats.BytesRead.Add(sent)
-				ss.srv.mBytesRead.Add(sent)
-				ss.srv.mMultipartFast.Inc()
+				ss.srv.Stats.MultipartFastpath.Inc()
 				if err != nil {
 					return err
 				}
@@ -370,7 +367,6 @@ func (ss *session) handleGetpart(req *proto.Request, conn net.Conn, br *bufio.Re
 		}
 		sent += int64(got)
 		ss.srv.Stats.BytesRead.Add(int64(got))
-		ss.srv.mBytesRead.Add(int64(got))
 	}
 	if req.Algo != "" {
 		ss.scratch = append(proto.AppendDigestTrailer(ss.scratch[:0], req.Algo, h.Sum(nil)), '\n')

@@ -99,7 +99,6 @@ func (ss *session) handleGetfilesum(req *proto.Request, conn net.Conn, br *bufio
 		}
 		off += int64(n)
 		ss.srv.Stats.BytesRead.Add(int64(n))
-		ss.srv.mBytesRead.Add(int64(n))
 	}
 	ss.scratch = append(proto.AppendDigestTrailer(ss.scratch[:0], req.Algo, h.Sum(nil)), '\n')
 	_, err = bw.Write(ss.scratch)
@@ -167,7 +166,6 @@ func (ss *session) handlePutfilesum(req *proto.Request, conn net.Conn, br *bufio
 		}
 		off += want
 		ss.srv.Stats.BytesWriten.Add(want)
-		ss.srv.mBytesWritten.Add(want)
 	}
 	line, err := proto.ReadLine(br)
 	if err != nil {

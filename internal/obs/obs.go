@@ -6,12 +6,19 @@
 // (Figures 3-9), and its users distrust transparent layers (§3); obs
 // makes every layer of a running stack report what it is doing. A
 // Registry holds named metrics, which the adapter, cache, mirror and
-// Chirp client and server record into under their own layer prefix;
-// Handler publishes a snapshot over HTTP. The per-layer decomposition
-// of one operation is the repository benchmark's trace (benchmark/).
+// Chirp client and server record into under their own prefix; Handler
+// publishes a snapshot over HTTP. The per-layer decomposition of one
+// operation is the repository benchmark's trace (benchmark/).
+//
+// The registry is the only store of counts: a component's Stats are
+// handles to its registry counters, so each event is counted once. A
+// component built without a registry takes its counters from a private
+// one (OrNew) and leaves its gauges and histograms nil. Counters are
+// shared by name, so components wired to one registry add into one
+// series: give each component whose Stats are read alone its own.
 //
 // All metric types are safe for concurrent use, and every method is
-// nil-receiver-safe: a component wired with a nil *Counter (because no
+// nil-receiver-safe: a component wired with a nil *Histogram (because no
 // registry was configured) pays a single predictable branch, so
 // instrumentation can be threaded through hot paths unconditionally.
 package obs
@@ -39,8 +46,8 @@ func (c *Counter) Add(n int64) {
 // Inc increments the counter by one. Safe on a nil receiver (no-op).
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count. Safe on a nil receiver (zero).
-func (c *Counter) Value() int64 {
+// Load returns the current count. Safe on a nil receiver (zero).
+func (c *Counter) Load() int64 {
 	if c == nil {
 		return 0
 	}
@@ -69,8 +76,8 @@ func (g *Gauge) Add(delta int64) {
 	g.v.Add(delta)
 }
 
-// Value returns the current value. Safe on a nil receiver (zero).
-func (g *Gauge) Value() int64 {
+// Load returns the current value. Safe on a nil receiver (zero).
+func (g *Gauge) Load() int64 {
 	if g == nil {
 		return 0
 	}
@@ -261,24 +268,22 @@ func NewRegistry() *Registry {
 	}
 }
 
+// OrNew returns r, or a new private registry when r is nil: where a
+// component takes its Stats counters, so they count with or without a
+// configured registry.
+func OrNew(r *Registry) *Registry {
+	if r == nil {
+		return NewRegistry()
+	}
+	return r
+}
+
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return getOrCreate(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -286,19 +291,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return getOrCreate(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -306,19 +299,24 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
+	return getOrCreate(r, r.histograms, name, newHistogram)
+}
+
+// getOrCreate returns m[name], creating it with mk under r's lock.
+func getOrCreate[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.RLock()
-	h := r.histograms[name]
+	v := m[name]
 	r.mu.RUnlock()
-	if h != nil {
-		return h
+	if v != nil {
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.histograms[name]; h == nil {
-		h = newHistogram()
-		r.histograms[name] = h
+	if v = m[name]; v == nil {
+		v = mk()
+		m[name] = v
 	}
-	return h
+	return v
 }
 
 // Snapshot freezes the registry. Safe on a nil receiver (empty).
@@ -329,23 +327,21 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for k, c := range r.counters {
-			s.Counters[k] = c.Value()
-		}
-	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges))
-		for k, g := range r.gauges {
-			s.Gauges[k] = g.Value()
-		}
-	}
-	if len(r.histograms) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(r.histograms))
-		for k, h := range r.histograms {
-			s.Histograms[k] = h.Snap()
-		}
-	}
+	s.Counters = snap(r.counters, (*Counter).Load)
+	s.Gauges = snap(r.gauges, (*Gauge).Load)
+	s.Histograms = snap(r.histograms, (*Histogram).Snap)
 	return s
+}
+
+// snap reads every metric of m with read; nil when m is empty, so an
+// unused kind is omitted from the JSON form.
+func snap[T, V any](m map[string]*T, read func(*T) V) map[string]V {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[string]V, len(m))
+	for k, v := range m {
+		out[k] = read(v)
+	}
+	return out
 }

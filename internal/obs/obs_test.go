@@ -11,14 +11,14 @@ func TestNilMetricsAreSafe(t *testing.T) {
 	var c *Counter
 	c.Add(5)
 	c.Inc()
-	if got := c.Value(); got != 0 {
-		t.Errorf("nil Counter.Value() = %d, want 0", got)
+	if got := c.Load(); got != 0 {
+		t.Errorf("nil Counter.Load() = %d, want 0", got)
 	}
 	var g *Gauge
 	g.Set(7)
 	g.Add(-2)
-	if got := g.Value(); got != 0 {
-		t.Errorf("nil Gauge.Value() = %d, want 0", got)
+	if got := g.Load(); got != 0 {
+		t.Errorf("nil Gauge.Load() = %d, want 0", got)
 	}
 	var h *Histogram
 	h.Observe(time.Millisecond)

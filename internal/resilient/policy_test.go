@@ -69,19 +69,19 @@ func TestBreakerStateChangeGauge(t *testing.T) {
 		},
 	})
 
-	if gauge.Value() != int64(Closed) {
-		t.Fatalf("initial gauge = %d", gauge.Value())
+	if gauge.Load() != int64(Closed) {
+		t.Fatalf("initial gauge = %d", gauge.Load())
 	}
 	// Two consecutive transport failures trip the breaker.
 	b.Record(vfs.ENOTCONN)
-	if gauge.Value() != int64(Closed) {
+	if gauge.Load() != int64(Closed) {
 		t.Fatal("gauge moved before threshold")
 	}
 	if !b.Record(vfs.ENOTCONN) {
 		t.Fatal("threshold failure did not trip")
 	}
-	if gauge.Value() != int64(Open) {
-		t.Fatalf("gauge after trip = %d, want %d (open)", gauge.Value(), Open)
+	if gauge.Load() != int64(Open) {
+		t.Fatalf("gauge after trip = %d, want %d (open)", gauge.Load(), Open)
 	}
 
 	// The re-probe delay elapses; winning the probe is half-open.
@@ -89,14 +89,14 @@ func TestBreakerStateChangeGauge(t *testing.T) {
 	if !b.TryProbe() {
 		t.Fatal("probe not granted after re-probe delay")
 	}
-	if gauge.Value() != int64(HalfOpen) {
-		t.Fatalf("gauge during probe = %d, want %d (half-open)", gauge.Value(), HalfOpen)
+	if gauge.Load() != int64(HalfOpen) {
+		t.Fatalf("gauge during probe = %d, want %d (half-open)", gauge.Load(), HalfOpen)
 	}
 
 	// A failed probe re-opens with a doubled delay...
 	b.RecordProbe(vfs.ENOTCONN)
-	if gauge.Value() != int64(Open) {
-		t.Fatalf("gauge after failed probe = %d, want %d (open)", gauge.Value(), Open)
+	if gauge.Load() != int64(Open) {
+		t.Fatalf("gauge after failed probe = %d, want %d (open)", gauge.Load(), Open)
 	}
 	// ...and a successful probe after the next window re-admits.
 	clk.advance(3 * time.Second)
@@ -106,8 +106,8 @@ func TestBreakerStateChangeGauge(t *testing.T) {
 	if !b.RecordProbe(nil) {
 		t.Fatal("successful probe did not re-admit")
 	}
-	if gauge.Value() != int64(Closed) {
-		t.Fatalf("gauge after re-admit = %d, want %d (closed)", gauge.Value(), Closed)
+	if gauge.Load() != int64(Closed) {
+		t.Fatalf("gauge after re-admit = %d, want %d (closed)", gauge.Load(), Closed)
 	}
 
 	want := [][2]State{

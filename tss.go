@@ -189,14 +189,7 @@ func buildServer(name, root string, opts FileServerOptions) (*chirp.Server, func
 			sends = append(sends, catalog.SendLocal(c))
 		}
 		rep := &catalog.Reporter{
-			Describe: func() catalog.Report {
-				n, o, info, rootACL := srv.Describe()
-				return catalog.Report{
-					Name: n, Addr: n, Owner: o,
-					TotalBytes: info.TotalBytes, FreeBytes: info.FreeBytes,
-					RootACL: rootACL,
-				}
-			},
+			Describe: srv.Report,
 			Send:     sends,
 			Interval: opts.CatalogInterval,
 		}

@@ -186,6 +186,40 @@ func TestFacadeCatalogDiscovery(t *testing.T) {
 	}
 }
 
+// A facade server's catalog report carries its load, as chirpd's does.
+func TestFacadeCatalogReportsLoad(t *testing.T) {
+	nw := tss.NewSimNetwork()
+	cat := tss.NewCatalog(time.Minute)
+	stop, err := tss.StartFileServerOn(nw, "busy.sim", tempDir(t), tss.FileServerOptions{
+		Catalogs:        []*tss.Catalog{cat},
+		CatalogInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	cli, err := tss.DialSim(nw, "busy.sim", "busy.sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := tss.WriteFile(cli, "/f", []byte("load"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(3 * time.Second)
+	for {
+		rep, _ := cat.Lookup("busy.sim")
+		if rep.Requests > 0 && rep.Connections > 0 && rep.BytesWritten > 0 {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("catalog report after traffic = %+v, want load", rep)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
 func TestFacadeGEMS(t *testing.T) {
 	s1, _ := tss.NewLocalFS(tempDir(t))
 	s2, _ := tss.NewLocalFS(tempDir(t))
