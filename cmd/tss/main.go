@@ -23,7 +23,7 @@
 // All transfer verbs (get, put, cp) share one flag set: -P <n> fans a
 // large transfer out as n parallel multipart streams over a connection
 // pool, -chunk <size> sets the multipart chunk size, -verify checks
-// digests end to end, and -pool N sizes the pooled transport (raised
+// digests end to end, and -pool N sizes the transport (raised
 // to -P automatically, so the parallel chunks actually get their own
 // connections). cp accepts host:port:/path remote specs on either
 // side, so remote-to-remote copies stream through the client without
@@ -52,17 +52,17 @@ import (
 // errDone ends leading-flag parsing when the verb is reached.
 var errDone = errors.New("done")
 
-// transport is the client surface the CLI drives, satisfied by both the
-// single-connection *chirp.Client and the multi-connection *chirp.Pool.
-type transport interface {
-	vfs.FileSystem
-	GetFile(path string, w io.Writer) (int64, error)
-	Checksum(path, algo string) (string, error)
-	Whoami() (auth.Subject, error)
-	GetACL(path string) ([]string, error)
-	SetACL(path, subject, rights string) error
-	Reconnect() error
-	Close() error
+// dial connects one transport of up to poolSize connections to addr.
+func dial(addr string, creds []auth.Credential, timeout time.Duration, poolSize int, verify bool) (*chirp.Client, error) {
+	return chirp.Dial(chirp.ClientConfig{
+		Dial: func() (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, 10*time.Second)
+		},
+		Credentials: creds,
+		Timeout:     timeout,
+		PoolSize:    poolSize,
+		Verify:      verify,
+	})
 }
 
 func usage() {
@@ -221,22 +221,7 @@ func main() {
 	}
 	verb, addr, args := argv[0], argv[1], argv[2:]
 
-	cfg := chirp.ClientConfig{
-		Dial: func() (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 10*time.Second)
-		},
-		Credentials: creds,
-		Timeout:     timeout,
-		PoolSize:    poolSize,
-		Verify:      verify,
-	}
-	var client transport
-	var err error
-	if poolSize > 1 {
-		client, err = chirp.NewPool(cfg)
-	} else {
-		client, err = chirp.Dial(cfg)
-	}
+	client, err := dial(addr, creds, timeout, poolSize, verify)
 	if err != nil {
 		fatal(err)
 	}
@@ -451,27 +436,12 @@ func runCp(args []string, creds []auth.Credential, timeout time.Duration, poolSi
 	if len(args) != 2 {
 		usage()
 	}
-	clients := make(map[string]transport)
-	dialOne := func(addr string) transport {
+	clients := make(map[string]*chirp.Client)
+	dialOne := func(addr string) *chirp.Client {
 		if c, ok := clients[addr]; ok {
 			return c
 		}
-		cfg := chirp.ClientConfig{
-			Dial: func() (net.Conn, error) {
-				return net.DialTimeout("tcp", addr, 10*time.Second)
-			},
-			Credentials: creds,
-			Timeout:     timeout,
-			PoolSize:    poolSize,
-			Verify:      opts.Verify,
-		}
-		var c transport
-		var err error
-		if poolSize > 1 {
-			c, err = chirp.NewPool(cfg)
-		} else {
-			c, err = chirp.Dial(cfg)
-		}
+		c, err := dial(addr, creds, timeout, poolSize, opts.Verify)
 		if err != nil {
 			fatal(err)
 		}

@@ -36,11 +36,11 @@ type serverSlot struct {
 }
 
 // clientStack is one client's complete view of the system: a chirp
-// pool per replica, a faultfs wrapper per pool (that client's storage
-// fault plane), and the quorum mirror on top.
+// client per replica, a faultfs wrapper per client (its storage fault
+// plane), and the quorum mirror on top.
 type clientStack struct {
 	host   string
-	pools  []*chirp.Pool
+	pools  []*chirp.Client
 	faults []*faultfs.FS
 	fs     *abstraction.MirrorFS
 }
@@ -123,7 +123,7 @@ func buildStack(cfg Config) (*stack, error) {
 		replicas := make([]vfs.FileSystem, cfg.Replicas)
 		for i := 0; i < cfg.Replicas; i++ {
 			host, name := cs.host, replicaName(i)
-			pool, err := chirp.NewPool(chirp.ClientConfig{
+			pool, err := chirp.Dial(chirp.ClientConfig{
 				Dial: func() (net.Conn, error) {
 					return s.net.DialFrom(host, name, netsim.Loopback)
 				},

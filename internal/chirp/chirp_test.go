@@ -335,8 +335,9 @@ func TestRmdirTreatsACLOnlyDirAsEmpty(t *testing.T) {
 }
 
 // §4: "a file descriptor returned by open is only valid for the
-// duration of the connection" — after a reconnect, old descriptors
-// fence with ENOTCONN and the server has released its state.
+// duration of the connection" — once a dropped connection is repaired,
+// old descriptors fence with ENOTCONN and the server has released its
+// state.
 func TestFDInvalidAfterReconnect(t *testing.T) {
 	ts := startServer(t, nil)
 	c := ts.client(t, "owner.sim")
@@ -346,6 +347,17 @@ func TestFDInvalidAfterReconnect(t *testing.T) {
 	f, err := c.Open("/f", vfs.O_RDONLY, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Sever the transport out from under the client, as a network
+	// partition would; Reconnect repairs only a connection known dead,
+	// so the next RPC has to notice first.
+	cn := c.members[0]
+	cn.mu.Lock()
+	conn := cn.nc
+	cn.mu.Unlock()
+	conn.Close()
+	if _, err := c.Stat("/f"); vfs.AsErrno(err) != vfs.ENOTCONN {
+		t.Fatalf("stat on severed connection = %v, want ENOTCONN", err)
 	}
 	if err := c.Reconnect(); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"hash"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,13 +32,10 @@ type ClientConfig struct {
 	// ("chirp_client.rpc.<verb>") and reconnect/error counters. Nil
 	// disables instrumentation at zero cost.
 	Metrics *obs.Registry
-	// PoolSize is the maximum number of concurrently open connections a
-	// NewPool transport maintains to the server (default 1). Dial
-	// ignores it: a Client is always exactly one connection.
+	// PoolSize is the most connections the client keeps open to the
+	// server (default 1). Dial opens the first; the rest are dialed
+	// lazily, when every open one is busy.
 	PoolSize int
-	// IdleTimeout is how long a surplus pool connection may sit idle
-	// before NewPool reaps it (0 = keep forever). Dial ignores it.
-	IdleTimeout time.Duration
 	// Verify enables end-to-end digest verification of whole-file
 	// transfers: GetFile/PutFile use the getfilesum/putfilesum verbs,
 	// which carry a digest trailer the receiving side checks. A server
@@ -47,14 +45,32 @@ type ClientConfig struct {
 	Verify bool
 }
 
-// Client speaks the Chirp protocol to one file server. It implements
-// vfs.FileSystem, making a remote server interchangeable with a local
-// directory — the recursive storage abstraction of §3.
+// Client speaks the Chirp protocol to one file server over up to
+// PoolSize connections. It implements vfs.FileSystem, making a remote
+// server interchangeable with a local directory — the recursive storage
+// abstraction of §3 — and every abstraction above it inherits the
+// connection parallelism unchanged.
 //
-// A Client is safe for concurrent use; requests are serialized on the
-// single connection, exactly as the protocol requires.
+// The protocol serializes requests on a connection, so a Client keeps
+// a list of them:
+//
+//   - Stateless RPCs (stat, getdir, unlink, getfile, putfile, ...) go to
+//     the least-loaded connection, dialing a new one lazily while the
+//     list may still grow and the server is not pushing back.
+//   - Descriptor RPCs (pread, pwrite, fstat, ftruncate, fsync, close)
+//     are pinned to the connection that performed the open: Chirp
+//     descriptors are connection-scoped (§4), so affinity is a
+//     correctness requirement, not an optimization. The open itself is
+//     a least-loaded placement choice.
+//
+// Failure isolation is per connection: each keeps its own generation
+// fence, so a connection dropping mid-read invalidates only the
+// descriptors opened on it (they return ENOTCONN) while I/O on the
+// others proceeds undisturbed. Reconnect repairs exactly the dead
+// connections. A Client is safe for concurrent use.
 type Client struct {
-	cfg ClientConfig
+	cfg  ClientConfig
+	size int
 
 	// Per-verb round-trip histograms and connection-health counters,
 	// pre-resolved at Dial; all nil without a registry.
@@ -62,23 +78,58 @@ type Client struct {
 	mRPCErrors  *obs.Counter
 	mReconnects *obs.Counter
 
+	// refused is the proto.Feature mask of verb groups the server
+	// answered EINVAL to: it predates them, so the client stops probing
+	// and takes each group's fallback (plain transfers, TTL-only caching,
+	// no deadline prefix) until the next Reconnect. Every connection
+	// speaks to the same server, so one memo serves them all.
+	refused atomic.Uint32
+
 	mu      sync.Mutex
-	conn    net.Conn
+	members []*conn
+	dialing int // connections being dialed outside the lock, counted toward size
+	closed  bool
+
+	// pushbackUntil marks the end of the server's pushback window: an
+	// RPC answered EAGAIN, meaning the server is shedding load
+	// (DESIGN.md §15). While the window is open the client stops
+	// growing — dialing extra connections at a server that just asked
+	// for room would convert its pushback into more offered load.
+	// Existing connections keep serving.
+	pushbackUntil time.Time
+}
+
+// Pool is Client. It exists only because the benchmark (benchmark/)
+// still names it; ROADMAP item 5a deletes it.
+type Pool = Client
+
+// NewPool is Dial, kept on the same terms as Pool.
+func NewPool(cfg ClientConfig) (*Client, error) { return Dial(cfg) }
+
+// poolPushbackWindow is how long one EAGAIN suppresses lazy growth.
+// Matches the order of a retry backoff, so the client does not expand
+// in the middle of the very burst being shed.
+const poolPushbackWindow = time.Second
+
+// conn is one authenticated connection: the socket and its buffered
+// halves, owned by mu for a whole round trip, and the generation that
+// fences the descriptors opened on it.
+type conn struct {
+	mu      sync.Mutex
+	nc      net.Conn
 	br      *bufio.Reader
 	bw      *bufio.Writer
 	subject auth.Subject
-	gen     uint64 // connection generation; stale fds are fenced by it
+	gen     uint64 // bumped by every dial and every failure
 
-	// connected mirrors conn != nil without taking mu. The pool's
-	// dispatcher consults liveness on every acquire; going through mu
-	// would block behind whatever RPC currently holds the connection.
+	// connected mirrors nc != nil without taking mu. The dispatcher
+	// consults liveness on every acquire; going through mu would block
+	// behind whatever RPC currently holds the connection.
 	connected atomic.Bool
 
-	// refused is the proto.Feature mask of verb groups the connected
-	// server answered EINVAL to: it predates them, so this client stops
-	// probing and takes each group's fallback (plain transfers, TTL-only
-	// caching, no deadline prefix) until the next Reconnect.
-	refused atomic.Uint32
+	// Placement load, guarded by Client.mu.
+	inflight int // RPCs currently dispatched on this connection
+	openFDs  int // live descriptors pinned to it
 }
 
 var (
@@ -88,14 +139,18 @@ var (
 	_ vfs.FileGetter  = (*Client)(nil)
 	_ vfs.FilePutter  = (*Client)(nil)
 	_ vfs.OpenStater  = (*Client)(nil)
+	_ vfs.Checksummer = (*Client)(nil)
+	_ vfs.PartGetter  = (*Client)(nil)
+	_ vfs.PartPutter  = (*Client)(nil)
+	_ vfs.Leaser      = (*Client)(nil)
 )
 
-// Dial connects and authenticates a new client.
+// Dial connects and authenticates the client's first connection.
 func Dial(cfg ClientConfig) (*Client, error) {
 	if cfg.Dial == nil {
 		return nil, fmt.Errorf("chirp: ClientConfig.Dial is required")
 	}
-	c := &Client{cfg: cfg}
+	c := &Client{cfg: cfg, size: max(cfg.PoolSize, 1)}
 	if reg := cfg.Metrics; reg != nil {
 		c.rpcHist = make(map[string]*obs.Histogram, len(proto.Verbs))
 		for _, v := range proto.Verbs {
@@ -104,10 +159,252 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		c.mRPCErrors = reg.Counter("chirp_client.rpc_errors")
 		c.mReconnects = reg.Counter("chirp_client.reconnects")
 	}
-	if err := c.Reconnect(); err != nil {
+	cn := new(conn)
+	if err := c.connect(cn); err != nil {
 		return nil, err
 	}
+	c.members = []*conn{cn}
 	return c, nil
+}
+
+// DialTCP is a convenience for connecting over TCP.
+func DialTCP(addr string, creds []auth.Credential, timeout time.Duration) (*Client, error) {
+	return Dial(ClientConfig{
+		Dial: func() (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, 10*time.Second)
+		},
+		Credentials: creds,
+		Timeout:     timeout,
+	})
+}
+
+// connect dials cn and runs the authentication dialog on it. A
+// connection found live (repaired meanwhile by another caller) is left
+// alone.
+func (c *Client) connect(cn *conn) error {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	if cn.nc != nil {
+		return nil
+	}
+	nc, err := c.cfg.Dial()
+	if err != nil {
+		return vfs.ENOTCONN
+	}
+	br := bufio.NewReader(nc)
+	bw := bufio.NewWriter(nc)
+	//lint:ignore lockheld cn.mu owns the connection being established; the auth dialog must finish before any RPC may use it
+	subject, err := auth.Login(br, flushWriter{bw}, c.cfg.Credentials...)
+	if err != nil {
+		nc.Close()
+		return fmt.Errorf("chirp: authentication: %w", err)
+	}
+	cn.nc, cn.br, cn.bw, cn.subject = nc, br, bw, subject
+	cn.connected.Store(true)
+	cn.gen++
+	if cn.gen > 1 {
+		// The first connection is a dial; everything after is a repair.
+		c.mReconnects.Inc()
+	}
+	return nil
+}
+
+// alive reports whether cn holds a live connection. It reads the
+// mirror flag rather than taking mu, which an in-flight RPC holds for
+// its full round trip.
+func (cn *conn) alive() bool { return cn.connected.Load() }
+
+// close tears the connection down; the server releases its state.
+func (cn *conn) close() error {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	if cn.nc == nil {
+		return nil
+	}
+	err := cn.nc.Close()
+	cn.nc = nil
+	cn.connected.Store(false)
+	return err
+}
+
+// fail abandons the connection after a transport error and fences
+// every descriptor opened on it, so stale fds fail fast instead of
+// being replayed against a future connection. The returned errno keeps
+// the §6 failure vocabulary: an expired RPC deadline is ETIMEDOUT,
+// everything else ENOTCONN. Caller holds cn.mu.
+func (cn *conn) fail(err error) vfs.Errno {
+	// Clear the per-RPC deadline before abandoning: the net.Conn may be
+	// shared with in-flight readers that should see the close, not a
+	// stale deadline error.
+	cn.nc.SetDeadline(time.Time{})
+	cn.nc.Close()
+	cn.nc = nil
+	cn.connected.Store(false)
+	cn.gen++
+	if vfs.AsErrno(err) == vfs.ETIMEDOUT {
+		return vfs.ETIMEDOUT
+	}
+	return vfs.ENOTCONN
+}
+
+// loadOf is the placement cost of a connection: RPCs in flight plus
+// the descriptors pinned to it (each predicts future descriptor RPCs
+// that have no choice of connection).
+func loadOf(cn *conn) int { return cn.inflight + cn.openFDs }
+
+// leastLoadedLocked returns the best dispatch target, preferring live
+// connections; a dead one is returned only when nothing is alive, so
+// the caller surfaces ENOTCONN and the recovery protocol takes over.
+// Caller holds c.mu.
+func (c *Client) leastLoadedLocked() *conn {
+	var best, bestDead *conn
+	for _, cn := range c.members {
+		if !cn.alive() {
+			if bestDead == nil || loadOf(cn) < loadOf(bestDead) {
+				bestDead = cn
+			}
+			continue
+		}
+		if best == nil || loadOf(cn) < loadOf(best) {
+			best = cn
+		}
+	}
+	if best == nil {
+		return bestDead
+	}
+	return best
+}
+
+// acquire reserves a connection for one RPC: the least-loaded one, or
+// a lazily dialed new one when every connection is busy and the client
+// may still grow. The dial happens outside the lock so dispatch never
+// blocks behind connection setup.
+func (c *Client) acquire() (*conn, error) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, vfs.ENOTCONN
+	}
+	best := c.leastLoadedLocked()
+	if best != nil && loadOf(best) == 0 && best.alive() {
+		best.inflight++
+		c.mu.Unlock()
+		return best, nil
+	}
+	if len(c.members)+c.dialing < c.size && time.Now().After(c.pushbackUntil) {
+		c.dialing++
+		c.mu.Unlock()
+		cn := new(conn)
+		err := c.connect(cn)
+		c.mu.Lock()
+		c.dialing--
+		if err == nil {
+			if c.closed {
+				c.mu.Unlock()
+				cn.close()
+				return nil, vfs.ENOTCONN
+			}
+			cn.inflight = 1
+			c.members = append(c.members, cn)
+			c.mu.Unlock()
+			return cn, nil
+		}
+		// The dial failed; share the least-loaded existing connection.
+		best = c.leastLoadedLocked()
+	}
+	if best == nil {
+		c.mu.Unlock()
+		return nil, vfs.ENOTCONN
+	}
+	best.inflight++
+	c.mu.Unlock()
+	return best, nil
+}
+
+// release returns a connection after one RPC.
+func (c *Client) release(cn *conn) {
+	c.mu.Lock()
+	cn.inflight--
+	c.mu.Unlock()
+}
+
+// notePushback opens the pushback window when an RPC was answered with
+// EAGAIN: the server is shedding, so the client must not grow into it.
+func (c *Client) notePushback(err error) {
+	if vfs.AsErrno(err) != vfs.EAGAIN {
+		return
+	}
+	c.mu.Lock()
+	c.pushbackUntil = time.Now().Add(poolPushbackWindow)
+	c.mu.Unlock()
+}
+
+// Conns reports the number of live connections.
+func (c *Client) Conns() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, cn := range c.members {
+		if cn.alive() {
+			n++
+		}
+	}
+	return n
+}
+
+// Subject returns the subject granted at authentication.
+func (c *Client) Subject() auth.Subject {
+	c.mu.Lock()
+	cn := c.members[0]
+	c.mu.Unlock()
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	return cn.subject
+}
+
+// Reconnect repairs exactly the dead connections, leaving live ones —
+// and the descriptors pinned to them — alone (vfs.Reconnector). It
+// also forgets what the server refused: the peer may have been
+// upgraded, so the next RPC of each feature group probes afresh.
+// Descriptors opened on a repaired connection stay fenced with
+// ENOTCONN; the adapter layer is responsible for re-opening them. A
+// closed client is reopened the same way.
+func (c *Client) Reconnect() error {
+	c.mu.Lock()
+	c.closed = false
+	members := slices.Clone(c.members)
+	c.mu.Unlock()
+	c.refused.Store(0)
+	var firstErr error
+	for _, cn := range members {
+		if cn.alive() {
+			continue
+		}
+		if err := c.connect(cn); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// Close tears down every connection; the server releases all
+// per-connection state. RPCs fail with ENOTCONN until Reconnect.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil
+	}
+	c.closed = true
+	members := slices.Clone(c.members)
+	c.mu.Unlock()
+	var firstErr error
+	for _, cn := range members {
+		if err := cn.close(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // observeRPC times one round trip into the per-verb histogram and
@@ -123,13 +420,13 @@ func (c *Client) observeRPC(verb string, start time.Time, err error) {
 	}
 }
 
-// supports reports whether the connected server is still believed to
-// speak feature group f.
+// supports reports whether the server is still believed to speak
+// feature group f.
 func (c *Client) supports(f proto.Feature) bool {
 	return c.refused.Load()&f.Bit() == 0
 }
 
-// refuse memoizes that the connected server predates feature group f.
+// refuse memoizes that the server predates feature group f.
 func (c *Client) refuse(f proto.Feature) {
 	for {
 		old := c.refused.Load()
@@ -145,121 +442,6 @@ func (c *Client) refuse(f proto.Feature) {
 // so callers with a plain-verb fallback memoize only once it succeeds.
 func legacyRefusal(err error) bool {
 	return vfs.AsErrno(err) == vfs.EINVAL && !errors.Is(err, vfs.ErrIntegrity)
-}
-
-// DialTCP is a convenience for connecting over TCP.
-func DialTCP(addr string, creds []auth.Credential, timeout time.Duration) (*Client, error) {
-	return Dial(ClientConfig{
-		Dial: func() (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 10*time.Second)
-		},
-		Credentials: creds,
-		Timeout:     timeout,
-	})
-}
-
-// Reconnect (re-)establishes the transport and authenticates. Any file
-// descriptors from a previous connection become invalid, returning
-// ENOTCONN; the adapter layer is responsible for re-opening them.
-func (c *Client) Reconnect() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-		c.connected.Store(false)
-	}
-	conn, err := c.cfg.Dial()
-	if err != nil {
-		return vfs.ENOTCONN
-	}
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	//lint:ignore lockheld c.mu owns the connection being replaced; the auth dialog must finish before any RPC may use it
-	subject, err := auth.Login(br, clientFlushWriter{bw}, c.cfg.Credentials...)
-	if err != nil {
-		conn.Close()
-		return fmt.Errorf("chirp: authentication: %w", err)
-	}
-	c.conn = conn
-	c.br = br
-	c.bw = bw
-	c.subject = subject
-	c.connected.Store(true)
-	// What the previous peer refused says nothing about this one.
-	c.refused.Store(0)
-	c.gen++
-	if c.gen > 1 {
-		// The first connection is a dial; everything after is a repair.
-		c.mReconnects.Inc()
-	}
-	return nil
-}
-
-type clientFlushWriter struct{ w *bufio.Writer }
-
-func (f clientFlushWriter) Write(p []byte) (int, error) {
-	n, err := f.w.Write(p)
-	if err == nil {
-		err = f.w.Flush()
-	}
-	return n, err
-}
-
-// Subject returns the subject granted at authentication.
-func (c *Client) Subject() auth.Subject {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.subject
-}
-
-// alive reports whether the client currently holds a live connection.
-// The pool consults it on every dispatch and to repair only dead
-// members on Reconnect; it deliberately reads the mirror flag rather
-// than taking mu, which an in-flight RPC holds for its full round trip.
-func (c *Client) alive() bool {
-	return c.connected.Load()
-}
-
-// Close tears down the connection; the server releases all state.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	c.connected.Store(false)
-	return err
-}
-
-// dropLocked abandons a desynchronized or failed connection.
-// Caller holds c.mu.
-func (c *Client) dropLocked() {
-	if c.conn != nil {
-		// Clear any per-RPC deadline before abandoning: the net.Conn
-		// may be shared with in-flight readers that should see the
-		// close, not a stale deadline error.
-		c.conn.SetDeadline(time.Time{})
-		c.conn.Close()
-		c.conn = nil
-	}
-	c.connected.Store(false)
-}
-
-// failLocked abandons the connection after a transport error and fences
-// every descriptor opened on it, so stale fds fail fast instead of
-// being replayed against a future connection. The returned errno keeps
-// the §6 failure vocabulary: an expired RPC deadline is ETIMEDOUT,
-// everything else ENOTCONN. Caller holds c.mu.
-func (c *Client) failLocked(err error) vfs.Errno {
-	c.dropLocked()
-	c.gen++
-	if vfs.AsErrno(err) == vfs.ETIMEDOUT {
-		return vfs.ETIMEDOUT
-	}
-	return vfs.ENOTCONN
 }
 
 // lineBufPool recycles request-line encoding buffers across RPCs and
@@ -302,9 +484,9 @@ func (c *Client) appendDeadlinePrefix(dst []byte) ([]byte, bool) {
 // readDeadlineCode consumes the status line the deadline prefix earned.
 // The verb has no data phase, so any refusal arrives with the stream in
 // sync and the governed request proceeds regardless; EINVAL from an old
-// server is memoized so this client stops probing. Caller holds c.mu.
-func (c *Client) readDeadlineCode() error {
-	code, err := proto.ReadCode(c.br)
+// server is memoized so the client stops probing. Caller holds cn.mu.
+func (c *Client) readDeadlineCode(cn *conn) error {
+	code, err := proto.ReadCode(cn.br)
 	if err != nil {
 		return err
 	}
@@ -314,11 +496,16 @@ func (c *Client) readDeadlineCode() error {
 	return nil
 }
 
-// rpc sends one request and reads the status line while holding the
-// connection. payload, when non-nil, is sent after the request line.
-// The handler, when non-nil, consumes any post-status response body;
-// it runs with the lock held and must fully drain the body.
-func (c *Client) rpc(req *proto.Request, payload []byte, handler func(code int64, br *bufio.Reader) error) (_ int64, rpcErr error) {
+// roundTrip is the one request writer. It times the RPC into its
+// verb's histogram, encodes req behind the deadline prefix, and then
+// owns cn for the whole exchange: it checks that cn is live and, for a
+// descriptor RPC, still of generation gen (0: any), arms the RPC
+// timeout and buffers the line. exchange runs under the same lock — the
+// protocol serializes RPCs on a connection — to flush, stream any body
+// and read the answer; deadline says a prefix went out whose status
+// line comes back first. An error exchange returns is the transport's
+// and costs the connection; a negative status is the server's answer.
+func (c *Client) roundTrip(cn *conn, gen uint64, req *proto.Request, exchange func(deadline bool) (int64, error)) (_ int64, rpcErr error) {
 	if c.rpcHist != nil {
 		defer func(start time.Time) { c.observeRPC(req.Verb, start, rpcErr) }(time.Now())
 	}
@@ -331,45 +518,64 @@ func (c *Client) rpc(req *proto.Request, payload []byte, handler func(code int64
 	}
 	line = append(line, '\n')
 	*lb = line
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
+	cn.mu.Lock()
+	defer cn.mu.Unlock()
+	if cn.nc == nil || gen != 0 && gen != cn.gen {
 		return 0, vfs.ENOTCONN
 	}
 	if c.cfg.Timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+		cn.nc.SetDeadline(time.Now().Add(c.cfg.Timeout))
 	}
-	if _, err := c.bw.Write(line); err != nil {
-		return 0, c.failLocked(err)
+	if _, err := cn.bw.Write(line); err != nil {
+		return 0, cn.fail(err)
 	}
-	if payload != nil {
-		if _, err := c.bw.Write(payload); err != nil {
-			return 0, c.failLocked(err)
-		}
-	}
-	//lint:ignore lockheld the protocol serializes RPCs on one connection; c.mu is the connection owner for the whole round trip
-	if err := c.bw.Flush(); err != nil {
-		return 0, c.failLocked(err)
-	}
-	if withDeadline {
-		if err := c.readDeadlineCode(); err != nil {
-			return 0, c.failLocked(err)
-		}
-	}
-	//lint:ignore lockheld the response must be read under the same critical section that wrote the request
-	code, err := proto.ReadCode(c.br)
+	code, err := exchange(withDeadline)
 	if err != nil {
-		return 0, c.failLocked(err)
-	}
-	if handler != nil {
-		if err := handler(code, c.br); err != nil {
-			return 0, c.failLocked(err)
-		}
+		return 0, cn.fail(err)
 	}
 	if code < 0 {
 		return 0, vfs.FromCode(int(code))
 	}
 	return code, nil
+}
+
+// rpc sends one stateless request on the least-loaded connection.
+// payload, when non-nil, is sent after the request line. The handler,
+// when non-nil, consumes any post-status response body; it runs with
+// the connection held and must fully drain the body.
+func (c *Client) rpc(req *proto.Request, payload []byte, handler func(code int64, br *bufio.Reader) error) (int64, error) {
+	cn, err := c.acquire()
+	if err != nil {
+		return 0, err
+	}
+	code, err := c.rpcOn(cn, 0, req, payload, handler)
+	c.release(cn)
+	c.notePushback(err)
+	return code, err
+}
+
+// rpcOn is rpc on a chosen connection, fenced by gen as roundTrip is.
+func (c *Client) rpcOn(cn *conn, gen uint64, req *proto.Request, payload []byte, handler func(code int64, br *bufio.Reader) error) (int64, error) {
+	return c.roundTrip(cn, gen, req, func(deadline bool) (int64, error) {
+		if payload != nil {
+			if _, err := cn.bw.Write(payload); err != nil {
+				return 0, err
+			}
+		}
+		if err := cn.bw.Flush(); err != nil {
+			return 0, err
+		}
+		if deadline {
+			if err := c.readDeadlineCode(cn); err != nil {
+				return 0, err
+			}
+		}
+		code, err := proto.ReadCode(cn.br)
+		if err == nil && handler != nil {
+			err = handler(code, cn.br)
+		}
+		return code, err
+	})
 }
 
 // Open opens the named file on the server.
@@ -378,16 +584,24 @@ func (c *Client) Open(path string, flags int, mode uint32) (vfs.File, error) {
 	return f, err
 }
 
-// OpenStat opens the named file and returns its metadata from the same
-// round trip — the open response carries a stat line, so the adapter's
-// inode bookkeeping costs nothing extra (vfs.OpenStater).
+// OpenStat opens the named file on the least-loaded connection and
+// returns its metadata from the same round trip — the open response
+// carries a stat line, so the adapter's inode bookkeeping costs nothing
+// extra (vfs.OpenStater). Every later RPC on the descriptor is pinned
+// to that connection.
 func (c *Client) OpenStat(path string, flags int, mode uint32) (vfs.File, vfs.FileInfo, error) {
+	cn, err := c.acquire()
+	if err != nil {
+		return nil, vfs.FileInfo{}, err
+	}
 	var fi vfs.FileInfo
-	fd, err := c.rpc(&proto.Request{Verb: "open", Path: path, Flags: int64(flags), Mode: int64(mode)}, nil,
+	var gen uint64
+	fd, err := c.rpcOn(cn, 0, &proto.Request{Verb: "open", Path: path, Flags: int64(flags), Mode: int64(mode)}, nil,
 		func(code int64, br *bufio.Reader) error {
 			if code < 0 {
 				return nil
 			}
+			gen = cn.gen // the handler runs under cn.mu
 			line, err := proto.ReadLine(br)
 			if err != nil {
 				return err
@@ -395,13 +609,17 @@ func (c *Client) OpenStat(path string, flags int, mode uint32) (vfs.File, vfs.Fi
 			fi, err = proto.UnmarshalStat(line)
 			return err
 		})
+	c.mu.Lock()
+	cn.inflight--
+	if err == nil {
+		cn.openFDs++
+	}
+	c.mu.Unlock()
 	if err != nil {
+		c.notePushback(err)
 		return nil, fi, err
 	}
-	c.mu.Lock()
-	gen := c.gen
-	c.mu.Unlock()
-	return &clientFile{c: c, fd: fd, gen: gen, name: path}, fi, nil
+	return &remoteFile{c: c, cn: cn, fd: fd, gen: gen}, fi, nil
 }
 
 // Stat returns metadata for the named file.
@@ -651,100 +869,72 @@ func (c *Client) getFilePlain(path string, w io.Writer) (int64, error) {
 }
 
 // putStream writes one put-style request and streams its body on the
-// serialized connection: the shared core of putfile, putfilesum and
+// least-loaded connection: the shared core of putfile, putfilesum and
 // putpart. For a verb declared two-phase the server answers a ready
 // line before the data phase, so a refusal — notably EINVAL from a
 // server that predates the verb — arrives with the stream in sync and
 // not one byte consumed from r, which is what makes blind negotiation
 // safe. trailer, when non-nil, appends a final protocol line after the
 // body.
-func (c *Client) putStream(req *proto.Request, size int64, r io.Reader, trailer func([]byte) []byte) (rpcErr error) {
-	if c.rpcHist != nil {
-		defer func(start time.Time) { c.observeRPC(req.Verb, start, rpcErr) }(time.Now())
-	}
-	lb := getLineBuf()
-	defer putLineBuf(lb)
-	line, withDeadline := c.appendDeadlinePrefix((*lb)[:0])
-	line, err := req.AppendTo(line)
+func (c *Client) putStream(req *proto.Request, size int64, r io.Reader, trailer func([]byte) []byte) error {
+	cn, err := c.acquire()
 	if err != nil {
-		return vfs.EINVAL
+		return err
 	}
-	line = append(line, '\n')
-	*lb = line
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return vfs.ENOTCONN
-	}
-	if c.cfg.Timeout > 0 {
-		c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-	}
-	if _, err := c.bw.Write(line); err != nil {
-		return c.failLocked(err)
-	}
-	if proto.Lookup(req.Verb).Body == proto.BodyTwoPhase {
-		//lint:ignore lockheld the ready line must be read before the body is streamed, under the same connection-owning critical section
-		if err := c.bw.Flush(); err != nil {
-			return c.failLocked(err)
-		}
-		if withDeadline {
-			if err := c.readDeadlineCode(); err != nil {
-				return c.failLocked(err)
+	_, err = c.roundTrip(cn, 0, req, func(deadline bool) (int64, error) {
+		if proto.Lookup(req.Verb).Body == proto.BodyTwoPhase {
+			if err := cn.bw.Flush(); err != nil {
+				return 0, err
 			}
-			withDeadline = false
+			if deadline {
+				if err := c.readDeadlineCode(cn); err != nil {
+					return 0, err
+				}
+				deadline = false
+			}
+			if ready, err := proto.ReadCode(cn.br); err != nil || ready < 0 {
+				return ready, err
+			}
 		}
-		//lint:ignore lockheld the ready line must be read before the body is streamed, under the same connection-owning critical section
-		ready, err := proto.ReadCode(c.br)
-		if err != nil {
-			return c.failLocked(err)
+		// The body streams r → pooled window → socket, each Read
+		// forwarded as it returns: a slow source keeps the server fed,
+		// and a reader that hands over its last bytes together with
+		// io.EOF is not asked again.
+		bp := vfs.GetWindow(size)
+		defer vfs.PutBuf(bp)
+		buf := *bp
+		for left := size; left > 0; {
+			n, rerr := r.Read(buf[:min(int64(len(buf)), left)])
+			left -= int64(n)
+			if _, err := cn.bw.Write(buf[:n]); err != nil {
+				return 0, err
+			}
+			if rerr != nil && left > 0 {
+				// The promised body cannot be completed: the stream is lost.
+				return 0, rerr
+			}
 		}
-		if ready < 0 {
-			return vfs.FromCode(int(ready))
+		if trailer != nil {
+			if _, err := cn.bw.Write(trailer(nil)); err != nil {
+				return 0, err
+			}
 		}
-	}
-	// The body streams r → pooled window → socket, each Read forwarded
-	// as it returns: a slow source keeps the server fed, and a reader
-	// that hands over its last bytes together with io.EOF is not asked
-	// again.
-	bp := vfs.GetWindow(size)
-	defer vfs.PutBuf(bp)
-	buf := *bp
-	for left := size; left > 0; {
-		n, rerr := r.Read(buf[:min(int64(len(buf)), left)])
-		left -= int64(n)
-		if _, err := c.bw.Write(buf[:n]); err != nil {
-			return c.failLocked(err)
+		if err := cn.bw.Flush(); err != nil {
+			return 0, err
 		}
-		if rerr != nil && left > 0 {
-			// The promised body cannot be completed: the stream is lost.
-			return c.failLocked(rerr)
+		if deadline {
+			// One-phase put: the deadline status was pipelined behind
+			// the blind body, so it is read here, ahead of the final
+			// status.
+			if err := c.readDeadlineCode(cn); err != nil {
+				return 0, err
+			}
 		}
-	}
-	if trailer != nil {
-		if _, err := c.bw.Write(trailer(nil)); err != nil {
-			return c.failLocked(err)
-		}
-	}
-	//lint:ignore lockheld putfile streams request and response on the one serialized connection; c.mu owns it end to end
-	if err := c.bw.Flush(); err != nil {
-		return c.failLocked(err)
-	}
-	if withDeadline {
-		// One-phase put: the deadline status was pipelined behind the
-		// blind body, so it is read here, ahead of the final status.
-		if err := c.readDeadlineCode(); err != nil {
-			return c.failLocked(err)
-		}
-	}
-	//lint:ignore lockheld the response must be read under the same critical section that streamed the body
-	code, err := proto.ReadCode(c.br)
-	if err != nil {
-		return c.failLocked(err)
-	}
-	if code < 0 {
-		return vfs.FromCode(int(code))
-	}
-	return nil
+		return proto.ReadCode(cn.br)
+	})
+	c.release(cn)
+	c.notePushback(err)
+	return err
 }
 
 // putFilePlain streams size bytes from r into the named file (putfile
@@ -755,38 +945,30 @@ func (c *Client) putFilePlain(path string, mode uint32, size int64, r io.Reader)
 		size, r, nil)
 }
 
-// clientFile is an open remote file. The fd is valid only for the
-// connection generation it was opened on (§4: a descriptor is scoped
-// to its connection).
-type clientFile struct {
-	c    *Client
-	fd   int64
-	gen  uint64
-	name string
+// remoteFile is an open remote file, pinned to the connection that
+// opened it and valid only for that connection's generation (§4: a
+// descriptor is scoped to its connection). It counts toward the
+// connection's placement load until closed.
+type remoteFile struct {
+	c        *Client
+	cn       *conn
+	fd       int64
+	gen      uint64
+	released atomic.Bool
 }
 
-func (f *clientFile) checkGen() error {
-	f.c.mu.Lock()
-	ok := f.gen == f.c.gen && f.c.conn != nil
-	f.c.mu.Unlock()
-	if !ok {
-		return vfs.ENOTCONN
-	}
-	return nil
+// rpc sends one descriptor RPC on the owning connection; a descriptor
+// whose connection failed or was replaced answers ENOTCONN.
+func (f *remoteFile) rpc(req *proto.Request, payload []byte, handler func(code int64, br *bufio.Reader) error) (int64, error) {
+	return f.c.rpcOn(f.cn, f.gen, req, payload, handler)
 }
 
-func (f *clientFile) Pread(p []byte, off int64) (int, error) {
-	if err := f.checkGen(); err != nil {
-		return 0, err
-	}
+func (f *remoteFile) Pread(p []byte, off int64) (int, error) {
 	total := 0
 	for total < len(p) {
-		chunk := len(p) - total
-		if chunk > proto.MaxIOSize {
-			chunk = proto.MaxIOSize
-		}
+		chunk := min(len(p)-total, proto.MaxIOSize)
 		var got int64
-		_, err := f.c.rpc(&proto.Request{Verb: "pread", FD: f.fd, Length: int64(chunk), Offset: off + int64(total)}, nil,
+		_, err := f.rpc(&proto.Request{Verb: "pread", FD: f.fd, Length: int64(chunk), Offset: off + int64(total)}, nil,
 			func(code int64, br *bufio.Reader) error {
 				if code < 0 {
 					return nil
@@ -809,17 +991,11 @@ func (f *clientFile) Pread(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-func (f *clientFile) Pwrite(p []byte, off int64) (int, error) {
-	if err := f.checkGen(); err != nil {
-		return 0, err
-	}
+func (f *remoteFile) Pwrite(p []byte, off int64) (int, error) {
 	total := 0
 	for total < len(p) {
-		chunk := len(p) - total
-		if chunk > proto.MaxIOSize {
-			chunk = proto.MaxIOSize
-		}
-		n, err := f.c.rpc(&proto.Request{Verb: "pwrite", FD: f.fd, Length: int64(chunk), Offset: off + int64(total)},
+		chunk := min(len(p)-total, proto.MaxIOSize)
+		n, err := f.rpc(&proto.Request{Verb: "pwrite", FD: f.fd, Length: int64(chunk), Offset: off + int64(total)},
 			p[total:total+chunk], nil)
 		if err != nil {
 			return total, err
@@ -832,12 +1008,9 @@ func (f *clientFile) Pwrite(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-func (f *clientFile) Fstat() (vfs.FileInfo, error) {
-	if err := f.checkGen(); err != nil {
-		return vfs.FileInfo{}, err
-	}
+func (f *remoteFile) Fstat() (vfs.FileInfo, error) {
 	var fi vfs.FileInfo
-	_, err := f.c.rpc(&proto.Request{Verb: "fstat", FD: f.fd}, nil, func(code int64, br *bufio.Reader) error {
+	_, err := f.rpc(&proto.Request{Verb: "fstat", FD: f.fd}, nil, func(code int64, br *bufio.Reader) error {
 		if code < 0 {
 			return nil
 		}
@@ -851,28 +1024,29 @@ func (f *clientFile) Fstat() (vfs.FileInfo, error) {
 	return fi, err
 }
 
-func (f *clientFile) Ftruncate(size int64) error {
-	if err := f.checkGen(); err != nil {
-		return err
-	}
-	_, err := f.c.rpc(&proto.Request{Verb: "ftruncate", FD: f.fd, Size: size}, nil, nil)
+func (f *remoteFile) Ftruncate(size int64) error {
+	_, err := f.rpc(&proto.Request{Verb: "ftruncate", FD: f.fd, Size: size}, nil, nil)
 	return err
 }
 
-func (f *clientFile) Sync() error {
-	if err := f.checkGen(); err != nil {
-		return err
-	}
-	_, err := f.c.rpc(&proto.Request{Verb: "fsync", FD: f.fd}, nil, nil)
+func (f *remoteFile) Sync() error {
+	_, err := f.rpc(&proto.Request{Verb: "fsync", FD: f.fd}, nil, nil)
 	return err
 }
 
-func (f *clientFile) Close() error {
-	if err := f.checkGen(); err != nil {
+// Close releases the descriptor and, exactly once however often Close
+// is called, its placement load.
+func (f *remoteFile) Close() error {
+	_, err := f.rpc(&proto.Request{Verb: "close", FD: f.fd}, nil, nil)
+	if !f.released.Swap(true) {
+		f.c.mu.Lock()
+		f.cn.openFDs--
+		f.c.mu.Unlock()
+	}
+	if vfs.AsErrno(err) == vfs.ENOTCONN {
 		// The connection that owned this descriptor is gone; the
-		// server has already released it.
+		// server released it with the connection.
 		return nil
 	}
-	_, err := f.c.rpc(&proto.Request{Verb: "close", FD: f.fd}, nil, nil)
 	return err
 }

@@ -18,8 +18,6 @@ import (
 	"tss/internal/vfs"
 )
 
-var _ vfs.Leaser = (*Client)(nil)
-
 // Lease asks the server for a read lease on path (vfs.Leaser). Against
 // a server that predates the verb it fails with EINVAL and remembers,
 // so a caching layer stops probing after the first refusal.

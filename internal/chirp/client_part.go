@@ -13,8 +13,8 @@ import (
 // Client side of the multipart transfer verbs (getpart, putbegin,
 // putpart, putcomplete). Parts are addressed by path and offset — not
 // by descriptor — so the multipart engine can fan chunks of one file
-// out across the members of a chirp.Pool, each chunk a self-contained
-// round trip on whichever connection the pool dispatches it to.
+// out across the connections of a chirp.Client, each chunk a
+// self-contained round trip on whichever connection it is dispatched to.
 //
 // Negotiation with servers that predate the verbs is the engine's job,
 // not this layer's: putbegin carries no body, so its EINVAL arrives
@@ -23,11 +23,6 @@ import (
 // streamed; a zero-length getpart probes the read side the same way.
 // No answer is memoized here — an EINVAL earned by a genuinely bad
 // argument must not disable multipart for the life of the client.
-
-var (
-	_ vfs.PartGetter = (*Client)(nil)
-	_ vfs.PartPutter = (*Client)(nil)
-)
 
 // GetPart streams up to length bytes at offset off of the named file
 // into w (vfs.PartGetter, the getpart verb). With a non-empty algo the

@@ -17,8 +17,6 @@ import (
 // via %w, so vfs.AsErrno still answers and errors.Is(err,
 // vfs.ErrIntegrity) identifies corruption precisely.
 
-var _ vfs.Checksummer = (*Client)(nil)
-
 // Checksum computes the digest of a remote file where it lives — one
 // round trip, no data transfer (vfs.Checksummer). Against a server
 // that predates the verb it falls back to hashing a plain getfile

@@ -188,8 +188,7 @@ func TestFeatureInterop(t *testing.T) {
 }
 
 // What a server refused describes that server: after Reconnect the
-// client must probe its new peer afresh, exactly as a lazily dialed
-// pool member does.
+// client must probe its peer afresh.
 func TestReconnectForgetsRefusals(t *testing.T) {
 	reg := obs.NewRegistry()
 	ts := startServerCfg(t, ServerConfig{Metrics: reg})
@@ -232,6 +231,47 @@ func TestReconnectForgetsRefusals(t *testing.T) {
 	if !c.supports(proto.Leases) || !c.supports(proto.Deadline) {
 		t.Error("client downgraded against a current server")
 	}
+
+	// The memo belongs to the transport, not to one connection: every
+	// connection speaks to the same server, so a lazily dialed one
+	// inherits what the first learned and probes nothing again.
+	t.Run("pool", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		ts := startServerCfg(t, ServerConfig{Metrics: reg})
+		ts.srv.disabled.Store(proto.Leases.Bit() | proto.Deadline.Bit())
+		p := ts.pool(t, "owner.sim", 2)
+		// Descriptors steer placement: fa pins the first connection, so
+		// the first Lease dials the second; fb then pins the second, so
+		// a second Lease that reached the wire would land on the first.
+		fa, err := p.Open("/a", vfs.O_CREAT|vfs.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Lease("/a"); vfs.AsErrno(err) != vfs.EINVAL {
+			t.Fatalf("lease against a server without leases = %v, want EINVAL", err)
+		}
+		fb, err := p.Open("/b", vfs.O_CREAT|vfs.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fa.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Lease("/a"); vfs.AsErrno(err) != vfs.EINVAL {
+			t.Fatalf("memoized lease = %v, want EINVAL", err)
+		}
+		if err := fb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Conns(); got != 2 {
+			t.Fatalf("%d connections, want 2", got)
+		}
+		// A disabled verb is an unknown one to the server: the two are
+		// the first open's deadline prefix and the first lease.
+		if n := reg.Snapshot().Counters["chirp_server.rpc_unknown"]; n != 2 {
+			t.Errorf("server refused %d extension verbs, want one deadline prefix and one lease", n)
+		}
+	})
 }
 
 // TestVerbTableConsistency pins the join: every proto.Verbs entry has

@@ -344,7 +344,7 @@ func TestLeaseExpiredGrantsLeaveInOrder(t *testing.T) {
 // member releases cleanly over whichever member the break lands on.
 func TestLeasePooled(t *testing.T) {
 	ts := startServer(t, nil)
-	p, err := NewPool(ClientConfig{
+	p, err := Dial(ClientConfig{
 		Dial: func() (net.Conn, error) {
 			return ts.net.DialFrom("owner.sim", "fs.sim", netsim.Loopback)
 		},

@@ -320,7 +320,7 @@ func TestServerSessionCap(t *testing.T) {
 // load. When the window lapses, the same pressure grows the pool again.
 func TestPoolPushbackSuppressesDial(t *testing.T) {
 	ts := startServer(t, nil)
-	p, err := NewPool(ClientConfig{
+	p, err := Dial(ClientConfig{
 		Dial: func() (net.Conn, error) {
 			return ts.net.DialFrom("owner.sim", "fs.sim", netsim.Loopback)
 		},

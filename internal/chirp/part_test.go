@@ -110,7 +110,7 @@ func TestPartVerbsRoundTrip(t *testing.T) {
 // many parts.
 func TestMultipartCopyThroughPool(t *testing.T) {
 	ts := startServer(t, nil)
-	p, err := NewPool(ClientConfig{
+	p, err := Dial(ClientConfig{
 		// A 100 Mb/s link keeps each part in flight for milliseconds, so
 		// the workers overlap; over loopback one could finish its part
 		// before the next asked for a connection.
@@ -164,7 +164,7 @@ func TestMultipartCopyThroughPool(t *testing.T) {
 // connection serializes the chunks but the transfer still completes.
 func TestMultipartSingleMemberPool(t *testing.T) {
 	ts := startServer(t, nil)
-	p, err := NewPool(ClientConfig{
+	p, err := Dial(ClientConfig{
 		Dial: func() (net.Conn, error) {
 			return ts.net.DialFrom("owner.sim", "fs.sim", netsim.Loopback)
 		},
@@ -501,7 +501,7 @@ func TestMultipartCorruptReadTimeline(t *testing.T) {
 // concurrency.
 func TestMultipartManyChunksPooled(t *testing.T) {
 	ts := startServer(t, nil)
-	p, err := NewPool(ClientConfig{
+	p, err := Dial(ClientConfig{
 		Dial: func() (net.Conn, error) {
 			return ts.net.DialFrom("owner.sim", "fs.sim", netsim.Loopback)
 		},
@@ -535,7 +535,7 @@ func TestMultipartManyChunksPooled(t *testing.T) {
 // backpressure, unlike netsim, whose queue would hold a body whole —
 // and dials a pool of the given size to it, its clients counting into
 // reg when there is one.
-func tcpPool(t *testing.T, size int, reg *obs.Registry) (*Server, *Pool) {
+func tcpPool(t *testing.T, size int, reg *obs.Registry) (*Server, *Client) {
 	t.Helper()
 	srv, err := NewServer(t.TempDir(), ServerConfig{
 		Name:      "localhost",
@@ -551,7 +551,7 @@ func tcpPool(t *testing.T, size int, reg *obs.Registry) (*Server, *Pool) {
 	}
 	t.Cleanup(func() { l.Close() })
 	go srv.Serve(l)
-	p, err := NewPool(ClientConfig{
+	p, err := Dial(ClientConfig{
 		Dial: func() (net.Conn, error) {
 			return net.DialTimeout("tcp", l.Addr().String(), 5*time.Second)
 		},
@@ -611,7 +611,7 @@ func TestMultipartBoundedMemory(t *testing.T) {
 // what arrived after every hop.
 func TestMultipartContentAllPairings(t *testing.T) {
 	ts := startServer(t, nil)
-	p := ts.pool(t, "owner.sim", 4, 0)
+	p := ts.pool(t, "owner.sim", 4)
 	const chunk = 300_000 // more than a window: a chunk takes two
 	remote := func(path string) []byte {
 		var b bytes.Buffer

@@ -18,21 +18,20 @@ import (
 
 // pool dials a pooled transport against the test server over unshaped
 // links.
-func (ts *testServer) pool(t *testing.T, host string, size int, idle time.Duration) *Pool {
-	return ts.poolOn(t, host, size, idle, netsim.Loopback)
+func (ts *testServer) pool(t *testing.T, host string, size int) *Client {
+	return ts.poolOn(t, host, size, netsim.Loopback)
 }
 
 // poolOn dials a pooled transport through links with the given profile.
-func (ts *testServer) poolOn(t *testing.T, host string, size int, idle time.Duration, prof netsim.LinkProfile) *Pool {
+func (ts *testServer) poolOn(t *testing.T, host string, size int, prof netsim.LinkProfile) *Client {
 	t.Helper()
-	p, err := NewPool(ClientConfig{
+	p, err := Dial(ClientConfig{
 		Dial: func() (net.Conn, error) {
 			return ts.net.DialFrom(host, "fs.sim", prof)
 		},
 		Credentials: []auth.Credential{auth.HostnameCredential{}},
 		Timeout:     5 * time.Second,
 		PoolSize:    size,
-		IdleTimeout: idle,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +58,7 @@ func preadAll(t *testing.T, f vfs.File, n int) []byte {
 func TestPoolFDAffinity(t *testing.T) {
 	ts := startServer(t, nil)
 	single := ts.client(t, "owner.sim")
-	p := ts.pool(t, "owner.sim", 4, 0)
+	p := ts.pool(t, "owner.sim", 4)
 
 	const files = 8
 	contents := make([][]byte, files)
@@ -110,7 +109,7 @@ func TestPoolFDAffinity(t *testing.T) {
 func TestPoolAffinitySurvivesMemberDrop(t *testing.T) {
 	ts := startServer(t, nil)
 	single := ts.client(t, "owner.sim")
-	p := ts.pool(t, "owner.sim", 2, 0)
+	p := ts.pool(t, "owner.sim", 2)
 
 	if err := vfs.WriteFile(single, "/a", []byte("alpha-data"), 0o644); err != nil {
 		t.Fatal(err)
@@ -126,16 +125,16 @@ func TestPoolAffinitySurvivesMemberDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma, mb := fa.(*poolFile).m, fb.(*poolFile).m
+	ma, mb := fa.(*remoteFile).cn, fb.(*remoteFile).cn
 	if ma == mb {
 		t.Fatal("both descriptors placed on one member; cannot exercise isolation")
 	}
 
 	// Sever member A's transport out from under it, as a network
 	// partition would.
-	ma.c.mu.Lock()
-	conn := ma.c.conn
-	ma.c.mu.Unlock()
+	ma.mu.Lock()
+	conn := ma.nc
+	ma.mu.Unlock()
 	conn.Close()
 
 	if _, err := fa.Pread(make([]byte, 16), 0); vfs.AsErrno(err) != vfs.ENOTCONN {
@@ -184,7 +183,7 @@ func TestPoolConcurrentStorm(t *testing.T) {
 	single := ts.client(t, "owner.sim")
 	// A latency-shaped link keeps members visibly busy, so the storm
 	// also exercises lazy growth concurrent with dispatch.
-	p := ts.poolOn(t, "owner.sim", 4, 0, netsim.LinkProfile{Latency: 500 * time.Microsecond})
+	p := ts.poolOn(t, "owner.sim", 4, netsim.LinkProfile{Latency: 500 * time.Microsecond})
 
 	const files = 4
 	contents := make([][]byte, files)
@@ -260,7 +259,7 @@ func TestPoolConcurrentStorm(t *testing.T) {
 func TestPoolDrainClosesIdleMembers(t *testing.T) {
 	ts := startServer(t, nil)
 	single := ts.client(t, "owner.sim")
-	p := ts.pool(t, "owner.sim", 3, 0)
+	p := ts.pool(t, "owner.sim", 3)
 
 	if err := vfs.WriteFile(single, "/d", []byte("drain"), 0o644); err != nil {
 		t.Fatal(err)
@@ -299,53 +298,6 @@ func TestPoolDrainClosesIdleMembers(t *testing.T) {
 	}
 }
 
-// Surplus members idle past IdleTimeout are reaped back to one
-// connection; the pool regrows on demand afterwards.
-func TestPoolIdleReap(t *testing.T) {
-	ts := startServer(t, nil)
-	single := ts.client(t, "owner.sim")
-	p := ts.pool(t, "owner.sim", 4, 50*time.Millisecond)
-
-	if err := vfs.WriteFile(single, "/r", []byte("reap"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var fds []vfs.File
-	for i := 0; i < 4; i++ {
-		f, err := p.Open("/r", vfs.O_RDONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fds = append(fds, f)
-	}
-	if got := p.Conns(); got != 4 {
-		t.Fatalf("pool grew to %d conns, want 4", got)
-	}
-	for _, f := range fds {
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	time.Sleep(80 * time.Millisecond)
-	// Reaping is opportunistic: the next released RPC sweeps the idle
-	// surplus.
-	if _, err := p.Stat("/r"); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Conns(); got != 1 {
-		t.Errorf("after idle reap: %d conns, want 1", got)
-	}
-	// The pool still works and can regrow.
-	f, err := p.Open("/r", vfs.O_RDONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := preadAll(t, f, 16); string(got) != "reap" {
-		t.Errorf("read after reap = %q", got)
-	}
-	f.Close()
-}
-
 // A request line whose verb is not in proto.Verbs is answered EINVAL
 // with the stream in sync and counted in chirp_server.rpc_unknown; the
 // client never sends one — AppendTo refuses a verb outside the table.
@@ -365,11 +317,11 @@ func TestObserveRPCUnknownVerb(t *testing.T) {
 	defer c.Close()
 
 	reqs := ts.srv.Stats.Requests.Load()
-	c.mu.Lock()
-	c.bw.WriteString("frobnicate /x 1\n")
-	c.bw.Flush()
-	code, err := proto.ReadCode(c.br)
-	c.mu.Unlock()
+	c.members[0].mu.Lock()
+	c.members[0].bw.WriteString("frobnicate /x 1\n")
+	c.members[0].bw.Flush()
+	code, err := proto.ReadCode(c.members[0].br)
+	c.members[0].mu.Unlock()
 	if err != nil || vfs.FromCode(int(code)) != vfs.EINVAL {
 		t.Fatalf("unknown verb answered %d, %v; want EINVAL", code, err)
 	}
@@ -421,7 +373,7 @@ func TestPoolBulkOverTCP(t *testing.T) {
 	defer l.Close()
 	go srv.Serve(l)
 
-	p, err := NewPool(ClientConfig{
+	p, err := Dial(ClientConfig{
 		Dial: func() (net.Conn, error) {
 			return net.DialTimeout("tcp", l.Addr().String(), 5*time.Second)
 		},

@@ -160,7 +160,7 @@ func TestVerifiedPutErrnoClean(t *testing.T) {
 // TestChecksumPooled exercises the pool's Checksum passthrough.
 func TestChecksumPooled(t *testing.T) {
 	ts := startServer(t, nil)
-	p, err := NewPool(ClientConfig{
+	p, err := Dial(ClientConfig{
 		Dial: func() (net.Conn, error) {
 			return ts.net.DialFrom("owner.sim", "fs.sim", netsim.Loopback)
 		},

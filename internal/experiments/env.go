@@ -131,24 +131,19 @@ func (e *Env) StartChirp(name string, prof netsim.LinkProfile) (*chirp.Client, *
 	}
 	go srv.Serve(l)
 	e.onClose(func() { l.Close() })
-	cli, err := chirp.Dial(chirp.ClientConfig{
-		Dial:        func() (net.Conn, error) { return e.dial(name, prof) },
-		Credentials: []auth.Credential{auth.HostnameCredential{}},
-		Timeout:     30 * time.Second,
-	})
+	cli, err := e.DialChirp(name, prof, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	e.onClose(func() { cli.Close() })
 	return cli, srv, nil
 }
 
-// DialChirpPool connects a pooled transport of up to size connections
-// to a server previously deployed with StartChirp, through links with
-// the given profile (each pooled connection gets its own shaped link,
-// as separate TCP streams would).
-func (e *Env) DialChirpPool(name string, prof netsim.LinkProfile, size int) (*chirp.Pool, error) {
-	p, err := chirp.NewPool(chirp.ClientConfig{
+// DialChirp connects a transport of up to size connections to a server
+// previously deployed with StartChirp, through links with the given
+// profile (each connection gets its own shaped link, as separate TCP
+// streams would).
+func (e *Env) DialChirp(name string, prof netsim.LinkProfile, size int) (*chirp.Client, error) {
+	p, err := chirp.Dial(chirp.ClientConfig{
 		Dial:        func() (net.Conn, error) { return e.dial(name, prof) },
 		Credentials: []auth.Credential{auth.HostnameCredential{}},
 		Timeout:     30 * time.Second,

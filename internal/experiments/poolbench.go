@@ -140,7 +140,7 @@ func drivePoolReads(g vfs.FileGetter, clients, readsPer, files int) (int64, time
 // RunPoolBench measures what the transport pool buys under concurrent
 // load: N goroutines hammer whole-file reads first through a single
 // shared connection (every RPC serialized on one socket — the pre-pool
-// deployment) and then through a Pool of PoolSize connections against
+// deployment) and then through a Client of PoolSize connections against
 // the same server and files. The ratio of aggregate throughput is the
 // speedup the pool delivers to the abstractions stacked above it.
 func RunPoolBench(cfg PoolBenchConfig) (*PoolBenchReport, error) {
@@ -151,7 +151,7 @@ func RunPoolBench(cfg PoolBenchConfig) (*PoolBenchReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := env.DialChirpPool("pool-bench", cfg.Link, cfg.PoolSize)
+	pool, err := env.DialChirp("pool-bench", cfg.Link, cfg.PoolSize)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // ResLifetime verifies that every acquired resource — a vfs.File,
-// *os.File, net.Conn/Listener, chirp.Client/Pool — is released on
+// *os.File, net.Conn/Listener, chirp.Client — is released on
 // every path out of the acquiring function: an explicit Close, a
 // deferred Close (directly or inside a deferred literal), or an
 // ownership transfer (returning the value, storing it into a struct,
@@ -56,14 +56,13 @@ func NewResLifetime() *ResLifetime {
 			"net.Listener":              true,
 			"tss/internal/vfs.File":     true,
 			"tss/internal/chirp.Client": true,
-			"tss/internal/chirp.Pool":   true,
 		},
 		Borrowers: map[string]bool{
-			"OSFile":        true,
-			"osFileOf":      true,
-			"bulkConn":      true,
-			"StartChirp":    true,
-			"DialChirpPool": true,
+			"OSFile":     true,
+			"osFileOf":   true,
+			"bulkConn":   true,
+			"StartChirp": true,
+			"DialChirp":  true,
 		},
 	}
 }

@@ -21,7 +21,7 @@ import (
 //     move as parallel multipart transfers: the file is split into
 //     ChunkSize pieces and chunk reads/writes are dispatched
 //     concurrently through the PartGetter/PartPutter capabilities —
-//     which a chirp.Pool fans out across its pooled connections — or,
+//     which a chirp.Client fans out across its connections — or,
 //     absent those, through concurrent positional I/O on open files.
 //
 // With Verify, every chunk carries a crc32c digest trailer verified by

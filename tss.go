@@ -235,7 +235,7 @@ func StartFileServerTCP(addr, root string, opts FileServerOptions) (stop func(),
 	return func() { once.Do(func() { stopRep(); l.Close() }) }, l.Addr().String(), nil
 }
 
-// Client is a connection to one file server; it implements FileSystem.
+// Client is a transport to one file server; it implements FileSystem.
 type Client = chirp.Client
 
 // DialSim connects to a file server on a simulated network, presenting
@@ -256,37 +256,6 @@ func DialTCP(addr string) (*Client, error) {
 	return chirp.DialTCP(addr,
 		[]auth.Credential{auth.HostnameCredential{}, auth.UnixCredential{}},
 		30*time.Second)
-}
-
-// ClientPool is a multi-connection transport to one file server; it
-// implements FileSystem with the same semantics as Client but keeps up
-// to PoolSize authenticated connections, so concurrent operations no
-// longer serialize on a single socket. Descriptor I/O stays pinned to
-// the connection that opened the file.
-type ClientPool = chirp.Pool
-
-// DialSimPool connects a pool of up to size connections to a file
-// server on a simulated network.
-func DialSimPool(nw *SimNetwork, serverName, clientName string, size int) (*ClientPool, error) {
-	return chirp.NewPool(chirp.ClientConfig{
-		Dial: func() (net.Conn, error) {
-			return nw.DialFrom(clientName, serverName, netsim.Loopback)
-		},
-		Credentials: []auth.Credential{auth.HostnameCredential{}, auth.UnixCredential{}},
-		Timeout:     30 * time.Second,
-		PoolSize:    size,
-	})
-}
-
-// DialTCPPool connects a pool of up to size connections to a file
-// server over TCP with the default credential set.
-func DialTCPPool(addr string, size int) (*ClientPool, error) {
-	return chirp.NewPool(chirp.ClientConfig{
-		Dial:        func() (net.Conn, error) { return net.DialTimeout("tcp", addr, 10*time.Second) },
-		Credentials: []auth.Credential{auth.HostnameCredential{}, auth.UnixCredential{}},
-		Timeout:     30 * time.Second,
-		PoolSize:    size,
-	})
 }
 
 // ---- Abstraction layer ----
