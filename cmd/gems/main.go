@@ -174,7 +174,7 @@ func main() {
 		}
 
 	case "audit":
-		rep, err := (&gems.Auditor{DB: db, VerifyContent: true}).Audit()
+		rep, err := (&gems.Auditor{DB: db}).Audit()
 		if err != nil {
 			fatal(err)
 		}

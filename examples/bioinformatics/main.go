@@ -89,7 +89,7 @@ func main() {
 	}
 	fmt.Printf("owner of %s evicted all GEMS data (%d files)\n", victim.Name, len(ents))
 
-	auditor := &tss.Auditor{DB: db, VerifyContent: true}
+	auditor := &tss.Auditor{DB: db}
 	report, err := auditor.Audit()
 	if err != nil {
 		log.Fatal(err)

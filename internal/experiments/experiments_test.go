@@ -234,6 +234,10 @@ func TestFig9Shape(t *testing.T) {
 	if !res.AllReadable {
 		t.Error("data lost despite repairs")
 	}
+	// The auditor digests replicas where they live: no content moves.
+	if res.AuditWireBytes != 0 {
+		t.Errorf("audits made the servers send %d content bytes, want 0", res.AuditWireBytes)
+	}
 	// The timeline must reach the budget, dip at each failure, and
 	// re-reach the budget after each repair.
 	budgetMB := float64(cfg.Budget) / (1 << 20)

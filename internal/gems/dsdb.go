@@ -1,7 +1,6 @@
 package gems
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -72,19 +71,31 @@ func (d *DSDB) pickServer() *abstraction.DataServer {
 // replicaPath names the data file for one replica of a record. Record
 // IDs are free-form and may contain slashes; they are flattened so
 // every replica lives directly in the abstraction's distinguishable
-// directory (which is what makes manual recovery possible, §5).
+// directory (which is what makes manual recovery possible, §5). The
+// flattening is reversible, so two IDs never share a file and
+// RecoverIndex can name a replica's record from its file name.
 func replicaPath(dir, id string, n int) string {
-	flat := strings.NewReplacer("/", "_", "%", "%%").Replace(id)
-	return pathutil.Join(dir, fmt.Sprintf("%s.rep%d", flat, n))
+	return pathutil.Join(dir, fmt.Sprintf("%s.rep%d", flatten.Replace(id), n))
+}
+
+var (
+	flatten   = strings.NewReplacer("%", "%25", "/", "%2F")
+	unflatten = strings.NewReplacer("%25", "%", "%2F", "/")
+)
+
+// idOf reverses the flattening of a replica file name's stem; a stem
+// that did not come from replicaPath names its record verbatim.
+func idOf(stem string) string {
+	id := unflatten.Replace(stem)
+	if flatten.Replace(id) != stem {
+		return stem
+	}
+	return id
 }
 
 // Put stores data under a fresh record with the given attributes,
 // placing the first replica on the next server, and indexes it.
 func (d *DSDB) Put(id string, attrs map[string]string, data []byte) (Record, error) {
-	sum, _, err := Checksum(bytes.NewReader(data))
-	if err != nil {
-		return Record{}, err
-	}
 	srv := d.pickServer()
 	path := replicaPath(srv.Dir, id, 0)
 	// Stored through the copy engine with verification: the data file is
@@ -97,7 +108,7 @@ func (d *DSDB) Put(id string, attrs map[string]string, data []byte) (Record, err
 		ID:       id,
 		Attrs:    attrs,
 		Size:     int64(len(data)),
-		Checksum: sum,
+		Checksum: sha256Hex(data),
 		Replicas: []Replica{{Server: srv.Name, Path: path}},
 	}
 	if err := d.idx.Insert(rec); err != nil {
@@ -127,7 +138,8 @@ func (d *DSDB) Open(rec Record) (vfs.File, error) {
 }
 
 // Read fetches the full content of a record from any good replica,
-// verifying the checksum.
+// verifying the checksum on the bytes it returns: the transport's own
+// digests cover the wire, not corruption at rest.
 func (d *DSDB) Read(rec Record) ([]byte, error) {
 	var lastErr error = vfs.ENOENT
 	for _, rep := range rec.Replicas {
@@ -140,8 +152,7 @@ func (d *DSDB) Read(rec Record) ([]byte, error) {
 			lastErr = err
 			continue
 		}
-		sum, _, _ := Checksum(bytes.NewReader(data))
-		if sum != rec.Checksum {
+		if sha256Hex(data) != rec.Checksum {
 			lastErr = vfs.EIO
 			continue
 		}
@@ -226,24 +237,45 @@ func (d *DSDB) AddReplica(rec Record) (Record, error) {
 	if target == nil {
 		return rec, io.EOF
 	}
-	data, err := d.Read(rec)
+	// Each source in turn is copied server to server through the copy
+	// engine's window, and the new copy is indexed only once its digest,
+	// taken where it lives, matches the record: a corrupt source or a
+	// bad transfer costs one attempt, never a replica born corrupt (the
+	// GEMS auditor then only has to catch rot).
+	dst := vfs.Loc{FS: target.FS, Path: replicaPath(target.Dir, rec.ID, len(rec.Replicas))}
+	var lastErr error = vfs.ENOENT
+	for _, rep := range rec.Replicas {
+		srv := d.server(rep.Server)
+		if srv == nil {
+			continue
+		}
+		if lastErr = copyReplica(dst, vfs.Loc{FS: srv.FS, Path: rep.Path}, rec.Checksum); lastErr != nil {
+			continue
+		}
+		rec.Replicas = append(rec.Replicas, Replica{Server: target.Name, Path: dst.Path})
+		if err := d.idx.Update(rec); err != nil {
+			target.FS.Unlink(dst.Path)
+			return rec, err
+		}
+		return rec, nil
+	}
+	return rec, fmt.Errorf("gems: replicating %s to %s: no good source replica: %w", rec.ID, target.Name, lastErr)
+}
+
+// copyReplica copies src to dst with a verified transfer and checks
+// dst's sha256 digest against want. On any failure dst is removed.
+func copyReplica(dst, src vfs.Loc, want string) error {
+	_, err := vfs.Copy(context.Background(), dst, src, vfs.CopyOptions{Verify: true, Mode: 0o644})
+	if err == nil {
+		var got string
+		if got, err = vfs.ChecksumFile(dst.FS, dst.Path, vfs.AlgoSHA256); err == nil && got != want {
+			err = vfs.ChecksumMismatch(dst.Path, vfs.AlgoSHA256, want, got)
+		}
+	}
 	if err != nil {
-		return rec, fmt.Errorf("gems: no good source replica for %s: %w", rec.ID, err)
+		dst.FS.Unlink(dst.Path)
 	}
-	path := replicaPath(target.Dir, rec.ID, len(rec.Replicas))
-	// Replication reuses the verified store: the new copy is digested in
-	// flight, so a replica born corrupt is impossible (the GEMS auditor
-	// then only has to catch rot, not bad transfers).
-	if err := vfs.PutBytes(context.Background(), vfs.Loc{FS: target.FS, Path: path},
-		0o644, data, vfs.CopyOptions{Verify: true}); err != nil {
-		return rec, fmt.Errorf("gems: replicating %s to %s: %w", rec.ID, target.Name, err)
-	}
-	rec.Replicas = append(rec.Replicas, Replica{Server: target.Name, Path: path})
-	if err := d.idx.Update(rec); err != nil {
-		target.FS.Unlink(path)
-		return rec, err
-	}
-	return rec, nil
+	return err
 }
 
 // StoredBytes returns the total bytes of all indexed replicas — the

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"tss/internal/abstraction"
+	"tss/internal/auth"
+	"tss/internal/chirp"
 	"tss/internal/netsim"
+	"tss/internal/obs"
 	"tss/internal/vfs"
 )
 
@@ -36,6 +40,43 @@ func newDSDB(t *testing.T, n int) *DSDB {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// chirpServers starts n Chirp servers on one simulated network, all
+// counting into reg, and returns an authenticated client of each.
+func chirpServers(t *testing.T, n int, reg *obs.Registry) []*chirp.Client {
+	t.Helper()
+	nw := netsim.NewNetwork()
+	var clis []*chirp.Client
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("s%d.sim", i)
+		srv, err := chirp.NewServer(t.TempDir(), chirp.ServerConfig{
+			Name:      name,
+			Owner:     "hostname:client.sim",
+			Verifiers: []auth.Verifier{&auth.HostnameVerifier{}},
+			Metrics:   reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := nw.Listen(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(l)
+		t.Cleanup(func() { l.Close() })
+		cli, err := chirp.Dial(chirp.ClientConfig{
+			Dial:        func() (net.Conn, error) { return nw.DialFrom("client.sim", name, netsim.Loopback) },
+			Credentials: []auth.Credential{auth.HostnameCredential{}},
+			Timeout:     5 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cli.Close() })
+		clis = append(clis, cli)
+	}
+	return clis
 }
 
 func TestMemIndexCRUD(t *testing.T) {
@@ -186,7 +227,7 @@ func TestAuditorDetectsMissingAndCorrupt(t *testing.T) {
 	d.server(rec.Replicas[0].Server).FS.Unlink(rec.Replicas[0].Path)
 	vfs.WriteFile(d.server(recB.Replicas[0].Server).FS, recB.Replicas[0].Path, []byte("XXXX"), 0o644)
 
-	a := &Auditor{DB: d, VerifyContent: true}
+	a := &Auditor{DB: d}
 	report, err := a.Audit()
 	if err != nil {
 		t.Fatal(err)
@@ -208,18 +249,54 @@ func TestAuditorDetectsMissingAndCorrupt(t *testing.T) {
 	}
 }
 
-func TestAuditorSizeCheckWithoutContent(t *testing.T) {
+func TestAuditorDetectsSameSizeCorruption(t *testing.T) {
 	d := newDSDB(t, 1)
 	rec, _ := d.Put("a", nil, []byte("12345678"))
-	// Same size, different content: only content verification sees it.
+	// Same size, different content: only a content digest sees it.
 	vfs.WriteFile(d.server(rec.Replicas[0].Server).FS, rec.Replicas[0].Path, []byte("87654321"), 0o644)
 	rep, _ := (&Auditor{DB: d}).Audit()
-	if rep.Corrupt != 0 {
-		t.Errorf("size-only audit flagged same-size corruption")
-	}
-	rep, _ = (&Auditor{DB: d, VerifyContent: true}).Audit()
 	if rep.Corrupt != 1 {
-		t.Errorf("content audit missed corruption: %+v", rep)
+		t.Errorf("audit missed same-size corruption: %+v", rep)
+	}
+}
+
+// Audit and recovery digest each replica where it lives: over Chirp
+// servers neither moves a byte of file content.
+func TestAuditAndRecoverMoveNoContent(t *testing.T) {
+	reg := obs.NewRegistry()
+	var servers []abstraction.DataServer
+	for i, cli := range chirpServers(t, 3, reg) {
+		servers = append(servers, abstraction.DataServer{Name: fmt.Sprintf("s%d", i), FS: cli, Dir: "/gems"})
+	}
+	d, err := NewDSDB(NewMemIndex(), servers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nRecords, recSize = 4, 64 << 10
+	for i := 0; i < nRecords; i++ {
+		rec, err := d.Put(fmt.Sprintf("set/rec%d", i), nil, bytes.Repeat([]byte{byte(i)}, recSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.AddReplica(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sent := reg.Counter("chirp_server.bytes_read")
+	before := sent.Load()
+	rep, err := (&Auditor{DB: d}).Audit()
+	if err != nil || rep.ReplicasChecked != 2*nRecords || rep.Missing+rep.Corrupt+rep.Unreachable != 0 {
+		t.Fatalf("audit = %+v, %v", rep, err)
+	}
+	recovered, err := RecoverIndex(servers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, _ := recovered.List(); len(recs) != nRecords {
+		t.Errorf("recovered %d records, want %d", len(recs), nRecords)
+	}
+	if n := sent.Load() - before; n != 0 {
+		t.Errorf("audit + recover made the servers send %d content bytes, want 0", n)
 	}
 }
 
@@ -259,7 +336,7 @@ func TestPreservationCycle(t *testing.T) {
 			srv.FS.Unlink("/gems/" + e.Name)
 		}
 	}
-	aud := &Auditor{DB: d, VerifyContent: true}
+	aud := &Auditor{DB: d}
 	report, err := aud.Audit()
 	if err != nil {
 		t.Fatal(err)
@@ -310,85 +387,19 @@ func TestReplicatorRespectsBudget(t *testing.T) {
 	}
 }
 
-func TestReplicatorMaxReplicasCap(t *testing.T) {
-	d := newDSDB(t, 5)
-	d.Put("a", nil, []byte("z"))
-	repl := &Replicator{DB: d, BudgetBytes: 1 << 20, MaxReplicasPerRecord: 2}
-	repl.Run()
-	got, _, _ := d.idx.Get("a")
-	if len(got.Replicas) != 2 {
-		t.Errorf("replicas = %d, want capped at 2", len(got.Replicas))
-	}
-}
-
-func TestDBServerClient(t *testing.T) {
-	idx := NewMemIndex()
-	srv := NewDBServer(idx)
-	nw := netsim.NewNetwork()
-	l, err := nw.Listen("db.sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go srv.Serve(l)
-
-	cli, err := DialDB(func() (net.Conn, error) { return nw.Dial("db.sim", netsim.Loopback) }, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	rec := Record{ID: "net1", Attrs: map[string]string{"k": "v"}, Size: 5, Checksum: "c",
-		Replicas: []Replica{{Server: "s1", Path: "/gems/net1.rep0"}}}
-	if err := cli.Insert(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Insert(rec); err == nil {
-		t.Error("duplicate insert over network accepted")
-	}
-	got, found, err := cli.Get("net1")
-	if err != nil || !found || got.Replicas[0].Server != "s1" {
-		t.Fatalf("get = %+v, %v, %v", got, found, err)
-	}
-	rec.Size = 6
-	if err := cli.Update(rec); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := cli.Query(map[string]string{"k": "v"})
-	if err != nil || len(rs) != 1 || rs[0].Size != 6 {
-		t.Fatalf("query = %+v, %v", rs, err)
-	}
-	all, err := cli.List()
-	if err != nil || len(all) != 1 {
-		t.Fatalf("list = %+v, %v", all, err)
-	}
-	if err := cli.Delete("net1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, found, _ := cli.Get("net1"); found {
-		t.Error("delete over network did not remove")
-	}
-}
-
-// The DSDB works identically with a remote index — the database server
-// is just another recursive abstraction.
+// The DSDB works identically with a remote index: the journal lives on
+// a Chirp server, which is just another recursive abstraction.
 func TestDSDBWithRemoteIndex(t *testing.T) {
-	srv := NewDBServer(NewMemIndex())
-	nw := netsim.NewNetwork()
-	l, _ := nw.Listen("db.sim")
-	defer l.Close()
-	go srv.Serve(l)
-	cli, err := DialDB(func() (net.Conn, error) { return nw.Dial("db.sim", netsim.Loopback) }, 5*time.Second)
+	cli := chirpServers(t, 1, nil)[0]
+	idx, err := OpenJournalIndex(cli, "/index.journal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
-
 	var servers []abstraction.DataServer
 	for i := 0; i < 2; i++ {
 		servers = append(servers, abstraction.DataServer{Name: fmt.Sprintf("s%d", i), FS: localFS(t), Dir: "/gems"})
 	}
-	d, err := NewDSDB(cli, servers)
+	d, err := NewDSDB(idx, servers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,5 +417,136 @@ func TestDSDBWithRemoteIndex(t *testing.T) {
 	data, err := d.Read(rs[0])
 	if err != nil || string(data) != "over the wire" {
 		t.Fatalf("read = %q, %v", data, err)
+	}
+	// The index outlives its client: reopened from the server, it
+	// still holds the record and both replicas.
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	idx2, err := OpenJournalIndex(cli, "/index.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx2.Close()
+	if got, ok, err := idx2.Get("remote1"); err != nil || !ok || len(got.Replicas) != 2 {
+		t.Errorf("reopened index: %+v, %v, %v", got, ok, err)
+	}
+}
+
+// Record IDs that differ only in how a slash is spelled keep separate
+// replica files, and recovery names each by its own ID.
+func TestReplicaPathsDoNotCollide(t *testing.T) {
+	d := newDSDB(t, 1)
+	ids := []string{"a/b", "a_b", "a%2Fb", "a%b"}
+	for i, id := range ids {
+		if _, err := d.Put(id, nil, []byte(fmt.Sprintf("payload %d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recovered, err := RecoverIndex(d.Servers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := NewDSDB(recovered, d.Servers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		want := fmt.Sprintf("payload %d", i)
+		for name, db := range map[string]*DSDB{"original": d, "recovered": d2} {
+			rec, ok, err := db.Index().Get(id)
+			if err != nil || !ok {
+				t.Errorf("%s index lacks %q: %v", name, id, err)
+				continue
+			}
+			if data, err := db.Read(rec); err != nil || string(data) != want {
+				t.Errorf("%s read of %q = %q, %v; want %q", name, id, data, err, want)
+			}
+		}
+	}
+	// A file name the flattening cannot have produced is recovered
+	// verbatim.
+	srv := d.Servers()[0]
+	if err := vfs.WriteFile(srv.FS, "/gems/odd%.rep0", []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err = RecoverIndex(d.Servers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := recovered.Get("odd%"); !ok {
+		t.Error("undecodable replica name not recovered verbatim")
+	}
+}
+
+// AddReplica streams server to server: its allocation does not grow
+// with the record.
+func TestAddReplicaAllocationBound(t *testing.T) {
+	d := newDSDB(t, 2)
+	rec, err := d.Put("big", nil, bytes.Repeat([]byte("0123456789abcdef"), 1<<20)) // 16 MiB
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec, err = d.AddReplica(rec)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(rec.Replicas) != 2 {
+		t.Fatalf("add replica = %+v, %v", rec.Replicas, err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("AddReplica of a 16 MiB record allocated %d KiB", alloc>>10)
+	if alloc >= 1<<20 {
+		t.Errorf("AddReplica of a 16 MiB record allocated %d KiB, want < 1024", alloc>>10)
+	}
+}
+
+// A source replica that rotted without changing size is passed over;
+// with no good source left, nothing is written and nothing indexed.
+func TestAddReplicaSkipsCorruptSource(t *testing.T) {
+	d := newDSDB(t, 4)
+	rec, err := d.Put("r", nil, []byte("good data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err = d.AddReplica(rec); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := func(rep Replica) {
+		t.Helper()
+		if err := vfs.WriteFile(d.server(rep.Server).FS, rep.Path, []byte("bad! data"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corrupt(rec.Replicas[0])
+	if rec, err = d.AddReplica(rec); err != nil {
+		t.Fatalf("add replica with a good second source: %v", err)
+	}
+	third := rec.Replicas[2]
+	if data, err := vfs.ReadFile(d.server(third.Server).FS, third.Path); err != nil || string(data) != "good data" {
+		t.Errorf("new replica = %q, %v; want the second source's content", data, err)
+	}
+
+	for _, rep := range rec.Replicas {
+		corrupt(rep)
+	}
+	if _, err := d.AddReplica(rec); err == nil {
+		t.Fatal("replication from all-corrupt sources succeeded")
+	}
+	held := map[string]bool{}
+	for _, rep := range rec.Replicas {
+		held[rep.Server] = true
+	}
+	for _, srv := range d.Servers() {
+		if held[srv.Name] {
+			continue
+		}
+		if ents, err := srv.FS.ReadDir(srv.Dir); err != nil || len(ents) != 0 {
+			t.Errorf("target %s holds %v after a failed replication (%v)", srv.Name, ents, err)
+		}
+	}
+	if got, _, _ := d.idx.Get("r"); len(got.Replicas) != 3 {
+		t.Errorf("index has %d replicas after a failed replication, want 3", len(got.Replicas))
 	}
 }

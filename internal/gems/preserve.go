@@ -1,11 +1,6 @@
 package gems
 
-import (
-	"bytes"
-	"time"
-
-	"tss/internal/vfs"
-)
+import "tss/internal/vfs"
 
 // The two active components of GEMS preservation (§9): the auditor
 // verifies the location and integrity of data on file servers and
@@ -22,12 +17,10 @@ type AuditReport struct {
 }
 
 // Auditor periodically scans the database and verifies every replica.
+// The content of each replica is digested where it lives (the Chirp
+// checksum RPC, or a local read), so an audit moves no file data.
 type Auditor struct {
 	DB *DSDB
-	// VerifyContent enables full checksum verification; without it the
-	// auditor only confirms existence and size (cheaper, as a real
-	// deployment would do most of the time).
-	VerifyContent bool
 }
 
 // Audit runs one pass. Replicas found missing or corrupt are removed
@@ -45,7 +38,6 @@ func (a *Auditor) Audit() (AuditReport, error) {
 	rep.Records = len(recs)
 	for _, rec := range recs {
 		good := rec.Replicas[:0]
-		changed := false
 		for _, r := range rec.Replicas {
 			rep.ReplicasChecked++
 			srv := a.DB.server(r.Server)
@@ -54,38 +46,20 @@ func (a *Auditor) Audit() (AuditReport, error) {
 				good = append(good, r)
 				continue
 			}
-			fi, err := srv.FS.Stat(r.Path)
+			sum, err := vfs.ChecksumFile(srv.FS, r.Path, vfs.AlgoSHA256)
 			switch {
 			case vfs.AsErrno(err) == vfs.ENOENT:
 				rep.Missing++
-				changed = true
-				continue
 			case err != nil:
 				rep.Unreachable++
 				good = append(good, r)
-				continue
-			case fi.Size != rec.Size:
+			case sum != rec.Checksum: // a size change is a digest change too
 				rep.Corrupt++
-				changed = true
-				continue
+			default:
+				good = append(good, r)
 			}
-			if a.VerifyContent {
-				data, err := vfs.ReadFile(srv.FS, r.Path)
-				if err != nil {
-					rep.Unreachable++
-					good = append(good, r)
-					continue
-				}
-				sum, _, _ := Checksum(bytes.NewReader(data))
-				if sum != rec.Checksum {
-					rep.Corrupt++
-					changed = true
-					continue
-				}
-			}
-			good = append(good, r)
 		}
-		if changed {
+		if len(good) < len(rec.Replicas) {
 			rec.Replicas = append([]Replica(nil), good...)
 			if err := a.DB.idx.Update(rec); err != nil {
 				return rep, err
@@ -103,9 +77,6 @@ type Replicator struct {
 	// BudgetBytes is the total storage the dataset may consume across
 	// all replicas (the 40 GB of Figure 9).
 	BudgetBytes int64
-	// MaxReplicasPerRecord optionally caps copies per record
-	// (0 = bounded only by the number of servers).
-	MaxReplicasPerRecord int
 }
 
 // Step performs at most one replication and reports whether it did
@@ -126,9 +97,6 @@ func (r *Replicator) Step() (bool, error) {
 		rec := &recs[i]
 		if len(rec.Replicas) == 0 {
 			continue // unrecoverable: no source copy remains
-		}
-		if r.MaxReplicasPerRecord > 0 && len(rec.Replicas) >= r.MaxReplicasPerRecord {
-			continue
 		}
 		if len(rec.Replicas) >= len(r.DB.servers) {
 			continue
@@ -160,32 +128,5 @@ func (r *Replicator) Run() (steps int, err error) {
 			return steps, nil
 		}
 		steps++
-	}
-}
-
-// Preserver ties auditor and replicator into the periodic maintenance
-// loop a deployment runs.
-type Preserver struct {
-	Auditor    *Auditor
-	Replicator *Replicator
-	Interval   time.Duration
-}
-
-// RunLoop audits and replicates at each interval until stop closes.
-func (p *Preserver) RunLoop(stop <-chan struct{}) {
-	interval := p.Interval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			p.Auditor.Audit()
-			p.Replicator.Run()
-		case <-stop:
-			return
-		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -59,14 +58,12 @@ func (r Record) Matches(query map[string]string) bool {
 	return true
 }
 
-// Checksum computes the hex SHA-256 of everything in r.
-func Checksum(r io.Reader) (string, int64, error) {
-	h := sha256.New()
-	n, err := io.Copy(h, r)
-	if err != nil {
-		return "", n, err
-	}
-	return hex.EncodeToString(h.Sum(nil)), n, nil
+// sha256Hex is the form of Record.Checksum: what vfs.ChecksumFile
+// returns for vfs.AlgoSHA256, so a digest taken where a replica lives
+// compares directly with the record.
+func sha256Hex(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
 // Index is the database interface of the DSDB. Implementations must be

@@ -1,7 +1,6 @@
 package gems
 
 import (
-	"bytes"
 	"fmt"
 	"regexp"
 	"strconv"
@@ -17,11 +16,12 @@ import (
 // existing file data."
 //
 // Replica files are named <flattened-id>.rep<N>, so the record ID and
-// replica set are recoverable from the namespace alone; sizes and
-// checksums are recomputed from content, and replicas of the same ID
-// whose contents disagree are resolved by majority (ties favor the
-// lowest-numbered replica). Free-form attributes are not stored beside
-// the data and cannot be recovered; they return empty.
+// replica set are recoverable from the namespace alone; sizes come from
+// stat and checksums are computed where the data lives (no content
+// crosses the wire), and replicas of the same ID whose contents
+// disagree are resolved by majority (ties favor the lowest-numbered
+// replica). Free-form attributes are not stored beside the data and
+// cannot be recovered; they return empty.
 var replicaNameRE = regexp.MustCompile(`^(.+)\.rep(\d+)$`)
 
 // RecoverIndex scans the servers' storage directories and returns a
@@ -57,14 +57,17 @@ func RecoverIndex(servers []abstraction.DataServer) (*MemIndex, error) {
 			if m == nil {
 				continue // foreign file in the directory
 			}
-			id := m[1]
+			id := idOf(m[1])
 			n, _ := strconv.Atoi(m[2])
 			path := pathutil.Join(dir, e.Name)
-			data, err := vfs.ReadFile(srv.FS, path)
+			fi, err := srv.FS.Stat(path)
 			if err != nil {
 				continue // unreadable replica: skip
 			}
-			sum, size, _ := Checksum(bytes.NewReader(data))
+			sum, err := vfs.ChecksumFile(srv.FS, path, vfs.AlgoSHA256)
+			if err != nil {
+				continue
+			}
 			if _, seen := byID[id]; !seen {
 				order = append(order, id)
 			}
@@ -72,7 +75,7 @@ func RecoverIndex(servers []abstraction.DataServer) (*MemIndex, error) {
 				rep:      Replica{Server: srv.Name, Path: path},
 				n:        n,
 				checksum: sum,
-				size:     size,
+				size:     fi.Size,
 			})
 		}
 	}

@@ -349,7 +349,7 @@ func RecoverIndex(servers []DataServer) (gems.Index, error) {
 }
 
 // NewDSDBWithIndex builds a DSDB over an existing index — e.g. one
-// returned by RecoverIndex or a remote gems.DBClient.
+// returned by RecoverIndex, or gems.OpenJournalIndex on a Chirp server.
 func NewDSDBWithIndex(idx gems.Index, servers []DataServer) (*gems.DSDB, error) {
 	return gems.NewDSDB(idx, servers)
 }

@@ -241,7 +241,7 @@ func TestFacadeGEMS(t *testing.T) {
 	if err != nil || len(recs) != 1 || len(recs[0].Replicas) != 3 {
 		t.Fatalf("query = %+v, %v", recs, err)
 	}
-	aud := &tss.Auditor{DB: db, VerifyContent: true}
+	aud := &tss.Auditor{DB: db}
 	rep, err := aud.Audit()
 	if err != nil || rep.Missing != 0 {
 		t.Fatalf("audit = %+v, %v", rep, err)
