@@ -14,8 +14,11 @@
 package acl
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
+
+	"tss/internal/token"
 )
 
 // Rights is a bit set of access rights.
@@ -228,46 +231,27 @@ type List struct {
 	Entries []Entry
 }
 
-// asciiFields splits on runs of ASCII space and tab only, so escaped
-// subjects containing exotic Unicode whitespace survive parsing.
-func asciiFields(s string) []string {
-	var out []string
-	start := -1
-	for i := 0; i < len(s); i++ {
-		if s[i] == ' ' || s[i] == '\t' {
-			if start >= 0 {
-				out = append(out, s[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
-		}
-	}
-	if start >= 0 {
-		out = append(out, s[start:])
-	}
-	return out
-}
-
 // Parse reads an ACL in its serialized form: one entry per line,
 // "subject spec". Blank lines and lines starting with '#' are ignored.
 func Parse(data []byte) (*List, error) {
 	l := &List{}
-	for ln, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+	for ln := 1; len(data) > 0; ln++ {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		fields := asciiFields(line)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("acl: line %d: want \"subject rights\", got %q", ln+1, line)
+		var fields [3][]byte
+		if token.Split(fields[:], line) != 2 {
+			return nil, fmt.Errorf("acl: line %d: want \"subject rights\", got %q", ln, line)
 		}
-		rights, reserve, err := ParseSpec(fields[1])
+		rights, reserve, err := ParseSpec(string(fields[1]))
 		if err != nil {
-			return nil, fmt.Errorf("acl: line %d: %v", ln+1, err)
+			return nil, fmt.Errorf("acl: line %d: %v", ln, err)
 		}
 		l.Entries = append(l.Entries, Entry{
-			Subject:       UnescapeSubject(fields[0]),
+			Subject:       UnescapeSubject(string(fields[0])),
 			Rights:        rights,
 			ReserveRights: reserve,
 		})

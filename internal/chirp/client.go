@@ -707,7 +707,7 @@ func (c *Client) StatFS() (vfs.FSInfo, error) {
 		if err != nil {
 			return err
 		}
-		_, err = fmt.Sscanf(line, "%d %d", &info.TotalBytes, &info.FreeBytes)
+		_, err = fmt.Sscanf(string(line), "%d %d", &info.TotalBytes, &info.FreeBytes)
 		return err
 	})
 	return info, err
@@ -724,7 +724,7 @@ func (c *Client) Whoami() (auth.Subject, error) {
 		if err != nil {
 			return err
 		}
-		u, err := proto.Unescape(line)
+		u, err := proto.Unescape(string(line))
 		s = auth.Subject(u)
 		return err
 	})
@@ -740,7 +740,7 @@ func (c *Client) GetACL(path string) ([]string, error) {
 			if err != nil {
 				return err
 			}
-			lines = append(lines, line)
+			lines = append(lines, string(line))
 		}
 		return nil
 	})

@@ -37,7 +37,7 @@ func (c *Client) Lease(path string) (vfs.Lease, error) {
 				return err
 			}
 			var ttlMS int64
-			if _, serr := fmt.Sscanf(line, "%d %d %d", &l.ID, &ttlMS, &l.Version); serr != nil {
+			if _, serr := fmt.Sscanf(string(line), "%d %d %d", &l.ID, &ttlMS, &l.Version); serr != nil {
 				badBody = true
 				return nil
 			}

@@ -533,14 +533,16 @@ func TestMultipartManyChunksPooled(t *testing.T) {
 
 // tcpPool starts a server on loopback TCP — a transport with
 // backpressure, unlike netsim, whose queue would hold a body whole —
-// and dials a pool of the given size to it, its clients counting into
-// reg when there is one.
-func tcpPool(t *testing.T, size int, reg *obs.Registry) (*Server, *Client) {
+// and dials a pool of the given size to it, server and clients counting
+// into reg when there is one. The server sees each connection through
+// wrap when there is one.
+func tcpPool(t *testing.T, size int, reg *obs.Registry, wrap func(net.Conn) net.Conn) (*Server, *Client) {
 	t.Helper()
 	srv, err := NewServer(t.TempDir(), ServerConfig{
 		Name:      "localhost",
 		Owner:     "hostname:localhost",
 		Verifiers: []auth.Verifier{&auth.HostnameVerifier{}},
+		Metrics:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -550,7 +552,19 @@ func tcpPool(t *testing.T, size int, reg *obs.Registry) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	go srv.Serve(l)
+	if wrap == nil {
+		go srv.Serve(l)
+	} else {
+		go func() {
+			for {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				go srv.ServeConn(wrap(c))
+			}
+		}()
+	}
 	p, err := Dial(ClientConfig{
 		Dial: func() (net.Conn, error) {
 			return net.DialTimeout("tcp", l.Addr().String(), 5*time.Second)
@@ -576,7 +590,7 @@ func TestMultipartBoundedMemory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the bound leans on a warm sync.Pool, which the race detector empties at random")
 	}
-	_, p := tcpPool(t, 2, nil)
+	_, p := tcpPool(t, 2, nil, nil)
 	const size = 16 << 20
 	up := localEndpoint(t, "up.bin", partPayload(size))
 	down := localEndpoint(t, "down.bin", nil)
@@ -729,7 +743,7 @@ func (f *fullDiskFile) Pwrite(p []byte, off int64) (int, error) {
 // bodies were drained, not abandoned.
 func TestMultipartLocalWriteError(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, p := tcpPool(t, 2, reg)
+	_, p := tcpPool(t, 2, reg, nil)
 	data := partPayload(4 << 20)
 	if err := vfs.PutBytes(context.Background(), vfs.Loc{FS: p, Path: "/big"}, 0o644, data,
 		vfs.CopyOptions{Concurrency: 2, ChunkSize: 1 << 20}); err != nil {

@@ -1,6 +1,9 @@
 package proto
 
 import (
+	"bufio"
+	"bytes"
+	"strings"
 	"testing"
 
 	"tss/internal/vfs"
@@ -11,9 +14,10 @@ var benchPread = Request{Verb: "pread", FD: 7, Length: 65536, Offset: 1 << 30}
 var benchOpen = Request{Verb: "open", Path: "/data/experiment/run-0042/events.dat", Flags: 0x42, Mode: 0o644}
 
 // BenchmarkEncodeDecode measures a full encode/parse round trip of a
-// path-carrying request with a recycled encode buffer.
+// path-carrying request with a recycled encode buffer and Request.
 func BenchmarkEncodeDecode(b *testing.B) {
 	buf := make([]byte, 0, 128)
+	var q Request
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -21,16 +25,17 @@ func BenchmarkEncodeDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ParseRequest(string(buf)); err != nil {
+		if err := q.Parse(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkPreadRoundTrip measures the data-path hot verb: pread
-// encode into a recycled buffer plus parse.
+// encode into a recycled buffer plus parse into a recycled Request.
 func BenchmarkPreadRoundTrip(b *testing.B) {
 	buf := make([]byte, 0, 64)
+	var q Request
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -38,7 +43,7 @@ func BenchmarkPreadRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ParseRequest(string(buf)); err != nil {
+		if err := q.Parse(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,23 +108,56 @@ func TestEncodeAllocationGuards(t *testing.T) {
 		t.Errorf("AppendStat allocates %.1f/op, want 0", n)
 	}
 
-	// The table-driven parser may not cost more than the per-verb switch
-	// it replaced: the bounds are that parser's allocations per line,
-	// measured at the commit before the table (tokenizer slice growth
-	// plus the Request itself).
+	// The parser, as a server session runs it: a line in a reader's
+	// buffer, parsed into the session's one Request. An integer-only
+	// verb allocates nothing; each string argument is one copy.
+	var q Request
 	for _, g := range []struct {
 		line string
-		max  float64
+		want float64
 	}{
-		{"pread 7 65536 1073741824", 4},
-		{"stat /data/experiment/run-0042/events.dat", 3},
+		{"pread 7 65536 1073741824", 0},
+		{"deadline 30000", 0},
+		{"stat /data/experiment/run-0042/events.dat", 1},
+		{"stat /data/experiment/run%200042/events.dat", 1},
 	} {
+		line := []byte(g.line)
 		if n := testing.AllocsPerRun(200, func() {
-			if _, err := ParseRequest(g.line); err != nil {
+			if err := q.Parse(line); err != nil {
 				t.Fatal(err)
 			}
-		}); n > g.max {
-			t.Errorf("ParseRequest(%q) allocates %.1f/op, want <= %.0f", g.line, n, g.max)
+		}); n != g.want {
+			t.Errorf("Parse(%q) allocates %.1f/op, want %.0f", g.line, n, g.want)
+		}
+	}
+
+	// Reply lines parse from a ReadLine view the same way: a status
+	// line allocates nothing, a stat line only its name.
+	replies := bufio.NewReaderSize(strings.NewReader(""), 256)
+	for _, g := range []struct {
+		name string
+		in   []byte
+		want float64
+		run  func(r *bufio.Reader) error
+	}{
+		{"ReadCode", []byte("-13\n"), 0, func(r *bufio.Reader) error { _, err := ReadCode(r); return err }},
+		{"UnmarshalStat", append(AppendStat(nil, fi), '\n'), 1, func(r *bufio.Reader) error {
+			line, err := ReadLine(r)
+			if err == nil {
+				_, err = UnmarshalStat(line)
+			}
+			return err
+		}},
+	} {
+		src := bytes.NewReader(g.in)
+		if n := testing.AllocsPerRun(200, func() {
+			src.Reset(g.in)
+			replies.Reset(src)
+			if err := g.run(replies); err != nil {
+				t.Fatal(err)
+			}
+		}); n != g.want {
+			t.Errorf("%s allocates %.1f/op, want %.0f", g.name, n, g.want)
 		}
 	}
 

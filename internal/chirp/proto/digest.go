@@ -1,9 +1,9 @@
 package proto
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
-	"strings"
 )
 
 // The digest trailer is one extra protocol line after the raw bytes of
@@ -33,25 +33,25 @@ func MarshalDigestTrailer(algo string, sum []byte) string {
 }
 
 // ParseDigestTrailer decodes a digest trailer line into the algorithm
-// name and raw digest bytes. The hex digest cannot contain a colon, so
-// the split point is the last one; algorithm names containing colons
-// therefore round-trip.
-func ParseDigestTrailer(line string) (algo string, sum []byte, err error) {
-	colon := strings.LastIndexByte(line, ':')
+// name and raw digest bytes; the line may be a ReadLine view. The hex
+// digest cannot contain a colon, so the split point is the last one;
+// algorithm names containing colons therefore round-trip.
+func ParseDigestTrailer(line []byte) (algo string, sum []byte, err error) {
+	colon := bytes.LastIndexByte(line, ':')
 	if colon <= 0 {
-		return "", nil, fmt.Errorf("proto: malformed digest trailer %q", line)
+		return "", nil, fmt.Errorf("proto: malformed digest trailer %q", string(line))
 	}
-	algo, err = Unescape(line[:colon])
+	algo, err = unescape(line[:colon])
 	if err != nil {
 		return "", nil, err
 	}
 	hexSum := line[colon+1:]
 	if len(hexSum) == 0 || len(hexSum)%2 != 0 || len(hexSum) > 2*MaxDigestLen {
-		return "", nil, fmt.Errorf("proto: malformed digest trailer %q", line)
+		return "", nil, fmt.Errorf("proto: malformed digest trailer %q", string(line))
 	}
-	sum, err = hex.DecodeString(hexSum)
-	if err != nil {
-		return "", nil, fmt.Errorf("proto: malformed digest trailer %q", line)
+	sum = make([]byte, hex.DecodedLen(len(hexSum)))
+	if _, err := hex.Decode(sum, hexSum); err != nil {
+		return "", nil, fmt.Errorf("proto: malformed digest trailer %q", string(line))
 	}
 	return algo, sum, nil
 }

@@ -5,12 +5,17 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tss/internal/token"
 )
 
-// FuzzDecodeRequest feeds arbitrary protocol lines to ParseRequest. The
-// parser must never panic, and any line it accepts must survive a full
-// re-encode/re-parse round trip unchanged: the parsed form is the
-// canonical meaning of the request.
+// FuzzDecodeRequest feeds arbitrary protocol lines to Request.Parse.
+// The parser must never panic, and any line it accepts must survive a
+// full re-encode/re-parse round trip unchanged: the parsed form is the
+// canonical meaning of the request. The line is parsed from a byte
+// slice the way a server session parses a ReadLine view, and no field
+// may alias it: overwriting the line after the parse must leave the
+// request as it was.
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add("open /etc/motd 2 644")
 	f.Add("pread 3 65536 0")
@@ -30,16 +35,23 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add(line)
 	})
 	f.Fuzz(func(t *testing.T, line string) {
-		q, err := ParseRequest(line)
-		if err != nil {
+		b := []byte(line)
+		var q Request
+		if err := q.Parse(b); err != nil {
 			return
 		}
 		enc, err := q.Encode()
 		if err != nil {
 			t.Fatalf("accepted request %+v does not re-encode: %v", q, err)
 		}
-		q2, err := ParseRequest(enc)
-		if err != nil {
+		for i := range b {
+			b[i] ^= 0xff
+		}
+		if after, _ := q.Encode(); after != enc {
+			t.Fatalf("request aliases its line: overwriting %q changed %q to %q", line, enc, after)
+		}
+		var q2 Request
+		if err := q2.Parse([]byte(enc)); err != nil {
 			t.Fatalf("re-encoded line %q does not re-parse: %v", enc, err)
 		}
 		if !reflect.DeepEqual(q, q2) {
@@ -76,8 +88,8 @@ func FuzzEncodeDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("known verb %q does not encode: %v", q.Verb, err)
 		}
-		q2, err := ParseRequest(enc)
-		if err != nil {
+		q2 := new(Request)
+		if err := q2.Parse([]byte(enc)); err != nil {
 			t.Fatalf("encoding of %+v does not parse: %q: %v", q, enc, err)
 		}
 		if q2.Verb != q.Verb {
@@ -95,7 +107,7 @@ func FuzzEncodeDecode(f *testing.F) {
 
 // FuzzEscape asserts the token escaping is lossless and that its output
 // honors the tokenizer contract: never empty, never containing the
-// separators asciiFields splits on.
+// separators the tokenizer splits on.
 func FuzzEscape(f *testing.F) {
 	f.Add("")
 	f.Add("/plain/path")
@@ -106,7 +118,8 @@ func FuzzEscape(f *testing.F) {
 		if esc == "" {
 			t.Fatalf("Escape(%q) produced an empty token", s)
 		}
-		if fields := asciiFields(esc); len(fields) != 1 || fields[0] != esc {
+		var fields [2][]byte
+		if n := token.Split(fields[:], []byte(esc)); n != 1 || string(fields[0]) != esc {
 			t.Fatalf("Escape(%q) = %q is not a single token", s, esc)
 		}
 		got, err := Unescape(esc)
@@ -137,7 +150,7 @@ func FuzzDigestTrailer(f *testing.F) {
 	f.Add("noseparator")
 	f.Add("crc32c:" + strings.Repeat("00", 65))
 	f.Fuzz(func(t *testing.T, line string) {
-		algo, sum, err := ParseDigestTrailer(line)
+		algo, sum, err := ParseDigestTrailer([]byte(line))
 		if err != nil {
 			return
 		}
@@ -145,7 +158,7 @@ func FuzzDigestTrailer(f *testing.F) {
 			t.Fatalf("accepted digest of %d bytes from %q (bound %d)", len(sum), line, MaxDigestLen)
 		}
 		enc := MarshalDigestTrailer(algo, sum)
-		algo2, sum2, err := ParseDigestTrailer(enc)
+		algo2, sum2, err := ParseDigestTrailer([]byte(enc))
 		if err != nil {
 			t.Fatalf("re-marshal of %q does not parse: %q: %v", line, enc, err)
 		}

@@ -52,21 +52,25 @@
 //
 // deadline is a pipelined prefix verb: a client with a request timeout
 // writes "deadline <remaining_ms>" immediately before the real request
-// line and reads two status lines back. The server fast-rejects the
-// armed request with ETIMEDOUT once the budget lapses, instead of
-// burning cycles producing an answer nobody is waiting for. Because
-// the prefix carries no data phase, a legacy server answers the
-// unknown verb with EINVAL and framing stays intact — the established
-// downgrade path (the client stops sending the prefix after the first
-// EINVAL, exactly like the checksum and lease negotiation).
+// line and reads two status lines back. The server answers both in one
+// write: it flushes only when no complete request line is waiting in
+// its reader. It fast-rejects the armed request with ETIMEDOUT once the
+// budget lapses, instead of burning cycles producing an answer nobody
+// is waiting for. Because the prefix carries no data phase, a legacy
+// server answers the unknown verb with EINVAL and framing stays intact —
+// the established downgrade path (the client stops sending the prefix
+// after the first EINVAL, exactly like the checksum and lease
+// negotiation).
 package proto
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
 
+	"tss/internal/token"
 	"tss/internal/vfs"
 )
 
@@ -130,66 +134,68 @@ func Escape(s string) string {
 	return string(AppendEscape(nil, s))
 }
 
-// Unescape reverses Escape.
+// Unescape reverses Escape. A string with nothing to unescape is
+// returned unchanged, unallocated.
 func Unescape(s string) (string, error) {
-	if s == emptyToken {
-		return "", nil
-	}
-	if !strings.ContainsRune(s, '%') {
+	if strings.IndexByte(s, '%') < 0 {
 		return s, nil
 	}
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
+	return unescape([]byte(s))
+}
+
+// unescape reverses Escape on a token that may be a view into a
+// reader's buffer: the result is always a fresh string, one allocation,
+// never a view.
+func unescape(b []byte) (string, error) {
+	if string(b) == emptyToken {
+		return "", nil
+	}
+	if bytes.IndexByte(b, '%') < 0 {
+		return string(b), nil
+	}
+	var out strings.Builder
+	out.Grow(len(b)) // decoding never lengthens
+	for i := 0; i < len(b); i++ {
+		c := b[i]
 		if c != '%' {
-			b.WriteByte(c)
+			out.WriteByte(c)
 			continue
 		}
-		if i+2 >= len(s) {
-			return "", fmt.Errorf("proto: truncated escape in %q", s)
+		if i+2 >= len(b) {
+			return "", fmt.Errorf("proto: truncated escape in %q", string(b))
 		}
-		v, err := strconv.ParseUint(s[i+1:i+3], 16, 8)
+		v, err := strconv.ParseUint(string(b[i+1:i+3]), 16, 8)
 		if err != nil {
-			return "", fmt.Errorf("proto: bad escape in %q", s)
+			return "", fmt.Errorf("proto: bad escape in %q", string(b))
 		}
-		b.WriteByte(byte(v))
+		out.WriteByte(byte(v))
 		i += 2
 	}
-	return b.String(), nil
+	return out.String(), nil
 }
 
-// asciiFields splits on runs of ASCII space and tab only. The standard
-// strings.Fields splits on all Unicode whitespace, which would corrupt
-// unescaped multibyte path arguments containing characters like U+2008.
-func asciiFields(s string) []string {
-	var out []string
-	start := -1
-	for i := 0; i < len(s); i++ {
-		if s[i] == ' ' || s[i] == '\t' {
-			if start >= 0 {
-				out = append(out, s[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
+// ReadLine reads one newline-terminated line and returns it without its
+// terminator, enforcing MaxLineLen. The line is a view into r's buffer,
+// valid until the next read from r: a caller that keeps any of it
+// copies it first. A line longer than r's buffer is gathered into a
+// fresh slice.
+func ReadLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		long := append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull && len(long) <= MaxLineLen {
+			line, err = r.ReadSlice('\n')
+			long = append(long, line...)
 		}
-	}
-	if start >= 0 {
-		out = append(out, s[start:])
-	}
-	return out
-}
-
-// ReadLine reads one newline-terminated line, enforcing MaxLineLen.
-func ReadLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return "", err
+		line = long
 	}
 	if len(line) > MaxLineLen {
-		return "", fmt.Errorf("proto: line exceeds %d bytes", MaxLineLen)
+		return nil, fmt.Errorf("proto: line exceeds %d bytes", MaxLineLen)
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	if err != nil {
+		return nil, err
+	}
+	return bytes.TrimRight(line, "\r\n"), nil
 }
 
 // ReadCode reads a response status line: a decimal integer. Negative
@@ -199,9 +205,9 @@ func ReadCode(r *bufio.Reader) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v, err := strconv.ParseInt(line, 10, 64)
+	v, err := strconv.ParseInt(string(line), 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("proto: malformed status line %q", line)
+		return 0, fmt.Errorf("proto: malformed status line %q", string(line))
 	}
 	return v, nil
 }
@@ -228,25 +234,23 @@ func MarshalStat(fi vfs.FileInfo) string {
 	return string(AppendStat(nil, fi))
 }
 
-// UnmarshalStat decodes a stat line.
-func UnmarshalStat(line string) (vfs.FileInfo, error) {
-	f := asciiFields(line)
-	if len(f) != 6 {
-		return vfs.FileInfo{}, fmt.Errorf("proto: malformed stat line %q", line)
+// UnmarshalStat decodes a stat line; the line may be a ReadLine view.
+func UnmarshalStat(line []byte) (vfs.FileInfo, error) {
+	var f [7][]byte
+	if token.Split(f[:], line) != 6 {
+		return vfs.FileInfo{}, fmt.Errorf("proto: malformed stat line %q", string(line))
 	}
-	name, err := Unescape(f[0])
+	name, err := unescape(f[0])
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
-	size, err1 := strconv.ParseInt(f[1], 10, 64)
-	mode, err2 := strconv.ParseUint(f[2], 8, 32)
-	mtime, err3 := strconv.ParseInt(f[3], 10, 64)
-	inode, err4 := strconv.ParseUint(f[4], 10, 64)
-	isdir, err5 := strconv.ParseInt(f[5], 10, 8)
-	for _, e := range []error{err1, err2, err3, err4, err5} {
-		if e != nil {
-			return vfs.FileInfo{}, fmt.Errorf("proto: malformed stat line %q", line)
-		}
+	size, err1 := strconv.ParseInt(string(f[1]), 10, 64)
+	mode, err2 := strconv.ParseUint(string(f[2]), 8, 32)
+	mtime, err3 := strconv.ParseInt(string(f[3]), 10, 64)
+	inode, err4 := strconv.ParseUint(string(f[4]), 10, 64)
+	isdir, err5 := strconv.ParseInt(string(f[5]), 10, 8)
+	if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil {
+		return vfs.FileInfo{}, fmt.Errorf("proto: malformed stat line %q", string(line))
 	}
 	return vfs.FileInfo{
 		Name:  name,
@@ -273,17 +277,18 @@ func MarshalDirEntry(e vfs.DirEntry) string {
 	return string(AppendDirEntry(nil, e))
 }
 
-// UnmarshalDirEntry decodes one getdir response line.
-func UnmarshalDirEntry(line string) (vfs.DirEntry, error) {
-	f := asciiFields(line)
-	if len(f) != 2 {
-		return vfs.DirEntry{}, fmt.Errorf("proto: malformed dir entry %q", line)
+// UnmarshalDirEntry decodes one getdir response line; the line may be
+// a ReadLine view.
+func UnmarshalDirEntry(line []byte) (vfs.DirEntry, error) {
+	var f [3][]byte
+	if token.Split(f[:], line) != 2 {
+		return vfs.DirEntry{}, fmt.Errorf("proto: malformed dir entry %q", string(line))
 	}
-	name, err := Unescape(f[0])
+	name, err := unescape(f[0])
 	if err != nil {
 		return vfs.DirEntry{}, err
 	}
-	return vfs.DirEntry{Name: name, IsDir: f[1] == "1"}, nil
+	return vfs.DirEntry{Name: name, IsDir: string(f[1]) == "1"}, nil
 }
 
 // Request is a parsed protocol request. Which fields a verb uses is its
@@ -336,32 +341,52 @@ func (q *Request) Encode() (string, error) {
 	return string(b), nil
 }
 
-// ParseRequest parses a protocol line into a Request: the verb selects
-// a Verbs entry, whose layout says which field each argument fills.
-func ParseRequest(line string) (*Request, error) {
-	fields := asciiFields(line)
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("proto: empty request")
+// maxFields bounds the tokens of a request line the parser stores: the
+// verb and the longest argument layout, with room to spare. A longer
+// line is still counted, and refused.
+const maxFields = 8
+
+// Parse parses a protocol line into q, overwriting every field: the
+// verb selects a Verbs entry, whose layout says which field each
+// argument fills. line may be a ReadLine view: no field of q refers to
+// it afterwards, because each string argument is copied exactly once.
+// So a server session parses every request into the one Request it
+// owns, and an integer-only verb allocates nothing.
+func (q *Request) Parse(line []byte) error {
+	*q = Request{}
+	var f [maxFields][]byte
+	n := token.Split(f[:], line)
+	if n == 0 {
+		return fmt.Errorf("proto: empty request")
 	}
-	v := Lookup(fields[0])
+	v := verbByName[string(f[0])]
 	if v == nil {
-		return nil, fmt.Errorf("proto: unknown verb %q", fields[0])
+		return fmt.Errorf("proto: unknown verb %q", string(f[0]))
 	}
-	args := fields[1:]
-	if len(args) != len(v.Args) {
-		return nil, fmt.Errorf("proto: %s: want %d args, got %d", v.Name, len(v.Args), len(args))
+	if n-1 != len(v.Args) {
+		return fmt.Errorf("proto: %s: want %d args, got %d", v.Name, len(v.Args), n-1)
 	}
-	q := &Request{Verb: v.Name}
-	for i, f := range v.Args {
+	q.Verb = v.Name
+	for i, a := range v.Args {
 		var err error
-		if s, n := q.arg(f); s != nil {
-			*s, err = Unescape(args[i])
+		if s, num := q.arg(a); s != nil {
+			*s, err = unescape(f[i+1])
 		} else {
-			*n, err = strconv.ParseInt(args[i], f.base(), 64)
+			*num, err = strconv.ParseInt(string(f[i+1]), a.base(), 64)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("proto: %s: %w", v.Name, err)
+			return fmt.Errorf("proto: %s: %w", v.Name, err)
 		}
+	}
+	return nil
+}
+
+// ParseRequest is Parse into a new Request, for a line held as a
+// string.
+func ParseRequest(line string) (*Request, error) {
+	q := new(Request)
+	if err := q.Parse([]byte(line)); err != nil {
+		return nil, err
 	}
 	return q, nil
 }

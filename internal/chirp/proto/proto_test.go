@@ -38,7 +38,7 @@ func TestStatRoundTrip(t *testing.T) {
 			size = -size
 		}
 		fi := vfs.FileInfo{Name: name, Size: size, Mode: mode & 0o7777, MTime: mtime, Inode: inode, IsDir: isDir}
-		got, err := UnmarshalStat(MarshalStat(fi))
+		got, err := UnmarshalStat([]byte(MarshalStat(fi)))
 		return err == nil && got == fi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -49,7 +49,7 @@ func TestStatRoundTrip(t *testing.T) {
 func TestDirEntryRoundTrip(t *testing.T) {
 	f := func(name string, isDir bool) bool {
 		e := vfs.DirEntry{Name: name, IsDir: isDir}
-		got, err := UnmarshalDirEntry(MarshalDirEntry(e))
+		got, err := UnmarshalDirEntry([]byte(MarshalDirEntry(e)))
 		return err == nil && got == e
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -148,5 +148,23 @@ func TestErrnoWireMapping(t *testing.T) {
 	}
 	if err := vfs.FromCode(5); err != nil {
 		t.Errorf("FromCode(5) = %v, want nil", err)
+	}
+}
+
+// ReadLine returns lines up to MaxLineLen whatever the reader's buffer
+// size, strips the terminator, and refuses a longer line.
+func TestReadLine(t *testing.T) {
+	long := strings.Repeat("a", 5000) // longer than the 4 KiB buffer
+	atMax := strings.Repeat("b", MaxLineLen-1)
+	in := "short\r\n" + long + "\n" + atMax + "\n" + atMax + "c\n"
+	r := bufio.NewReaderSize(strings.NewReader(in), 4096)
+	for _, want := range []string{"short", long, atMax} {
+		line, err := ReadLine(r)
+		if err != nil || string(line) != want {
+			t.Fatalf("ReadLine = %d bytes, %v; want %d bytes", len(line), err, len(want))
+		}
+	}
+	if line, err := ReadLine(r); err == nil {
+		t.Errorf("ReadLine accepted a %d-byte line, bound %d", len(line), MaxLineLen)
 	}
 }

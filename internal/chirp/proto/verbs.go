@@ -1,5 +1,7 @@
 package proto
 
+import "tss/internal/token"
+
 // Field names the Request field one argument fills. The field also
 // fixes how the argument travels: ArgPath and ArgPath2 are escaped
 // paths, the other string fields escaped tokens, ArgMode is octal and
@@ -165,17 +167,10 @@ var verbByName = func() map[string]*Verb {
 // Lookup returns the table entry for a verb name, or nil.
 func Lookup(name string) *Verb { return verbByName[name] }
 
-// VerbOf returns the verb of a request line — its first token under
-// ParseRequest's tokenization — without parsing the arguments.
-func VerbOf(line string) string {
-	isSep := func(c byte) bool { return c == ' ' || c == '\t' }
-	start := 0
-	for start < len(line) && isSep(line[start]) {
-		start++
-	}
-	end := start
-	for end < len(line) && !isSep(line[end]) {
-		end++
-	}
-	return line[start:end]
+// VerbOf returns the verb of a request line, its first token, without
+// parsing the arguments. The result is a view into line.
+func VerbOf(line []byte) []byte {
+	var f [1][]byte
+	token.Split(f[:], line)
+	return f[0]
 }

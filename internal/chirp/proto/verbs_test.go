@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tss/internal/token"
 )
 
 // sampleStrings and sampleInts are the fixed argument values the table
@@ -99,7 +101,7 @@ func TestVerbTableRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %s: %v", v.Name, err)
 		}
-		if got := VerbOf(line); got != v.Name {
+		if got := string(VerbOf([]byte(line))); got != v.Name {
 			t.Errorf("VerbOf(%q) = %q", line, got)
 		}
 		got, err := ParseRequest(line)
@@ -142,11 +144,9 @@ func TestGoldenRequestLines(t *testing.T) {
 
 func TestVerbOfMatchesTokenizer(t *testing.T) {
 	for _, line := range []string{"stat /x", "  stat\t/x", "\twhoami", "whoami", "", "  ", "deadline 5"} {
-		want := ""
-		if f := asciiFields(line); len(f) > 0 {
-			want = f[0]
-		}
-		if got := VerbOf(line); got != want {
+		var f [1][]byte
+		token.Split(f[:], []byte(line))
+		if got, want := string(VerbOf([]byte(line))), string(f[0]); got != want {
 			t.Errorf("VerbOf(%q) = %q, tokenizer says %q", line, got, want)
 		}
 	}

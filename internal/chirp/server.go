@@ -11,6 +11,7 @@ package chirp
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -729,16 +730,31 @@ func (s *Server) ServeConn(conn net.Conn) {
 			s.logf("chirp: %s: fatal: %v", subject, err)
 			return
 		}
-		if err := bw.Flush(); err != nil {
-			return
+		// A request already waiting in br is served before the client
+		// hears back, so a pipelined deadline prefix and its request
+		// are answered in one write.
+		if !requestBuffered(br) {
+			if err := bw.Flush(); err != nil {
+				return
+			}
 		}
 		st.mu.Lock()
 		st.busy = false
 		st.mu.Unlock()
 		if s.draining.Load() {
-			return // drain: this request was the connection's last
+			// Drain: this request was the connection's last. Its answers
+			// go out; the connection closes whether or not they do.
+			bw.Flush()
+			return
 		}
 	}
+}
+
+// requestBuffered reports whether br already holds a complete request
+// line, which the serving loop then reads without blocking.
+func requestBuffered(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
 }
 
 // flushWriter flushes after every write; the auth dialog is interactive
@@ -777,6 +793,9 @@ type session struct {
 	// serves one connection serially, so reuse is race-free and the
 	// per-line allocation of fmt.Fprintf disappears from the hot path.
 	scratch []byte
+	// req is the one Request every request line is parsed into, for
+	// the same reason.
+	req proto.Request
 }
 
 func (ss *session) closeAll() {
@@ -815,10 +834,12 @@ func (ss *session) respondErr(bw *bufio.Writer, err error) error {
 
 // dispatch handles one request line: look the verb up, shed the
 // request if its deadline lapsed or admission refuses it, call the
-// handler. A returned error is fatal to the connection (stream desync).
-func (ss *session) dispatch(line string, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
+// handler. line is a ReadLine view, dead once the handler reads from
+// br; the handler sees only the session's Request parsed from it. A
+// returned error is fatal to the connection (stream desync).
+func (ss *session) dispatch(line []byte, conn net.Conn, br *bufio.Reader, bw *bufio.Writer) error {
 	srv := ss.srv
-	sv := handlerByVerb[proto.VerbOf(line)]
+	sv := handlerByVerb[string(proto.VerbOf(line))]
 	if sv != nil && srv.disabled.Load()&sv.wire.Feature.Bit() != 0 {
 		sv = nil
 	}
@@ -833,8 +854,8 @@ func (ss *session) dispatch(line string, conn net.Conn, br *bufio.Reader, bw *bu
 		srv.Stats.RPCUnknown.Inc()
 		return ss.respondErr(bw, vfs.EINVAL)
 	}
-	req, err := proto.ParseRequest(line)
-	if err != nil {
+	req := &ss.req
+	if err := req.Parse(line); err != nil {
 		// Malformed arguments: report and continue, as above.
 		return ss.respondErr(bw, vfs.EINVAL)
 	}
@@ -1212,13 +1233,15 @@ func (ss *session) handleGetfile(req *proto.Request, conn net.Conn, br *bufio.Re
 			// host file straight to the TCP stack — io.Copy resolves to
 			// TCPConn.ReadFrom, which uses sendfile(2) on a *os.File.
 			// The file was opened fresh at offset zero and nothing else
-			// moves its offset.
+			// moves its offset. The path is counted before the first
+			// byte leaves: a client that has the whole body may read
+			// the counter at once.
+			ss.srv.Stats.BulkFastpath.Inc()
 			if err := bw.Flush(); err != nil {
 				return err
 			}
 			n, err := io.Copy(tcp, &io.LimitedReader{R: osf, N: fi.Size})
 			ss.srv.Stats.BytesRead.Add(n)
-			ss.srv.Stats.BulkFastpath.Inc()
 			if err != nil {
 				return err
 			}
@@ -1324,9 +1347,9 @@ func (ss *session) handlePutfile(req *proto.Request, conn net.Conn, br *bufio.Re
 	if osf := osFileOf(f); osf != nil {
 		// Bulk fast path: the file was opened fresh and truncated, so
 		// sequential writes from offset zero are exactly the body.
+		ss.srv.Stats.BulkFastpath.Inc()
 		consumed, copyErr, transport := receiveBulk(osf, conn, br, req.Length)
 		ss.srv.Stats.BytesWriten.Add(consumed)
-		ss.srv.Stats.BulkFastpath.Inc()
 		if copyErr != nil {
 			f.Close()
 			if transport {

@@ -150,9 +150,9 @@ func (ss *session) handlePutpart(req *proto.Request, conn net.Conn, br *bufio.Re
 					}
 					return ss.respondErr(bw, err)
 				}
+				ss.srv.Stats.MultipartFastpath.Inc()
 				consumed, copyErr, transport := receiveBulk(osf, conn, br, req.Length)
 				ss.srv.Stats.BytesWriten.Add(consumed)
-				ss.srv.Stats.MultipartFastpath.Inc()
 				if copyErr != nil {
 					f.Close()
 					if transport {
@@ -325,12 +325,13 @@ func (ss *session) handleGetpart(req *proto.Request, conn net.Conn, br *bufio.Re
 				if _, err := osf.Seek(req.Offset, io.SeekStart); err != nil {
 					return err
 				}
+				// Counted before the first byte leaves, as getfile's.
+				ss.srv.Stats.MultipartFastpath.Inc()
 				if err := bw.Flush(); err != nil {
 					return err
 				}
 				sent, err = io.Copy(tcp, &io.LimitedReader{R: osf, N: n})
 				ss.srv.Stats.BytesRead.Add(sent)
-				ss.srv.Stats.MultipartFastpath.Inc()
 				if err != nil {
 					return err
 				}

@@ -67,7 +67,8 @@ func NewLockHeld() *LockHeld {
 			"(*bufio.Reader).ReadLine":   true,
 			"(*bufio.Reader).ReadSlice":  true,
 			"(*bufio.Writer).Flush":      true,
-			// Chirp protocol round trips read from the connection.
+			// Chirp protocol round trips read from the connection
+			// (testdata/lockheld/bad/chirp.go pins both readers).
 			"tss/internal/chirp/proto.ReadLine": true,
 			"tss/internal/chirp/proto.ReadCode": true,
 			// The authentication dialog is a multi-round network

@@ -101,7 +101,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if err := s.dispatch(line, br, bw); err != nil {
+		if err := s.dispatch(string(line), br, bw); err != nil {
 			return
 		}
 		if err := bw.Flush(); err != nil {
@@ -664,7 +664,7 @@ func (c *Client) StatFS() (vfs.FSInfo, error) {
 		if err != nil {
 			return err
 		}
-		_, err = fmt.Sscanf(line, "%d %d", &info.TotalBytes, &info.FreeBytes)
+		_, err = fmt.Sscanf(string(line), "%d %d", &info.TotalBytes, &info.FreeBytes)
 		return err
 	})
 	return info, err
