@@ -667,19 +667,9 @@ func (c *Client) Rmdir(path string) error {
 // ReadDir lists a directory.
 func (c *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
 	var ents []vfs.DirEntry
-	_, err := c.rpc(&proto.Request{Verb: "getdir", Path: path}, nil, func(code int64, br *bufio.Reader) error {
-		for i := int64(0); i < code; i++ {
-			line, err := proto.ReadLine(br)
-			if err != nil {
-				return err
-			}
-			e, err := proto.UnmarshalDirEntry(line)
-			if err != nil {
-				return err
-			}
-			ents = append(ents, e)
-		}
-		return nil
+	_, err := c.rpc(&proto.Request{Verb: "getdir", Path: path}, nil, func(code int64, br *bufio.Reader) (err error) {
+		ents, err = proto.ReadDirEntries(br, code)
+		return err
 	})
 	return ents, err
 }

@@ -66,6 +66,7 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -144,34 +145,42 @@ func Unescape(s string) (string, error) {
 }
 
 // unescape reverses Escape on a token that may be a view into a
-// reader's buffer: the result is always a fresh string, one allocation,
-// never a view.
+// reader's buffer: the result is always a fresh string, one allocation
+// for a token of up to 128 bytes, never a view.
 func unescape(b []byte) (string, error) {
-	if string(b) == emptyToken {
-		return "", nil
-	}
 	if bytes.IndexByte(b, '%') < 0 {
 		return string(b), nil
 	}
-	var out strings.Builder
-	out.Grow(len(b)) // decoding never lengthens
+	var buf [128]byte
+	d, err := appendUnescape(buf[:0], b)
+	if err != nil {
+		return "", err
+	}
+	return string(d), nil
+}
+
+// appendUnescape appends the token b, unescaped, to dst.
+func appendUnescape(dst, b []byte) ([]byte, error) {
+	if string(b) == emptyToken {
+		return dst, nil
+	}
 	for i := 0; i < len(b); i++ {
 		c := b[i]
 		if c != '%' {
-			out.WriteByte(c)
+			dst = append(dst, c)
 			continue
 		}
 		if i+2 >= len(b) {
-			return "", fmt.Errorf("proto: truncated escape in %q", string(b))
+			return dst, fmt.Errorf("proto: truncated escape in %q", string(b))
 		}
 		v, err := strconv.ParseUint(string(b[i+1:i+3]), 16, 8)
 		if err != nil {
-			return "", fmt.Errorf("proto: bad escape in %q", string(b))
+			return dst, fmt.Errorf("proto: bad escape in %q", string(b))
 		}
-		out.WriteByte(byte(v))
+		dst = append(dst, byte(v))
 		i += 2
 	}
-	return out.String(), nil
+	return dst, nil
 }
 
 // ReadLine reads one newline-terminated line and returns it without its
@@ -277,18 +286,50 @@ func MarshalDirEntry(e vfs.DirEntry) string {
 	return string(AppendDirEntry(nil, e))
 }
 
-// UnmarshalDirEntry decodes one getdir response line; the line may be
-// a ReadLine view.
-func UnmarshalDirEntry(line []byte) (vfs.DirEntry, error) {
-	var f [3][]byte
-	if token.Split(f[:], line) != 2 {
-		return vfs.DirEntry{}, fmt.Errorf("proto: malformed dir entry %q", string(line))
+// direntHead is the head of an entry in ReadDirEntries' block: the
+// name's length (4 bytes, little-endian), then '1' for a directory or
+// '0'. A decoded name may hold any byte, so it is counted, not ended.
+const direntHead = 5
+
+// ReadDirEntries reads the n entry lines of a listing (the getdir
+// answer, and the NFS baseline's readdir) from r. The names are decoded
+// into one block that becomes one string, and each entry's name is
+// sliced out of it: however many names it holds, a listing costs that
+// string and the entry slice, plus the block's growth once it outgrows
+// its stack array.
+func ReadDirEntries(r *bufio.Reader, n int64) ([]vfs.DirEntry, error) {
+	if n <= 0 {
+		return nil, nil
 	}
-	name, err := unescape(f[0])
-	if err != nil {
-		return vfs.DirEntry{}, err
+	var stack [2048]byte
+	block := stack[:0]
+	for i := int64(0); i < n; i++ {
+		line, err := ReadLine(r)
+		if err != nil {
+			return nil, err
+		}
+		var f [3][]byte
+		if token.Split(f[:], line) != 2 {
+			return nil, fmt.Errorf("proto: malformed dir entry %q", string(line))
+		}
+		head := len(block)
+		block = append(block, 0, 0, 0, 0, '0')
+		if string(f[1]) == "1" {
+			block[head+4] = '1'
+		}
+		if block, err = appendUnescape(block, f[0]); err != nil {
+			return nil, err
+		}
+		binary.LittleEndian.PutUint32(block[head:], uint32(len(block)-head-direntHead))
 	}
-	return vfs.DirEntry{Name: name, IsDir: string(f[1]) == "1"}, nil
+	s := string(block)
+	ents := make([]vfs.DirEntry, n)
+	for i := range ents {
+		size := int(s[0]) | int(s[1])<<8 | int(s[2])<<16 | int(s[3])<<24
+		ents[i] = vfs.DirEntry{Name: s[direntHead : direntHead+size], IsDir: s[4] == '1'}
+		s = s[direntHead+size:]
+	}
+	return ents, nil
 }
 
 // Request is a parsed protocol request. Which fields a verb uses is its

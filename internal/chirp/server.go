@@ -344,13 +344,23 @@ type aclStamp struct {
 // aclEntry is a directory's parsed ACL, valid while stamp is the file's.
 type aclEntry struct {
 	list  *acl.List // shared by concurrent checks: never mutated
-	host  string    // host path of the ACL file, so a hit builds no string
+	file  string    // logical path of the ACL file, so a hit builds no string
 	stamp aclStamp
 }
 
-func statACL(host string) (aclStamp, error) {
+// aclFile is the logical path of dir's ACL file.
+func aclFile(dir string) string {
+	if dir == "/" {
+		return "/" + ACLFileName
+	}
+	return dir + "/" + ACLFileName
+}
+
+// statACL stamps the ACL file at the logical path file: one stat into a
+// stack Stat_t, its host path built on the stack too.
+func (s *Server) statACL(file string) (aclStamp, error) {
 	var st syscall.Stat_t
-	if err := syscall.Stat(host, &st); err != nil {
+	if err := s.fs.StatSys(file, &st); err != nil {
 		return aclStamp{}, err
 	}
 	return aclStamp{st.Ino, st.Size, st.Mtim.Nano(), st.Ctim.Nano()}, nil
@@ -399,23 +409,23 @@ func (s *Server) putACL(dir string, e *aclEntry) {
 }
 
 // readACL is the cache's miss path, the only code that opens an ACL
-// file (host is its host path): it returns the ACL stored exactly at
+// file (file is its logical path): it returns the ACL stored exactly at
 // dir, or nil if absent, and caches it once settled. It needs aclMu,
 // which in-band writers hold from truncate to last byte, so a
 // half-written file is never parsed. Clock, then stamp, then content:
 // an edit in between leaves an older stamp on fresh content (one more
 // miss), and any later one gets a ctime after now.
-func (s *Server) readACL(dir, host string) (*acl.List, error) {
+func (s *Server) readACL(dir, file string) (*acl.List, error) {
 	now := time.Now()
-	stamp, statErr := statACL(host)
+	stamp, statErr := s.statACL(file)
 	var list *acl.List
-	data, err := vfs.ReadFile(s.fs, pathutil.Join(dir, ACLFileName))
+	data, err := vfs.ReadFile(s.fs, file)
 	if err == nil {
 		list, err = acl.Parse(data)
 	}
 	var e *aclEntry
 	if err == nil && statErr == nil && stamp.settledAt(now) {
-		e = &aclEntry{list: list, host: host, stamp: stamp}
+		e = &aclEntry{list: list, file: file, stamp: stamp}
 	}
 	s.putACL(dir, e)
 	if vfs.AsErrno(err) == vfs.ENOENT {
@@ -432,17 +442,17 @@ func (s *Server) aclAt(dir string, locked bool) (*acl.List, error) {
 	e := s.acls[dir]
 	s.aclsMu.RUnlock()
 	if e != nil {
-		if stamp, err := statACL(e.host); err == nil && stamp == e.stamp {
+		if stamp, err := s.statACL(e.file); err == nil && stamp == e.stamp {
 			s.Stats.ACLHits.Inc()
 			return e.list, nil
 		}
 	}
 	s.Stats.ACLMisses.Inc()
-	host, _ := s.fs.HostPath(pathutil.Join(dir, ACLFileName)) // cannot fail on a normalized dir; if it did, so would the stat
+	file := aclFile(dir)
 	if e == nil {
 		// No ACL file (data exported as found): one failed stat and no
 		// lock, with nothing there to be half-written and no entry to drop.
-		if _, err := statACL(host); err == syscall.ENOENT {
+		if _, err := s.statACL(file); vfs.AsErrno(err) == vfs.ENOENT {
 			return nil, nil
 		}
 	}
@@ -450,13 +460,13 @@ func (s *Server) aclAt(dir string, locked bool) (*acl.List, error) {
 		s.aclMu.Lock()
 		defer s.aclMu.Unlock()
 	}
-	return s.readACL(dir, host)
+	return s.readACL(dir, file)
 }
 
 // writeACL stores list as dir's ACL. Callers hold aclMu.
 func (s *Server) writeACL(dir string, list *acl.List) error {
 	s.putACL(dir, nil)
-	return vfs.WriteFile(s.fs, pathutil.Join(dir, ACLFileName), list.Encode(), 0o644)
+	return vfs.WriteFile(s.fs, aclFile(dir), list.Encode(), 0o644)
 }
 
 // effectiveACL walks from dir toward the root and returns the nearest
@@ -906,16 +916,12 @@ func (ss *session) handleOpen(req *proto.Request, conn net.Conn, br *bufio.Reade
 	if len(ss.files) >= ss.srv.cfg.MaxFDs {
 		return ss.respondErr(bw, vfs.EMFILE)
 	}
-	f, err := ss.srv.fs.Open(path, flags, uint32(req.Mode))
-	if err != nil {
-		return ss.respondErr(bw, err)
-	}
 	// The open response carries the stat line, so clients get the
 	// metadata (notably the inode, which the adapter's recovery
-	// protocol needs) without a second round trip.
-	fi, err := f.Fstat()
+	// protocol needs) without a second round trip; it is the fstat the
+	// open takes anyway to refuse a directory.
+	f, fi, err := ss.srv.fs.OpenStat(path, flags, uint32(req.Mode))
 	if err != nil {
-		f.Close()
 		return ss.respondErr(bw, err)
 	}
 	ss.nextFD++
@@ -1149,7 +1155,7 @@ func (ss *session) handleRmdir(req *proto.Request, conn net.Conn, br *bufio.Read
 	if hadACL {
 		saved, _ = ss.srv.aclAt(path, true)
 		ss.srv.putACL(path, nil)
-		if err := ss.srv.fs.Unlink(pathutil.Join(path, ACLFileName)); err != nil {
+		if err := ss.srv.fs.Unlink(aclFile(path)); err != nil {
 			return ss.respondErr(bw, err)
 		}
 	}

@@ -59,6 +59,76 @@ func TestWireAllocationGuards(t *testing.T) {
 	}
 }
 
+// TestPathVerbAllocationGuards pins the per-RPC cost of the path verbs
+// on both ends of a real socket, with metrics on at both ends and every
+// request behind the deadline prefix. Each RPC pays two respondCode
+// buffers (the prefix's status line and the reply's) and, for a path
+// verb, the server's copy of the path. What else each allocates:
+//   - stat hit (4): the client's copy of the name in the stat line;
+//   - stat miss (3): nothing (the ACL stamp and the errno cost nothing);
+//   - open + close (11): the server's openFD, localFile and *os.File
+//     (two objects: one openat and one fstat, no os.OpenFile), the
+//     client's file handle and its copy of the name;
+//   - getdir of 16 entries (7): one string and one entry slice on each
+//     end, however many entries the listing holds.
+func TestPathVerbAllocationGuards(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the bound leans on a warm sync.Pool, which the race detector empties at random")
+	}
+	_, c := tcpPool(t, 2, obs.NewRegistry(), nil)
+	if err := c.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if err := vfs.WriteFile(c, fmt.Sprintf("/d/file%02d", i), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settleACLs()
+	for _, g := range []struct {
+		name string
+		want float64
+		op   func() error
+	}{
+		{"stat hit", 4, func() error {
+			_, err := c.Stat("/d/file00")
+			return err
+		}},
+		{"stat miss", 3, func() error {
+			if _, err := c.Stat("/d/missing"); vfs.AsErrno(err) != vfs.ENOENT {
+				return fmt.Errorf("stat of a missing file = %v, want ENOENT", err)
+			}
+			return nil
+		}},
+		{"open + close", 11, func() error {
+			f, err := c.Open("/d/file00", vfs.O_RDONLY, 0)
+			if err != nil {
+				return err
+			}
+			return f.Close()
+		}},
+		{"getdir", 7, func() error {
+			ents, err := c.ReadDir("/d")
+			if err == nil && len(ents) != 16 {
+				err = fmt.Errorf("getdir listed %d entries, want 16", len(ents))
+			}
+			return err
+		}},
+	} {
+		if err := g.op(); err != nil { // warm the ACL cache and the pools
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		n := testing.AllocsPerRun(200, func() {
+			if err := g.op(); err != nil {
+				t.Fatalf("%s: %v", g.name, err)
+			}
+		})
+		if n != g.want {
+			t.Errorf("%s allocates %.1f/op on both ends, want %.0f", g.name, n, g.want)
+		}
+	}
+}
+
 // TestOneServerWritePerRequest pins the flush rule: the server serves a
 // request already buffered behind the one it just answered before it
 // flushes, so a deadline-prefixed pread costs one server write, not one

@@ -620,19 +620,9 @@ func (c *Client) ReadDir(path string) ([]vfs.DirEntry, error) {
 		return nil, vfs.ENOTDIR
 	}
 	var ents []vfs.DirEntry
-	_, err = c.rpc(fmt.Sprintf("readdir %s", h), nil, func(code int64, br *bufio.Reader) error {
-		for i := int64(0); i < code; i++ {
-			line, err := proto.ReadLine(br)
-			if err != nil {
-				return err
-			}
-			e, err := proto.UnmarshalDirEntry(line)
-			if err != nil {
-				return err
-			}
-			ents = append(ents, e)
-		}
-		return nil
+	_, err = c.rpc(fmt.Sprintf("readdir %s", h), nil, func(code int64, br *bufio.Reader) (err error) {
+		ents, err = proto.ReadDirEntries(br, code)
+		return err
 	})
 	return ents, err
 }

@@ -5,10 +5,12 @@
 // Confinement is the software equivalent of chroot described in the
 // paper (§4): a Chirp server exports an arbitrary directory and must
 // guarantee that no client-supplied path — however many ".." components
-// it contains — escapes that directory.
+// it contains — escapes that directory. AppendHost is the one place that
+// maps a logical path to a host path.
 package pathutil
 
 import (
+	"bytes"
 	"errors"
 	"path"
 	"strings"
@@ -91,21 +93,40 @@ func Rebase(prefix, p string) (rest string, ok bool) {
 	return rest, true
 }
 
-// Confine maps a client-supplied logical path into the host filesystem
-// beneath root. The result is guaranteed to be root itself or a
-// descendant of root; escape via ".." is impossible because the logical
-// path is normalized first. root must be a host path without a trailing
-// slash (except "/").
-func Confine(root, logical string) (string, error) {
-	norm, err := Norm(logical)
-	if err != nil {
-		return "", err
+// AppendHost appends the host path of a client-supplied logical path
+// beneath root to dst, NUL-terminated for a system call, and returns
+// the extended slice. The result is root itself or a descendant of
+// root: the logical path is normalized as Norm does while it is copied
+// ("." and empty components dropped, ".." clamped at root), so escape
+// via ".." is impossible. root must be a host path without a trailing
+// slash (except "/"). It allocates only when dst is too small.
+func AppendHost(dst []byte, root, logical string) ([]byte, error) {
+	if strings.IndexByte(logical, 0) >= 0 || strings.IndexByte(logical, '\n') >= 0 {
+		return dst, ErrBadPath
 	}
-	if norm == "/" {
-		return root, nil
+	if root != "/" {
+		dst = append(dst, root...)
 	}
-	if root == "/" {
-		return norm, nil
+	base := len(dst)
+	for len(logical) > 0 {
+		comp := logical
+		if i := strings.IndexByte(logical, '/'); i >= 0 {
+			comp, logical = logical[:i], logical[i+1:]
+		} else {
+			logical = ""
+		}
+		switch comp {
+		case "", ".":
+		case "..":
+			if i := bytes.LastIndexByte(dst[base:], '/'); i >= 0 {
+				dst = dst[:base+i]
+			}
+		default:
+			dst = append(append(dst, '/'), comp...)
+		}
 	}
-	return root + norm, nil
+	if len(dst) == base && root == "/" {
+		dst = append(dst, '/')
+	}
+	return append(dst, 0), nil
 }

@@ -69,11 +69,20 @@ func TestNormCanonicalProperty(t *testing.T) {
 	}
 }
 
-// Property: Confine never escapes the root, no matter the input.
+// confine is AppendHost's result as a string, without the NUL.
+func confine(root, logical string) (string, error) {
+	b, err := AppendHost(nil, root, logical)
+	if err != nil {
+		return "", err
+	}
+	return string(b[:len(b)-1]), nil
+}
+
+// Property: AppendHost never escapes the root, no matter the input.
 func TestConfineNeverEscapes(t *testing.T) {
 	const root = "/srv/export"
 	f := func(s string) bool {
-		hp, err := Confine(root, s)
+		hp, err := confine(root, s)
 		if err != nil {
 			return true // rejected outright is safe
 		}
@@ -84,13 +93,44 @@ func TestConfineNeverEscapes(t *testing.T) {
 	}
 	// Directed adversarial cases.
 	for _, in := range []string{"..", "/..", "/../../etc/passwd", "a/../../..", "/a/../../b", "....//....//etc"} {
-		hp, err := Confine(root, in)
+		hp, err := confine(root, in)
 		if err != nil {
 			continue
 		}
 		if hp != root && !strings.HasPrefix(hp, root+"/") {
-			t.Errorf("Confine escaped: %q -> %q", in, hp)
+			t.Errorf("AppendHost escaped: %q -> %q", in, hp)
 		}
+	}
+}
+
+// Property: AppendHost is the root joined to Norm's logical path, built
+// in the caller's buffer without allocating.
+func TestAppendHostMatchesNorm(t *testing.T) {
+	f := func(root uint8, s string) bool {
+		r := []string{"/srv/export", "/", "rel/export"}[root%3]
+		norm, nerr := Norm(s)
+		hp, herr := confine(r, s)
+		if nerr != nil || herr != nil {
+			return nerr != nil && herr != nil
+		}
+		switch {
+		case norm == "/":
+			return hp == r
+		case r == "/":
+			return hp == norm
+		}
+		return hp == r+norm
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	var buf [512]byte
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := AppendHost(buf[:0], "/srv/export", "/a/./b//../c/d.txt"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("AppendHost into a large enough buffer allocates %.1f/op, want 0", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package resilient
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -189,5 +190,17 @@ func TestRunZeroPolicyRunsOnceBare(t *testing.T) {
 	op := &script{errs: []error{vfs.ENOTCONN}}
 	if err := (Policy{}).Run(&linkFS{}, op.op, nil); vfs.AsErrno(err) != vfs.ENOTCONN || op.calls != 1 {
 		t.Errorf("zero policy: %v after %d calls, want ENOTCONN after 1", err, op.calls)
+	}
+}
+
+// The errno an abandoned recovery carries is what AsErrno reads, bare
+// and wrapped, on the walk that allocates nothing.
+func TestAsErrnoSeesAbandoned(t *testing.T) {
+	for _, want := range []vfs.Errno{vfs.ETIMEDOUT, vfs.EAGAIN} {
+		for _, err := range []error{abandoned{want}, fmt.Errorf("copy: %w", abandoned{want})} {
+			if got := vfs.AsErrno(err); got != want {
+				t.Errorf("AsErrno(%#v) = %v, want %v", err, got, want)
+			}
+		}
 	}
 }

@@ -10,9 +10,12 @@ import (
 func TestCapabilitiesFallbackProbesInterfaces(t *testing.T) {
 	lfs := newLocal(t)
 	caps := Capabilities(lfs)
-	if caps.OpenStater != nil || caps.FileGetter != nil || caps.FilePutter != nil ||
+	if caps.FileGetter != nil || caps.FilePutter != nil ||
 		caps.Reconnector != nil || caps.Closer != nil {
 		t.Errorf("LocalFS advertises capabilities it does not implement: %+v", caps)
+	}
+	if caps.OpenStater == nil {
+		t.Error("LocalFS does not advertise OpenStater: its open takes one fstat for both the refusal of a directory and the metadata")
 	}
 }
 

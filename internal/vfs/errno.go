@@ -95,10 +95,27 @@ func (e Errno) Is(target error) bool {
 
 // AsErrno extracts the protocol error number from err. Errors that did
 // not originate in the TSS stack are mapped from the nearest os/syscall
-// meaning, defaulting to EIO.
+// meaning, defaulting to EIO. A chain of single wrappers (%w, *fs.PathError,
+// *os.SyscallError) that ends in an Errno or a syscall.Errno is walked
+// without allocating; anything else (joined errors, As methods, the io/fs
+// sentinels) goes through errors.As and errors.Is.
 func AsErrno(err error) Errno {
 	if err == nil {
 		return EOK
+	}
+	for e := err; ; {
+		switch v := e.(type) {
+		case Errno:
+			return v
+		case syscall.Errno:
+			return errnoOf(v)
+		case interface{ As(any) bool }:
+		case interface{ Unwrap() error }:
+			if e = v.Unwrap(); e != nil {
+				continue
+			}
+		}
+		break
 	}
 	var e Errno
 	if errors.As(err, &e) {
@@ -106,51 +123,7 @@ func AsErrno(err error) Errno {
 	}
 	var sys syscall.Errno
 	if errors.As(err, &sys) {
-		switch sys {
-		case syscall.EPERM:
-			return EPERM
-		case syscall.ENOENT:
-			return ENOENT
-		case syscall.EBADF:
-			return EBADF
-		case syscall.EAGAIN:
-			return EAGAIN
-		case syscall.EACCES:
-			return EACCES
-		case syscall.EBUSY:
-			return EBUSY
-		case syscall.EEXIST:
-			return EEXIST
-		case syscall.ENOTDIR:
-			return ENOTDIR
-		case syscall.EISDIR:
-			return EISDIR
-		case syscall.EINVAL:
-			return EINVAL
-		case syscall.EMFILE, syscall.ENFILE:
-			return EMFILE
-		case syscall.EFBIG:
-			return EFBIG
-		case syscall.ENOSPC:
-			return ENOSPC
-		case syscall.EROFS:
-			return EROFS
-		case syscall.ENAMETOOLONG:
-			return ENAMETOOLONG
-		case syscall.ENOTEMPTY:
-			return ENOTEMPTY
-		case syscall.EBADMSG:
-			return EBADMSG
-		case syscall.ENOTCONN:
-			return ENOTCONN
-		case syscall.ESHUTDOWN:
-			return ESHUTDOWN
-		case syscall.ETIMEDOUT:
-			return ETIMEDOUT
-		case syscall.ESTALE:
-			return ESTALE
-		}
-		return EIO
+		return errnoOf(sys)
 	}
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
@@ -165,6 +138,55 @@ func AsErrno(err error) Errno {
 		return ENOTCONN
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		return ETIMEDOUT
+	}
+	return EIO
+}
+
+// errnoOf maps a host error number to the protocol's, defaulting to EIO.
+func errnoOf(sys syscall.Errno) Errno {
+	switch sys {
+	case syscall.EPERM:
+		return EPERM
+	case syscall.ENOENT:
+		return ENOENT
+	case syscall.EBADF:
+		return EBADF
+	case syscall.EAGAIN:
+		return EAGAIN
+	case syscall.EACCES:
+		return EACCES
+	case syscall.EBUSY:
+		return EBUSY
+	case syscall.EEXIST:
+		return EEXIST
+	case syscall.ENOTDIR:
+		return ENOTDIR
+	case syscall.EISDIR:
+		return EISDIR
+	case syscall.EINVAL:
+		return EINVAL
+	case syscall.EMFILE, syscall.ENFILE:
+		return EMFILE
+	case syscall.EFBIG:
+		return EFBIG
+	case syscall.ENOSPC:
+		return ENOSPC
+	case syscall.EROFS:
+		return EROFS
+	case syscall.ENAMETOOLONG:
+		return ENAMETOOLONG
+	case syscall.ENOTEMPTY:
+		return ENOTEMPTY
+	case syscall.EBADMSG:
+		return EBADMSG
+	case syscall.ENOTCONN:
+		return ENOTCONN
+	case syscall.ESHUTDOWN:
+		return ESHUTDOWN
+	case syscall.ETIMEDOUT:
+		return ETIMEDOUT
+	case syscall.ESTALE:
+		return ESTALE
 	}
 	return EIO
 }
