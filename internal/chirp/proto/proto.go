@@ -66,7 +66,6 @@ package proto
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -286,22 +285,17 @@ func MarshalDirEntry(e vfs.DirEntry) string {
 	return string(AppendDirEntry(nil, e))
 }
 
-// direntHead is the head of an entry in ReadDirEntries' block: the
-// name's length (4 bytes, little-endian), then '1' for a directory or
-// '0'. A decoded name may hold any byte, so it is counted, not ended.
-const direntHead = 5
-
 // ReadDirEntries reads the n entry lines of a listing (the getdir
 // answer, and the NFS baseline's readdir) from r. The names are decoded
-// into one block that becomes one string, and each entry's name is
-// sliced out of it: however many names it holds, a listing costs that
-// string and the entry slice, plus the block's growth once it outgrows
-// its stack array.
+// into one dirent block (vfs.AppendDirent) on the stack, so however many
+// names it holds, a listing costs one string and the entry slice, plus
+// the block's growth once it outgrows its stack array.
 func ReadDirEntries(r *bufio.Reader, n int64) ([]vfs.DirEntry, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	var stack [2048]byte
+	var name [256]byte
 	block := stack[:0]
 	for i := int64(0); i < n; i++ {
 		line, err := ReadLine(r)
@@ -312,24 +306,13 @@ func ReadDirEntries(r *bufio.Reader, n int64) ([]vfs.DirEntry, error) {
 		if token.Split(f[:], line) != 2 {
 			return nil, fmt.Errorf("proto: malformed dir entry %q", string(line))
 		}
-		head := len(block)
-		block = append(block, 0, 0, 0, 0, '0')
-		if string(f[1]) == "1" {
-			block[head+4] = '1'
-		}
-		if block, err = appendUnescape(block, f[0]); err != nil {
+		nb, err := appendUnescape(name[:0], f[0])
+		if err != nil {
 			return nil, err
 		}
-		binary.LittleEndian.PutUint32(block[head:], uint32(len(block)-head-direntHead))
+		block = vfs.AppendDirent(block, nb, string(f[1]) == "1")
 	}
-	s := string(block)
-	ents := make([]vfs.DirEntry, n)
-	for i := range ents {
-		size := int(s[0]) | int(s[1])<<8 | int(s[2])<<16 | int(s[3])<<24
-		ents[i] = vfs.DirEntry{Name: s[direntHead : direntHead+size], IsDir: s[4] == '1'}
-		s = s[direntHead+size:]
-	}
-	return ents, nil
+	return vfs.DirEntries(block, int(n)), nil
 }
 
 // Request is a parsed protocol request. Which fields a verb uses is its

@@ -10,7 +10,6 @@
 package pathutil
 
 import (
-	"bytes"
 	"errors"
 	"path"
 	"strings"
@@ -96,37 +95,20 @@ func Rebase(prefix, p string) (rest string, ok bool) {
 // AppendHost appends the host path of a client-supplied logical path
 // beneath root to dst, NUL-terminated for a system call, and returns
 // the extended slice. The result is root itself or a descendant of
-// root: the logical path is normalized as Norm does while it is copied
-// ("." and empty components dropped, ".." clamped at root), so escape
-// via ".." is impossible. root must be a host path without a trailing
-// slash (except "/"). It allocates only when dst is too small.
+// root; escape via ".." is impossible because the logical path is
+// normalized first (Norm). root must be a host path without a trailing
+// slash (except "/"). For a normalized logical path, as the server
+// passes, it allocates only when dst is too small.
 func AppendHost(dst []byte, root, logical string) ([]byte, error) {
-	if strings.IndexByte(logical, 0) >= 0 || strings.IndexByte(logical, '\n') >= 0 {
-		return dst, ErrBadPath
+	norm, err := Norm(logical)
+	if err != nil {
+		return dst, err
 	}
 	if root != "/" {
 		dst = append(dst, root...)
-	}
-	base := len(dst)
-	for len(logical) > 0 {
-		comp := logical
-		if i := strings.IndexByte(logical, '/'); i >= 0 {
-			comp, logical = logical[:i], logical[i+1:]
-		} else {
-			logical = ""
-		}
-		switch comp {
-		case "", ".":
-		case "..":
-			if i := bytes.LastIndexByte(dst[base:], '/'); i >= 0 {
-				dst = dst[:base+i]
-			}
-		default:
-			dst = append(append(dst, '/'), comp...)
+		if norm == "/" {
+			return append(dst, 0), nil
 		}
 	}
-	if len(dst) == base && root == "/" {
-		dst = append(dst, '/')
-	}
-	return append(dst, 0), nil
+	return append(append(dst, norm...), 0), nil
 }

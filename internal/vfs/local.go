@@ -284,10 +284,9 @@ const (
 
 // ReadDir lists a directory, sorted by name as os.ReadDir sorts it. The
 // kernel's records are read into a stack buffer and the names copied
-// into one block (a type byte, the name, a NUL — no name holds a NUL),
-// which becomes one string the entries' names are sliced from: a
-// listing costs that string and the entry slice, plus the block's growth
-// once it outgrows its stack array.
+// into one dirent block (AppendDirent), so a listing costs one string
+// and the entry slice, plus the block's growth once it outgrows its
+// stack array.
 func (l *LocalFS) ReadDir(path string) ([]DirEntry, error) {
 	var buf [hostPathMax]byte
 	hp, err := l.hostPath(buf[:0], path)
@@ -313,45 +312,48 @@ func (l *LocalFS) ReadDir(path string) ([]DirEntry, error) {
 		if m == 0 {
 			break
 		}
-		for rec, reclen := dents[:m], 0; len(rec) > direntName; rec = rec[reclen:] {
-			reclen = int(binary.NativeEndian.Uint16(rec[direntReclen:]))
-			if reclen <= direntName || reclen > len(rec) {
-				return nil, EIO
-			}
-			ino, typ, name := binary.NativeEndian.Uint64(rec[direntIno:]), rec[direntType], rec[direntName:reclen]
-			if i := bytes.IndexByte(name, 0); i >= 0 {
-				name = name[:i]
-			}
-			if ino == 0 || string(name) == "." || string(name) == ".." {
-				continue
-			}
-			if typ == syscall.DT_UNKNOWN {
-				// The filesystem does not record types: lstat, as os does.
-				var st syscall.Stat_t
-				err := fstatat(uintptr(fd), &rec[direntName], &st, atSymlinkNofollow)
-				if AsErrno(err) == ENOENT {
-					continue // removed since the directory was read
-				}
-				if err != nil {
-					return nil, err
-				}
-				if isDir(&st) {
-					typ = syscall.DT_DIR
-				}
-			}
-			block = append(append(append(block, typ), name...), 0)
-			n++
+		if block, n, err = appendDirents(block, n, fd, dents[:m]); err != nil {
+			return nil, err
 		}
 	}
-	s := string(block)
-	ents := make([]DirEntry, 0, n)
-	for s != "" {
-		end := strings.IndexByte(s, 0)
-		ents = append(ents, DirEntry{Name: s[1:end], IsDir: s[0] == syscall.DT_DIR})
-		s = s[end+1:]
-	}
+	ents := DirEntries(block, n)
 	slices.SortFunc(ents, func(a, b DirEntry) int { return strings.Compare(a.Name, b.Name) })
 	return ents, nil
+}
+
+// appendDirents appends the entries of the getdents64 records in dents
+// to block and counts them in n, leaving out "." and "..". An entry of
+// type DT_UNKNOWN — a filesystem that does not record types — is
+// lstat'ed beneath the directory dirfd, as package os does.
+func appendDirents(block []byte, n, dirfd int, dents []byte) ([]byte, int, error) {
+	for rec, reclen := dents, 0; len(rec) > direntName; rec = rec[reclen:] {
+		reclen = int(binary.NativeEndian.Uint16(rec[direntReclen:]))
+		if reclen <= direntName || reclen > len(rec) {
+			return block, n, EIO
+		}
+		ino, typ, name := binary.NativeEndian.Uint64(rec[direntIno:]), rec[direntType], rec[direntName:reclen]
+		if i := bytes.IndexByte(name, 0); i >= 0 {
+			name = name[:i]
+		}
+		if ino == 0 || string(name) == "." || string(name) == ".." {
+			continue
+		}
+		isdir := typ == syscall.DT_DIR
+		if typ == syscall.DT_UNKNOWN {
+			var st syscall.Stat_t
+			err := fstatat(uintptr(dirfd), &rec[direntName], &st, atSymlinkNofollow)
+			if AsErrno(err) == ENOENT {
+				continue // removed since the directory was read
+			}
+			if err != nil {
+				return block, n, err
+			}
+			isdir = isDir(&st)
+		}
+		block = AppendDirent(block, name, isdir)
+		n++
+	}
+	return block, n, nil
 }
 
 // Truncate changes the length of the named file.

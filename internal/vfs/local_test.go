@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -281,5 +282,70 @@ func TestAsErrnoAllocationFree(t *testing.T) {
 		if got := AsErrno(c.err); got != c.want {
 			t.Errorf("AsErrno(%#v) = %v, want %v", c.err, got, c.want)
 		}
+	}
+}
+
+// direntRecord is one getdents64 record, padded to 8 bytes as the
+// kernel lays it out.
+func direntRecord(ino uint64, typ byte, name string) []byte {
+	reclen := (direntName + len(name) + 1 + 7) &^ 7
+	rec := make([]byte, reclen)
+	binary.NativeEndian.PutUint64(rec[direntIno:], ino)
+	binary.NativeEndian.PutUint16(rec[direntReclen:], uint16(reclen))
+	rec[direntType] = typ
+	copy(rec[direntName:], name)
+	return rec
+}
+
+// TestAppendDirentsUnknownType: on a filesystem that records no entry
+// types, every record says DT_UNKNOWN and the type comes from an lstat
+// beneath the directory; an entry removed since the read is left out.
+func TestAppendDirentsUnknownType(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "file"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("sub", filepath.Join(dir, "link")); err != nil {
+		t.Fatal(err)
+	}
+	fd, err := syscall.Open(dir, syscall.O_RDONLY|syscall.O_DIRECTORY|syscall.O_CLOEXEC, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer syscall.Close(fd)
+	var dents []byte
+	for i, name := range []string{".", "..", "file", "gone", "sub", "link"} {
+		dents = append(dents, direntRecord(uint64(i+1), syscall.DT_UNKNOWN, name)...)
+	}
+	dents = append(dents, direntRecord(0, syscall.DT_REG, "deleted")...)
+	block, n, err := appendDirents(nil, 0, fd, dents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := DirEntries(block, n)
+	want := []DirEntry{{"file", false}, {"sub", true}, {"link", false}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("appendDirents = %v, want %v", got, want)
+	}
+	if _, _, err := appendDirents(nil, 0, fd, direntRecord(1, syscall.DT_REG, "x")[:direntName+1]); AsErrno(err) != EIO {
+		t.Errorf("a record longer than the buffer gives %v, want EIO", err)
+	}
+}
+
+// A dirent block keeps any name byte for byte, NUL and high bytes too.
+func TestDirentBlockRoundTrip(t *testing.T) {
+	want := []DirEntry{{"a\x00b", false}, {"dir", true}, {strings.Repeat("é", 300), false}, {"\xff", true}}
+	var block []byte
+	for _, e := range want {
+		block = AppendDirent(block, []byte(e.Name), e.IsDir)
+	}
+	if got := DirEntries(block, len(want)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("DirEntries = %+v, want %+v", got, want)
+	}
+	if got := DirEntries(nil, 0); got != nil {
+		t.Errorf("DirEntries of an empty block = %v, want nil", got)
 	}
 }

@@ -53,6 +53,41 @@ type DirEntry struct {
 	IsDir bool
 }
 
+// A dirent block packs a directory listing into one []byte. Each entry
+// is its name's length (4 bytes, little-endian), '1' for a directory or
+// '0', then the name: a name is counted, not ended, so it may hold any
+// byte. LocalFS.ReadDir and the Chirp client build their listings in a
+// block on the stack, and DirEntries turns it into one string that every
+// name is sliced from, so a listing costs that string and its entry
+// slice however many names it holds.
+const direntHead = 5
+
+// AppendDirent appends one entry to a dirent block.
+func AppendDirent(block, name []byte, isDir bool) []byte {
+	n := len(name)
+	t := byte('0')
+	if isDir {
+		t = '1'
+	}
+	return append(append(block, byte(n), byte(n>>8), byte(n>>16), byte(n>>24), t), name...)
+}
+
+// DirEntries returns the n entries of a dirent block built by
+// AppendDirent, in the order they were appended.
+func DirEntries(block []byte, n int) []DirEntry {
+	if n == 0 {
+		return nil
+	}
+	s := string(block)
+	ents := make([]DirEntry, n)
+	for i := range ents {
+		size := int(s[0]) | int(s[1])<<8 | int(s[2])<<16 | int(s[3])<<24
+		ents[i] = DirEntry{Name: s[direntHead : direntHead+size], IsDir: s[4] == '1'}
+		s = s[direntHead+size:]
+	}
+	return ents
+}
+
 // FSInfo describes the capacity of a filesystem, as reported by statfs
 // and published to catalogs.
 type FSInfo struct {
