@@ -29,7 +29,8 @@ verify: build lint
 
 # fuzz-short runs every fuzz target for FUZZTIME each — a cheap gate
 # that replays and extends the checked-in corpora for the wire parser,
-# digest trailer codec, ACL grammar, and the software chroot.
+# digest trailer codec, ACL grammar, the software chroot, and the stack
+# spec grammar.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRequest$$' -fuzztime=$(FUZZTIME) ./internal/chirp/proto/
 	$(GO) test -run='^$$' -fuzz='^FuzzEncodeDecode$$' -fuzztime=$(FUZZTIME) ./internal/chirp/proto/
@@ -37,6 +38,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzDigestTrailer$$' -fuzztime=$(FUZZTIME) ./internal/chirp/proto/
 	$(GO) test -run='^$$' -fuzz='^FuzzACLParse$$' -fuzztime=$(FUZZTIME) ./internal/acl/
 	$(GO) test -run='^$$' -fuzz='^FuzzConfine$$' -fuzztime=$(FUZZTIME) ./internal/pathutil/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseSpec$$' -fuzztime=$(FUZZTIME) ./internal/stackspec/
 
 # benchmark runs the repository benchmark (BENCHMARK.json, benchmark/):
 # five workloads on the real in-process stack, twelve end-to-end metrics

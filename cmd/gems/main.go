@@ -15,16 +15,16 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 	"time"
 
-	"tss/internal/abstraction"
-	"tss/internal/auth"
 	"tss/internal/chirp"
 	"tss/internal/gems"
+	"tss/internal/stackspec"
 	"tss/internal/vfs"
 )
 
@@ -43,40 +43,24 @@ commands:
 }
 
 func main() {
-	args := os.Args[1:]
-	var indexDir string
-	type dataSpec struct{ name, spec string }
-	var dataSpecs []dataSpec
-	for len(args) > 0 && strings.HasPrefix(args[0], "-") {
-		switch args[0] {
-		case "-index":
-			if len(args) < 2 {
-				usage()
-			}
-			indexDir = args[1]
-			args = args[2:]
-		case "-data":
-			if len(args) < 2 {
-				usage()
-			}
-			name, spec, ok := strings.Cut(args[1], "=")
-			if !ok {
-				usage()
-			}
-			dataSpecs = append(dataSpecs, dataSpec{name, spec})
-			args = args[2:]
-		default:
-			usage()
-		}
-	}
-	if indexDir == "" || len(dataSpecs) == 0 || len(args) == 0 {
+	flag.Usage = usage
+	indexDir := flag.String("index", "", "")
+	var dataSpecs []stackspec.Server
+	flag.Func("data", "", func(s string) error {
+		srv, err := stackspec.ParseServer(s, "/gems")
+		dataSpecs = append(dataSpecs, srv)
+		return err
+	})
+	flag.Parse()
+	args := flag.Args()
+	if *indexDir == "" || len(dataSpecs) == 0 || len(args) == 0 {
 		usage()
 	}
 
-	if err := os.MkdirAll(indexDir, 0o755); err != nil {
+	if err := os.MkdirAll(*indexDir, 0o755); err != nil {
 		fatal(err)
 	}
-	indexFS, err := vfs.NewLocalFS(indexDir)
+	indexFS, err := vfs.NewLocalFS(*indexDir)
 	if err != nil {
 		fatal(err)
 	}
@@ -86,21 +70,11 @@ func main() {
 	}
 	defer idx.Close()
 
-	var servers []abstraction.DataServer
-	for _, ds := range dataSpecs {
-		addr, dir := ds.spec, "/gems"
-		if i := strings.IndexByte(ds.spec, '/'); i >= 0 {
-			addr, dir = ds.spec[:i], ds.spec[i:]
-		}
-		cli, err := chirp.DialTCP(addr, []auth.Credential{
-			auth.HostnameCredential{},
-			auth.UnixCredential{},
-		}, 30*time.Second)
-		if err != nil {
-			fatal(fmt.Errorf("data server %s (%s): %w", ds.name, addr, err))
-		}
-		defer cli.Close()
-		servers = append(servers, abstraction.DataServer{Name: ds.name, FS: cli, Dir: dir})
+	b := &stackspec.Builder{Dial: stackspec.TCP(chirp.ClientConfig{Timeout: 30 * time.Second})}
+	defer b.Close()
+	servers, err := b.DataServers(dataSpecs)
+	if err != nil {
+		fatal(err)
 	}
 	db, err := gems.NewDSDB(idx, servers)
 	if err != nil {

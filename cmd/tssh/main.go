@@ -1,13 +1,16 @@
-// Tssh is an interactive shell over the TSS adapter: mount Chirp
-// servers anywhere in a private namespace and browse them with
-// familiar commands — the user-facing face of §6's adapter, without
-// kernel involvement.
+// Tssh is an interactive shell over the TSS adapter: mount any storage
+// stack anywhere in a private namespace and browse it with familiar
+// commands — the user-facing face of §6's adapter, without kernel
+// involvement. A stack is named by a spec (internal/stackspec), and
+// every command but the shell's own runs through the verb table tss
+// uses (internal/cli), with paths taken against the working directory.
 //
 //	$ tssh
 //	tss> mount /data chirp://localhost:9094
+//	tss> mount /pool dsfs://localhost:9094/tree?data=n0=localhost:9095/vol
 //	tss> cd /data
 //	tss> ls
-//	tss> put report.pdf backups/report.pdf
+//	tss> put backups/report.pdf report.pdf
 //	tss> cat backups/report.pdf > /dev/null
 //	tss> exit
 //
@@ -25,27 +28,30 @@ import (
 	"time"
 
 	"tss/internal/adapter"
-	"tss/internal/auth"
 	"tss/internal/chirp"
+	"tss/internal/cli"
 	"tss/internal/pathutil"
+	"tss/internal/stackspec"
 	"tss/internal/vfs"
 )
 
 type shell struct {
-	a   *adapter.Adapter
-	cwd string
-	out io.Writer
-	// clients tracks dialed servers for cleanup.
-	clients []*chirp.Client
+	a      *adapter.Adapter
+	b      *stackspec.Builder
+	stacks map[string]*stackspec.Stack // by mount prefix
+	cwd    string
+	out    io.Writer
 }
 
 func main() {
 	sh := &shell{
-		a:   adapter.New(adapter.Config{}),
-		cwd: "/",
-		out: os.Stdout,
+		a:      adapter.New(adapter.Config{}),
+		b:      &stackspec.Builder{Dial: stackspec.TCP(chirp.ClientConfig{Timeout: 30 * time.Second})},
+		stacks: make(map[string]*stackspec.Stack),
+		cwd:    "/",
+		out:    os.Stdout,
 	}
-	defer sh.closeAll()
+	defer sh.b.Close()
 
 	interactive := false
 	if fi, err := os.Stdin.Stat(); err == nil && fi.Mode()&os.ModeCharDevice != 0 {
@@ -67,32 +73,17 @@ func main() {
 		if line == "exit" || line == "quit" {
 			return
 		}
-		if err := sh.exec(line); err != nil {
+		if err := sh.exec(strings.Fields(line)); err != nil {
 			fmt.Fprintf(os.Stderr, "tssh: %v\n", err)
 			if !interactive {
+				sh.b.Close()
 				os.Exit(1)
 			}
 		}
 	}
 }
 
-func (sh *shell) closeAll() {
-	for _, c := range sh.clients {
-		c.Close()
-	}
-}
-
-// abs resolves a command argument against the current directory.
-func (sh *shell) abs(p string) string {
-	if strings.HasPrefix(p, "/") {
-		n, _ := pathutil.Norm(p)
-		return n
-	}
-	return pathutil.Join(sh.cwd, p)
-}
-
-func (sh *shell) exec(line string) error {
-	fields := strings.Fields(line)
+func (sh *shell) exec(fields []string) error {
 	cmd, args := fields[0], fields[1:]
 	need := func(n int) error {
 		if len(args) != n {
@@ -103,58 +94,46 @@ func (sh *shell) exec(line string) error {
 	switch cmd {
 	case "help":
 		fmt.Fprintln(sh.out, `commands:
-  mount LOGICAL chirp://host:port[/subdir]   attach a server
-  umount LOGICAL                             detach
-  mounts                                     list mounts
-  cd DIR | pwd | ls [DIR] | stat PATH | df
-  cat PATH | put LOCAL REMOTE | get REMOTE LOCAL
-  mkdir DIR | rm PATH | rmdir DIR | mv OLD NEW
-  getacl DIR | setacl DIR SUBJECT RIGHTS
-  exit`)
+  mount LOGICAL SPEC   attach a stack: host:port[/dir], chirp://host:port[/dir],
+                       dsfs://host:port[/tree]?data=name=host:port[/dir],...
+                       or mirror:(SPEC,...)
+  umount LOGICAL | mounts | cd DIR | pwd | exit`)
+		cli.Usage(sh.out, "")
 		return nil
 
 	case "mount":
 		if err := need(2); err != nil {
 			return err
 		}
-		target := args[1]
-		if !strings.HasPrefix(target, "chirp://") {
-			return fmt.Errorf("mount: target must be chirp://host:port[/subdir]")
+		prefix, err := pathutil.Norm(args[0])
+		if err != nil {
+			return vfs.EINVAL
 		}
-		rest := strings.TrimPrefix(target, "chirp://")
-		addr, sub := rest, "/"
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			addr, sub = rest[:i], rest[i:]
-		}
-		cli, err := chirp.DialTCP(addr, []auth.Credential{
-			auth.HostnameCredential{},
-			auth.UnixCredential{},
-		}, 30*time.Second)
+		sp, err := stackspec.Parse(args[1])
 		if err != nil {
 			return fmt.Errorf("mount: %w", err)
 		}
-		var fs vfs.FileSystem = cli
-		if sub != "/" {
-			fs, err = vfs.Subtree(cli, sub)
-			if err != nil {
-				cli.Close()
-				return err
-			}
-		}
-		if err := sh.a.MountFS(args[0], fs); err != nil {
-			cli.Close()
+		st, err := sh.b.Build(sp)
+		if err != nil {
 			return fmt.Errorf("mount: %w", err)
 		}
-		sh.clients = append(sh.clients, cli)
-		who, _ := cli.Whoami()
-		fmt.Fprintf(sh.out, "mounted %s on %s (authenticated as %s)\n", target, args[0], who)
+		if err := sh.a.MountFS(prefix, st.FS); err != nil {
+			return fmt.Errorf("mount: %w", err)
+		}
+		sh.stacks[prefix] = st
+		fmt.Fprintf(sh.out, "mounted %s on %s\n", args[1], prefix)
 		return nil
 
 	case "umount":
 		if err := need(1); err != nil {
 			return err
 		}
-		return sh.a.Unmount(args[0])
+		prefix, err := pathutil.Norm(args[0])
+		if err != nil {
+			return vfs.EINVAL
+		}
+		delete(sh.stacks, prefix)
+		return sh.a.Unmount(prefix)
 
 	case "mounts":
 		for _, m := range sh.a.Mounts() {
@@ -166,7 +145,10 @@ func (sh *shell) exec(line string) error {
 		if err := need(1); err != nil {
 			return err
 		}
-		dir := sh.abs(args[0])
+		dir := pathutil.Join(sh.cwd, args[0])
+		if strings.HasPrefix(args[0], "/") {
+			dir = pathutil.Join(args[0])
+		}
 		fi, err := sh.a.Stat(dir)
 		if err != nil {
 			return err
@@ -180,150 +162,26 @@ func (sh *shell) exec(line string) error {
 	case "pwd":
 		fmt.Fprintln(sh.out, sh.cwd)
 		return nil
-
-	case "ls":
-		dir := sh.cwd
-		if len(args) == 1 {
-			dir = sh.abs(args[0])
-		} else if len(args) > 1 {
-			return need(1)
-		}
-		ents, err := sh.a.ReadDir(dir)
-		if err != nil {
-			return err
-		}
-		for _, e := range ents {
-			kind := "-"
-			if e.IsDir {
-				kind = "d"
-			}
-			fmt.Fprintf(sh.out, "%s %s\n", kind, e.Name)
-		}
-		return nil
-
-	case "stat":
-		if err := need(1); err != nil {
-			return err
-		}
-		fi, err := sh.a.Stat(sh.abs(args[0]))
-		if err != nil {
-			return err
-		}
-		kind := "file"
-		if fi.IsDir {
-			kind = "dir"
-		}
-		fmt.Fprintf(sh.out, "%s %s size=%d mode=%o mtime=%s\n",
-			kind, fi.Name, fi.Size, fi.Mode, fi.ModTime().Format(time.RFC3339))
-		return nil
-
-	case "df":
-		info, err := sh.a.StatFS()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(sh.out, "total %d bytes, free %d bytes\n", info.TotalBytes, info.FreeBytes)
-		return nil
-
-	case "cat":
-		if err := need(1); err != nil {
-			return err
-		}
-		f, err := sh.a.Open(sh.abs(args[0]), vfs.O_RDONLY, 0)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		_, err = io.Copy(sh.out, vfs.NewSeqFile(f))
-		return err
-
-	case "put":
-		if err := need(2); err != nil {
-			return err
-		}
-		data, err := os.ReadFile(args[0])
-		if err != nil {
-			return err
-		}
-		return vfs.WriteFile(sh.a, sh.abs(args[1]), data, 0o644)
-
-	case "get":
-		if err := need(2); err != nil {
-			return err
-		}
-		data, err := vfs.ReadFile(sh.a, sh.abs(args[0]))
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(args[1], data, 0o644)
-
-	case "mkdir":
-		if err := need(1); err != nil {
-			return err
-		}
-		return sh.a.Mkdir(sh.abs(args[0]), 0o755)
-
-	case "rm":
-		if err := need(1); err != nil {
-			return err
-		}
-		return sh.a.Unlink(sh.abs(args[0]))
-
-	case "rmdir":
-		if err := need(1); err != nil {
-			return err
-		}
-		return sh.a.Rmdir(sh.abs(args[0]))
-
-	case "mv":
-		if err := need(2); err != nil {
-			return err
-		}
-		return sh.a.Rename(sh.abs(args[0]), sh.abs(args[1]))
-
-	case "getacl", "setacl":
-		// ACLs live on the server behind the mount; find the client.
-		return sh.aclCmd(cmd, args)
 	}
-	return fmt.Errorf("unknown command %q (try help)", cmd)
+	run, args, err := cli.Lookup(cmd, args)
+	if err != nil {
+		return fmt.Errorf("%v (try help)", err)
+	}
+	return run(&cli.Env{FS: sh.a, Cwd: sh.cwd, Out: sh.out, Stack: sh.stackAt}, args)
 }
 
-// aclCmd routes getacl/setacl to the Chirp client behind the mount
-// containing the target directory.
-func (sh *shell) aclCmd(cmd string, args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("%s: need a directory", cmd)
-	}
-	dir := sh.abs(args[0])
+// stackAt finds the mounted stack that holds the namespace path p.
+func (sh *shell) stackAt(p string) (*stackspec.Stack, string, error) {
 	var best adapter.Mount
 	for _, m := range sh.a.Mounts() {
-		if pathutil.Within(m.Prefix, dir) && len(m.Prefix) > len(best.Prefix) {
+		if pathutil.Within(m.Prefix, p) && len(m.Prefix) > len(best.Prefix) {
 			best = m
 		}
 	}
-	if best.FS == nil {
-		return vfs.ENOENT
-	}
-	rest, _ := pathutil.Rebase(best.Prefix, dir)
-	cli, ok := best.FS.(*chirp.Client)
+	st, ok := sh.stacks[best.Prefix]
 	if !ok {
-		return fmt.Errorf("%s: mount %s is not a plain chirp server", cmd, best.Prefix)
+		return nil, "", fmt.Errorf("%s: not on a mounted stack", p)
 	}
-	switch cmd {
-	case "getacl":
-		lines, err := cli.GetACL(rest)
-		if err != nil {
-			return err
-		}
-		for _, l := range lines {
-			fmt.Fprintln(sh.out, l)
-		}
-		return nil
-	case "setacl":
-		if len(args) != 3 {
-			return fmt.Errorf("setacl DIR SUBJECT RIGHTS")
-		}
-		return cli.SetACL(rest, args[1], args[2])
-	}
-	return nil
+	rest, _ := pathutil.Rebase(best.Prefix, p)
+	return st, rest, nil
 }

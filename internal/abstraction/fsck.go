@@ -44,6 +44,9 @@ type FsckOptions struct {
 	// when no other client is concurrently creating files (creation
 	// writes the stub first, so a racing create looks dangling, not
 	// orphaned — but a to-be-written data file could look orphaned).
+	// Nothing is unlinked when a stub or stripe member names a server
+	// outside the set: then the check cannot tell which data files are
+	// referenced, and the orphans are only reported.
 	RemoveOrphans bool
 }
 
@@ -52,6 +55,7 @@ type FsckOptions struct {
 func (d *Dist) Fsck(opts FsckOptions) (*FsckReport, error) {
 	report := &FsckReport{StripeDigests: make(map[string][]string)}
 	referenced := make(map[string]bool) // "server\x00path" -> true
+	unknown := false                    // a stub names a server outside the set
 
 	var walk func(dir string) error
 	walk = func(dir string) error {
@@ -77,7 +81,9 @@ func (d *Dist) Fsck(opts FsckOptions) (*FsckReport, error) {
 				//lint:ignore copyapi stripe descriptors are tiny one-round-trip metadata, not transfers
 				if data, rerr := vfs.GetWholeFile(d.meta, p); rerr == nil {
 					if desc, ok := parseStripeDesc(data); ok {
-						d.fsckStripe(p, desc, report, referenced)
+						if d.fsckStripe(p, desc, report, referenced) {
+							unknown = true
+						}
 						continue
 					}
 				}
@@ -97,6 +103,7 @@ func (d *Dist) Fsck(opts FsckOptions) (*FsckReport, error) {
 			referenced[stub.Server+"\x00"+stub.Path] = true
 			srv := d.server(stub.Server)
 			if srv == nil {
+				unknown = true
 				report.Unreachable = append(report.Unreachable, p)
 				continue
 			}
@@ -136,7 +143,7 @@ func (d *Dist) Fsck(opts FsckOptions) (*FsckReport, error) {
 				continue
 			}
 			report.OrphanedData = append(report.OrphanedData, srv.Name+":"+dataPath)
-			if opts.RemoveOrphans {
+			if opts.RemoveOrphans && !unknown {
 				if err := srv.FS.Unlink(dataPath); err != nil && vfs.AsErrno(err) != vfs.ENOENT {
 					return report, fmt.Errorf("fsck: reclaiming %s on %s: %w", dataPath, srv.Name, err)
 				}
@@ -149,8 +156,9 @@ func (d *Dist) Fsck(opts FsckOptions) (*FsckReport, error) {
 // fsckStripe validates one stripe descriptor: every member data file
 // must exist, the member lengths must agree with the logical size
 // reconstructed from them, and each member is digested so the report
-// carries a per-member fingerprint of the data.
-func (d *Dist) fsckStripe(p string, desc *stripeDesc, report *FsckReport, referenced map[string]bool) {
+// carries a per-member fingerprint of the data. It reports whether a
+// member names a server outside the set.
+func (d *Dist) fsckStripe(p string, desc *stripeDesc, report *FsckReport, referenced map[string]bool) (unknown bool) {
 	report.Stripes++
 	w := int64(len(desc.Servers))
 	sizes := make([]int64, len(desc.Servers))
@@ -161,6 +169,7 @@ func (d *Dist) fsckStripe(p string, desc *stripeDesc, report *FsckReport, refere
 	for k, name := range desc.Servers {
 		srv := d.server(name)
 		if srv == nil {
+			unknown = true
 			if damage == "" {
 				damage = fmt.Sprintf("member %d: unknown server %q", k, name)
 			}
@@ -204,6 +213,7 @@ func (d *Dist) fsckStripe(p string, desc *stripeDesc, report *FsckReport, refere
 	if damage != "" {
 		report.StripeDamaged = append(report.StripeDamaged, p+": "+damage)
 	}
+	return unknown
 }
 
 // Clean reports whether the check found nothing wrong.

@@ -196,3 +196,54 @@ func TestFsckValidatesStripes(t *testing.T) {
 		t.Errorf("stripe members misreported as orphans: %v", rep.OrphanedData)
 	}
 }
+
+// TestFsckKeepsDataItCannotAccountFor: a check run with server names
+// other than the ones the tree was written with sees every stub point
+// at an unknown server and every data file as unreferenced. It must
+// report that and reclaim nothing: the data is not orphaned, the check
+// is misnamed.
+func TestFsckKeepsDataItCannotAccountFor(t *testing.T) {
+	var servers []DataServer
+	for i := 0; i < 2; i++ {
+		servers = append(servers, DataServer{Name: fmt.Sprintf("n%d", i), FS: localFS(t), Dir: "/vol"})
+	}
+	meta := localFS(t)
+	d, err := NewDPFS(meta, servers, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/a", "/b", "/c", "/d"} {
+		if err := vfs.WriteFile(d, p, []byte("keep "+p), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	renamed := make([]DataServer, len(servers))
+	for i, s := range servers {
+		renamed[i] = DataServer{Name: fmt.Sprintf("127.0.0.1:%d", 9094+i), FS: s.FS, Dir: s.Dir}
+	}
+	wrong, err := NewDPFS(meta, renamed, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := wrong.Fsck(FsckOptions{RemoveOrphans: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Clean() || len(rep.Unreachable) != 4 || len(rep.OrphanedData) != 4 {
+		t.Errorf("misnamed check = %s, want 4 unreachable and 4 orphans reported", rep)
+	}
+	left := 0
+	for _, s := range servers {
+		ents, err := s.FS.ReadDir(s.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		left += len(ents)
+	}
+	if left != 4 {
+		t.Errorf("%d of 4 data files survive", left)
+	}
+	if data, err := vfs.ReadFile(d, "/a"); err != nil || string(data) != "keep /a" {
+		t.Errorf("/a = %q, %v", data, err)
+	}
+}

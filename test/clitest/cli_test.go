@@ -1,7 +1,7 @@
 // Package clitest builds the real command binaries and drives them
 // end to end over TCP loopback: a catalog, a file server reporting to
-// it, the tss client tool, and the tssfs DSFS tool — the full §4
-// deployment story as a test.
+// it, and the tss client tool on a server, a DSFS and a mirror — the
+// full §4 deployment story as a test.
 package clitest
 
 import (
@@ -25,7 +25,7 @@ func TestMain(m *testing.M) {
 		os.Exit(1)
 	}
 	binDir = dir
-	for _, tool := range []string{"chirpd", "catalogd", "tss", "tssfs", "tssh", "gems", "tssticket"} {
+	for _, tool := range []string{"chirpd", "catalogd", "tss", "tssh", "gems", "tssticket"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, tool), "tss/cmd/"+tool)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Run(); err != nil {
@@ -207,71 +207,155 @@ func TestCatalogReporting(t *testing.T) {
 	}
 }
 
-func TestTssfsAssemblesDSFS(t *testing.T) {
+// startServers launches n file servers that admit the local user.
+func startServers(t *testing.T, n int) []string {
+	t.Helper()
 	user := os.Getenv("USER")
 	if user == "" {
 		user = "root"
 	}
-	aclArgs := []string{"-acl", "hostname:localhost=rwlda", "-acl", "unix:" + user + "=rwlda"}
-
 	var addrs []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < n; i++ {
 		addr := freePort(t)
-		args := append([]string{"-root", t.TempDir(), "-addr", addr}, aclArgs...)
-		startDaemon(t, "chirpd", args...)
+		startDaemon(t, "chirpd", "-root", t.TempDir(), "-addr", addr,
+			"-acl", "hostname:localhost=rwlda", "-acl", "unix:"+user+"=rwlda")
 		addrs = append(addrs, addr)
 	}
 	for _, a := range addrs {
 		waitTCP(t, a)
 	}
-	base := []string{
-		"-meta", addrs[0] + "/tree",
-		"-data", "n0=" + addrs[0] + "/vol",
-		"-data", "n1=" + addrs[1] + "/vol",
-		"-data", "n2=" + addrs[2] + "/vol",
+	return addrs
+}
+
+func TestTssAssemblesDSFS(t *testing.T) {
+	addrs := startServers(t, 3)
+	dsfs := func(names ...string) string {
+		var data []string
+		for i, n := range names {
+			data = append(data, n+"="+addrs[i]+"/vol")
+		}
+		return "dsfs://" + addrs[0] + "/tree?data=" + strings.Join(data, ",")
 	}
-	tssfs := func(args ...string) string {
-		return run(t, "tssfs", append(append([]string{}, base...), args...)...)
+	spec := dsfs("n0", "n1", "n2")
+	tss := func(verb string, args ...string) string {
+		return run(t, "tss", append([]string{verb, spec}, args...)...)
 	}
 
 	local := filepath.Join(t.TempDir(), "chunk.bin")
 	if err := os.WriteFile(local, []byte(strings.Repeat("spread me ", 100)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tssfs("mkdir", "/run1")
-	tssfs("put", "/run1/chunk.bin", local)
-	if ls := tssfs("ls", "/run1"); !strings.Contains(ls, "chunk.bin") {
-		t.Errorf("tssfs ls = %q", ls)
+	tss("mkdir", "/run1")
+	tss("put", "/run1/chunk.bin", local)
+	if ls := tss("ls", "/run1"); !strings.Contains(ls, "chunk.bin") {
+		t.Errorf("tss ls = %q", ls)
 	}
-	if st := tssfs("stat", "/run1/chunk.bin"); !strings.Contains(st, "data on n") {
-		t.Errorf("tssfs stat = %q", st)
+	if st := tss("stat", "/run1/chunk.bin"); !strings.Contains(st, "data on n") {
+		t.Errorf("tss stat = %q", st)
 	}
 	out := filepath.Join(t.TempDir(), "back.bin")
-	tssfs("get", "/run1/chunk.bin", out)
+	tss("get", "/run1/chunk.bin", out)
 	got, _ := os.ReadFile(out)
 	if len(got) != 1000 {
-		t.Errorf("tssfs get = %d bytes", len(got))
+		t.Errorf("tss get = %d bytes", len(got))
 	}
-	if fsck := tssfs("fsck"); !strings.Contains(fsck, "dangling=0 orphaned=0") {
-		t.Errorf("tssfs fsck = %q", fsck)
+	if fsck := tss("fsck"); !strings.Contains(fsck, "dangling=0 orphaned=0") {
+		t.Errorf("tss fsck = %q", fsck)
 	}
-	if sf := tssfs("statfs"); !strings.Contains(sf, "over 3 servers") {
-		t.Errorf("tssfs statfs = %q", sf)
+	if sf := tss("statfs"); !strings.Contains(sf, "over 3 servers") {
+		t.Errorf("tss statfs = %q", sf)
 	}
-	tssfs("rm", "/run1/chunk.bin")
-	tssfs("rmdir", "/run1")
+
+	// Checked under other server names, every stub points nowhere and
+	// the data file looks orphaned: fsck fails and reclaims nothing.
+	if fsck := runExpectFail(t, "tss", "fsck", "-remove-orphans", dsfs("m0", "m1", "m2")); !strings.Contains(fsck, "unreachable=1") {
+		t.Errorf("misnamed fsck = %q", fsck)
+	}
+	if cat := tss("cat", "/run1/chunk.bin"); len(cat) != 1000 {
+		t.Errorf("cat after misnamed fsck = %d bytes", len(cat))
+	}
+
+	tss("rm", "/run1/chunk.bin")
+	tss("rmdir", "/run1")
+	if fsck := run(t, "tss", "fsck", "-remove-dangling", "-remove-orphans", spec); !strings.Contains(fsck, "dangling=0 orphaned=0") {
+		t.Errorf("tss fsck -remove-dangling -remove-orphans = %q", fsck)
+	}
+}
+
+// A mirror over three servers with one replica overwritten behind its
+// back: scrub finds the divergence, -repair rewrites the odd copy from
+// the majority, and a second scrub is clean.
+func TestTssScrubRepairsMirror(t *testing.T) {
+	addrs := startServers(t, 3)
+	mirror := "mirror:(" + strings.Join(addrs, ",") + ")"
+	dir := t.TempDir()
+	good, bad := filepath.Join(dir, "good"), filepath.Join(dir, "bad")
+	os.WriteFile(good, []byte("the agreed copy"), 0o644)
+	os.WriteFile(bad, []byte("a diverged copy"), 0o644)
+	run(t, "tss", "put", mirror, "/f", good)
+	run(t, "tss", "put", addrs[1], "/f", bad)
+
+	if out := runExpectFail(t, "tss", "scrub", mirror); !strings.Contains(out, "1 divergent") {
+		t.Errorf("scrub = %q", out)
+	}
+	if out := run(t, "tss", "scrub", "-repair", mirror); !strings.Contains(out, "1 divergent, 1 replica copies repaired") {
+		t.Errorf("scrub -repair = %q", out)
+	}
+	if out := run(t, "tss", "scrub", mirror); !strings.Contains(out, "0 divergent") {
+		t.Errorf("second scrub = %q", out)
+	}
+	if cat := run(t, "tss", "cat", addrs[1], "/f"); cat != "the agreed copy" {
+		t.Errorf("repaired replica = %q", cat)
+	}
+
+	// A parallel copy from one of the replica servers into the mirror:
+	// the mirror takes positional writes, so the source must not share
+	// its transport.
+	big := filepath.Join(dir, "big")
+	os.WriteFile(big, []byte(strings.Repeat("0123456789abcdef", 3<<16)), 0o644)
+	run(t, "tss", "put", addrs[0], "/big", big)
+	run(t, "tss", "-P", "2", "-chunk", "1M", "-verify", "cp", addrs[0]+":/big", mirror+":/copy")
+	if sum, want := run(t, "tss", "sum", addrs[2], "/copy"), run(t, "tss", "sum", addrs[0], "/big"); sum != want {
+		t.Errorf("copied replica sum %q, want %q", sum, want)
+	}
+	run(t, "tss", "rm", addrs[0], "/big")
+	if out := run(t, "tss", "scrub", mirror); !strings.Contains(out, "2 files, 0 divergent") {
+		t.Errorf("scrub after cp = %q", out)
+	}
+}
+
+// The identity and ACL verbs reach the server behind a chirp spec
+// rooted at a subdirectory, in tss and in a tssh mount.
+func TestACLVerbsThroughSubtree(t *testing.T) {
+	addr := startServers(t, 1)[0]
+	sub := "chirp://" + addr + "/sub"
+	run(t, "tss", "mkdir", addr, "/sub")
+	run(t, "tss", "setacl", sub, "/", "hostname:*.collab.org", "rl")
+	if acl := run(t, "tss", "getacl", addr, "/sub"); !strings.Contains(acl, "hostname:*.collab.org rl") {
+		t.Errorf("getacl = %q", acl)
+	}
+	if who := run(t, "tss", "whoami", sub); !strings.Contains(who, "hostname:localhost") && !strings.Contains(who, "unix:") {
+		t.Errorf("whoami = %q", who)
+	}
+
+	cmd := exec.Command(bin("tssh"))
+	cmd.Stdin = strings.NewReader("mount /x " + sub + "\ncd /x\nwhoami\nsetacl . hostname:*.other.org rl\ngetacl /x\n")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("tssh script failed: %v\n%s", err, out)
+	}
+	for _, want := range []string{"hostname:*.collab.org rl", "hostname:*.other.org rl"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("tssh output missing %q:\n%s", want, out)
+		}
+	}
+	if acl := run(t, "tss", "getacl", addr, "/sub"); !strings.Contains(acl, "hostname:*.other.org rl") {
+		t.Errorf("getacl after tssh setacl = %q", acl)
+	}
 }
 
 func TestTsshScripted(t *testing.T) {
-	user := os.Getenv("USER")
-	if user == "" {
-		user = "root"
-	}
-	addr := freePort(t)
-	startDaemon(t, "chirpd",
-		"-root", t.TempDir(), "-addr", addr,
-		"-acl", "hostname:localhost=rwlda", "-acl", "unix:"+user+"=rwlda")
-	waitTCP(t, addr)
+	addr := startServers(t, 1)[0]
 
 	local := filepath.Join(t.TempDir(), "up.bin")
 	if err := os.WriteFile(local, []byte("shell payload"), 0o644); err != nil {
@@ -283,7 +367,7 @@ func TestTsshScripted(t *testing.T) {
 		"mounts",
 		"cd /srv",
 		"mkdir docs",
-		"put " + local + " docs/up.bin",
+		"put docs/up.bin " + local,
 		"ls docs",
 		"stat docs/up.bin",
 		"cat docs/up.bin",
@@ -292,7 +376,7 @@ func TestTsshScripted(t *testing.T) {
 		"rm docs/renamed.bin",
 		"rmdir docs",
 		"pwd",
-		"df",
+		"statfs",
 		"exit",
 	}, "\n") + "\n"
 
@@ -315,21 +399,7 @@ func TestTsshScripted(t *testing.T) {
 }
 
 func TestGemsCLI(t *testing.T) {
-	user := os.Getenv("USER")
-	if user == "" {
-		user = "root"
-	}
-	aclArgs := []string{"-acl", "hostname:localhost=rwlda", "-acl", "unix:" + user + "=rwlda"}
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		addr := freePort(t)
-		args := append([]string{"-root", t.TempDir(), "-addr", addr}, aclArgs...)
-		startDaemon(t, "chirpd", args...)
-		addrs = append(addrs, addr)
-	}
-	for _, a := range addrs {
-		waitTCP(t, a)
-	}
+	addrs := startServers(t, 2)
 	indexDir := t.TempDir()
 	base := []string{
 		"-index", indexDir,
