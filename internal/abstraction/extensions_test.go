@@ -2,6 +2,7 @@ package abstraction
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -129,12 +130,13 @@ func TestMirrorSurvivesDownReplica(t *testing.T) {
 	if _, err := m.Stat("/during"); err != nil {
 		t.Errorf("stat with first replica down: %v", err)
 	}
-	// The stale replica is missing the new file; Sync repairs it.
+	// The stale replica is missing the new file; a repairing scrub
+	// fills it in.
 	flaky.down = false
 	if vfs.Exists(a, "/during") {
 		t.Fatal("down replica mysteriously has the file")
 	}
-	if err := Sync(a, b, "/"); err != nil {
+	if _, err := m.Scrub(context.Background(), ScrubOptions{Repair: true}); err != nil {
 		t.Fatal(err)
 	}
 	data, err = vfs.ReadFile(a, "/during")

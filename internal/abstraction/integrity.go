@@ -32,36 +32,6 @@ func (m *MirrorFS) Checksum(path, algo string) (string, error) {
 	return sum, err
 }
 
-// readFileTo streams the whole file from one replica, via its getfile
-// fast path when present and an open/pread loop otherwise.
-func readFileTo(fs vfs.FileSystem, path string, w io.Writer) (int64, error) {
-	if g := vfs.Capabilities(fs).FileGetter; g != nil {
-		return g.GetFile(path, w)
-	}
-	f, err := fs.Open(path, vfs.O_RDONLY, 0)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	buf := make([]byte, 256<<10)
-	var off int64
-	for {
-		n, err := f.Pread(buf, off)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return off, werr
-			}
-			off += int64(n)
-		}
-		if err == io.EOF || (err == nil && n == 0) {
-			return off, nil
-		}
-		if err != nil {
-			return off, err
-		}
-	}
-}
-
 // countingWriter tracks how many bytes escaped to the destination, so
 // a failover path knows whether a retry would append garbage.
 type countingWriter struct {
@@ -94,7 +64,7 @@ func (m *MirrorFS) GetFile(path string, w io.Writer) (int64, error) {
 	var lastErr error = vfs.ENOTCONN
 	for _, i := range ready {
 		cw := &countingWriter{w: w}
-		n, err := readFileTo(m.replicas[i], path, cw)
+		n, err := vfs.ReadFileTo(m.replicas[i], path, cw)
 		m.record(i, err)
 		if err == nil || !unreachable(err) {
 			return n, err
@@ -134,7 +104,7 @@ func (m *MirrorFS) getFileVerified(path string, w io.Writer) (int64, error) {
 	var lastErr error = vfs.ENOTCONN
 	for _, i := range ready {
 		var buf bytes.Buffer
-		_, err := readFileTo(m.replicas[i], path, &buf)
+		_, err := vfs.ReadFileTo(m.replicas[i], path, &buf)
 		if err != nil {
 			m.record(i, err)
 			if unreachable(err) {

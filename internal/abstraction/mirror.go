@@ -598,35 +598,6 @@ func (m *MirrorFS) StatFS() (vfs.FSInfo, error) {
 // Reconnect re-establishes every replica connection that supports it.
 func (m *MirrorFS) Reconnect() error { return vfs.ReconnectAll(m.replicas...) }
 
-// Sync synchronizes a stale replica from a good one: every file and
-// directory under root on src is copied to dst. It is the manual
-// repair path for replicas that were down during writes.
-func Sync(dst, src vfs.FileSystem, root string) error {
-	ents, err := src.ReadDir(root)
-	if err != nil {
-		return err
-	}
-	for _, e := range ents {
-		p := root + "/" + e.Name
-		if root == "/" {
-			p = "/" + e.Name
-		}
-		if e.IsDir {
-			if err := dst.Mkdir(p, 0o755); err != nil && vfs.AsErrno(err) != vfs.EEXIST {
-				return err
-			}
-			if err := Sync(dst, src, p); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := vfs.CopyFile(dst, p, src, p, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // mirrorFile is an open file on one or more replicas: writes fan out,
 // reads come from the first. A read-only mirrorFile remembers how it
 // was opened so a mid-read transport failure can fail over: reopen on

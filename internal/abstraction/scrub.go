@@ -1,7 +1,6 @@
 package abstraction
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -99,7 +98,7 @@ func (m *MirrorFS) Scrub(ctx context.Context, opts ScrubOptions) (*ScrubReport, 
 		go func(path string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			sf, scanned := m.scrubFile(path, ready, opts)
+			sf, scanned := m.scrubFile(ctx, path, ready, opts)
 			mu.Lock()
 			defer mu.Unlock()
 			if scanned {
@@ -214,7 +213,7 @@ func (m *MirrorFS) scrubMkdirs(dirs []string, ready []int) {
 // scrubFile digests one file on every replica, judges the winner, and
 // optionally repairs the losers. It returns nil when all replicas
 // agree; scanned is false when the context made examination moot.
-func (m *MirrorFS) scrubFile(path string, ready []int, opts ScrubOptions) (sf *ScrubFile, scanned bool) {
+func (m *MirrorFS) scrubFile(ctx context.Context, path string, ready []int, opts ScrubOptions) (sf *ScrubFile, scanned bool) {
 	digests := make([]string, len(m.replicas))
 	holders := 0
 	for _, i := range ready {
@@ -250,7 +249,7 @@ func (m *MirrorFS) scrubFile(path string, ready []int, opts ScrubOptions) (sf *S
 	if !opts.Repair {
 		return sf, true
 	}
-	if err := m.repairFile(path, digests, ready, opts.Algo, sf); err != nil {
+	if err := m.repairFile(ctx, path, digests, ready, opts.Algo, sf); err != nil {
 		sf.Err = err.Error()
 	}
 	return sf, true
@@ -312,37 +311,21 @@ func (m *MirrorFS) judgeWinner(path string, digests []string, ready []int) int {
 	return best
 }
 
-// repairFile rewrites every replica that disagrees with the winner,
-// from the winner's bytes — re-digested after the read, so a copy that
-// rots between judgment and repair is never propagated.
-func (m *MirrorFS) repairFile(path string, digests []string, ready []int, algo string, sf *ScrubFile) error {
+// repairFile rewrites every replica that disagrees with the winner
+// through vfs.Replicate, against the digest the judgment pass took of
+// the winner's copy where it lives: a repair lands only if it digests
+// to what was judged, so a copy that rots between judgment and repair
+// is never propagated, and a mismatched copy is removed for the next
+// scrub to refill.
+func (m *MirrorFS) repairFile(ctx context.Context, path string, digests []string, ready []int, algo string, sf *ScrubFile) error {
 	w := sf.Winner
-	fi, err := m.replicas[w].Stat(path)
-	m.record(w, err)
-	if err != nil {
-		return fmt.Errorf("stat winner replica %d: %w", w, err)
-	}
-	var buf bytes.Buffer
-	if _, err := readFileTo(m.replicas[w], path, &buf); err != nil {
-		m.record(w, err)
-		return fmt.Errorf("read winner replica %d: %w", w, err)
-	}
-	got, err := digestOf(buf.Bytes(), algo)
-	if err != nil {
-		return err
-	}
-	if got != digests[w] {
-		return vfs.ChecksumMismatch(path, algo, digests[w], got)
-	}
+	src := vfs.Loc{FS: m.replicas[w], Path: path}
 	var firstErr error
 	for _, i := range ready {
-		if i == w || digests[i] == got {
+		if i == w || digests[i] == digests[w] {
 			continue
 		}
-		// The copy engine stores with an end-to-end digest: a repair that
-		// itself corrupts in flight is rejected, never installed.
-		err := vfs.PutBytes(context.Background(), vfs.Loc{FS: m.replicas[i], Path: path},
-			fi.Mode, buf.Bytes(), vfs.CopyOptions{Verify: true})
+		err := vfs.Replicate(ctx, vfs.Loc{FS: m.replicas[i], Path: path}, src, algo, digests[w])
 		m.record(i, err)
 		if err != nil {
 			if firstErr == nil {

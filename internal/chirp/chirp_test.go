@@ -49,18 +49,23 @@ func startServer(t *testing.T, rootACL *acl.List) *testServer {
 
 func (ts *testServer) client(t *testing.T, host string) *Client {
 	t.Helper()
-	c, err := Dial(ClientConfig{
+	c, err := ts.dial(host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// dial connects a client as host, which the caller closes.
+func (ts *testServer) dial(host string) (*Client, error) {
+	return Dial(ClientConfig{
 		Dial: func() (net.Conn, error) {
 			return ts.net.DialFrom(host, "fs.sim", netsim.Loopback)
 		},
 		Credentials: []auth.Credential{auth.HostnameCredential{}},
 		Timeout:     5 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
 }
 
 func TestClientServerBasicCycle(t *testing.T) {

@@ -679,33 +679,55 @@ func TestMultipartContentAllPairings(t *testing.T) {
 }
 
 // TestMultipartSharedConnection copies between two paths of one server
-// over a single connection with two workers. A getpart and a putpart of
-// one transfer must never need the connection at the same time: the
-// engine fetches a chunk, then sends it.
+// over a single connection, once in one stream and once with two
+// workers. A read verb and a write verb of one transfer must never need
+// the connection at the same time: a single stream moves a window at a
+// time through positional reads and writes, and the engine fetches a
+// chunk, then sends it.
 func TestMultipartSharedConnection(t *testing.T) {
 	ts := startServer(t, nil)
-	c := ts.client(t, "owner.sim")
+	c, err := ts.dial("owner.sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Closed only once every copy returned: a hung copy holds the
+	// connection Close waits for, and the test must fail, not hang.
+	hung := false
+	defer func() {
+		if !hung {
+			c.Close()
+		}
+	}()
 	data := partPayload(3*vfs.Window + 5)
 	if err := vfs.WriteFile(c, "/from", data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := vfs.Copy(context.Background(), vfs.Loc{FS: c, Path: "/to"}, vfs.Loc{FS: c, Path: "/from"},
-			vfs.CopyOptions{Concurrency: 2, ChunkSize: 1 << 20, Cutover: 1, Verify: true})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name, to string
+		opts     vfs.CopyOptions
+	}{
+		{"single stream", "/to1", vfs.CopyOptions{Concurrency: 1, Verify: true}},
+		{"multipart", "/to2", vfs.CopyOptions{Concurrency: 2, ChunkSize: 1 << 20, Cutover: 1, Verify: true}},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := vfs.Copy(context.Background(), vfs.Loc{FS: c, Path: tc.to}, vfs.Loc{FS: c, Path: "/from"}, tc.opts)
+			done <- err
+		}()
+		hung = true
+		select {
+		case err := <-done:
+			hung = false
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: a read and a write wait for each other on the one connection", tc.name)
 		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("a chunk's getpart and putpart wait for each other on the one connection")
-	}
-	got, err := vfs.ReadFile(c, "/to")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("copy over one connection differs from its source (%v)", err)
+		got, err := vfs.ReadFile(c, tc.to)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: copy over one connection differs from its source (%v)", tc.name, err)
+		}
 	}
 }
 

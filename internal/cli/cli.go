@@ -185,16 +185,7 @@ func cat(e *Env, args []string) error {
 	if err != nil {
 		return err
 	}
-	if g := vfs.Capabilities(e.FS).FileGetter; g != nil {
-		_, err := g.GetFile(p, e.Out)
-		return err
-	}
-	f, err := e.FS.Open(p, vfs.O_RDONLY, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = io.Copy(e.Out, vfs.NewSeqFile(f))
+	_, err = vfs.ReadFileTo(e.FS, p, e.Out)
 	return err
 }
 

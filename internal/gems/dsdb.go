@@ -249,7 +249,8 @@ func (d *DSDB) AddReplica(rec Record) (Record, error) {
 		if srv == nil {
 			continue
 		}
-		if lastErr = copyReplica(dst, vfs.Loc{FS: srv.FS, Path: rep.Path}, rec.Checksum); lastErr != nil {
+		src := vfs.Loc{FS: srv.FS, Path: rep.Path}
+		if lastErr = vfs.Replicate(context.Background(), dst, src, vfs.AlgoSHA256, rec.Checksum); lastErr != nil {
 			continue
 		}
 		rec.Replicas = append(rec.Replicas, Replica{Server: target.Name, Path: dst.Path})
@@ -260,22 +261,6 @@ func (d *DSDB) AddReplica(rec Record) (Record, error) {
 		return rec, nil
 	}
 	return rec, fmt.Errorf("gems: replicating %s to %s: no good source replica: %w", rec.ID, target.Name, lastErr)
-}
-
-// copyReplica copies src to dst with a verified transfer and checks
-// dst's sha256 digest against want. On any failure dst is removed.
-func copyReplica(dst, src vfs.Loc, want string) error {
-	_, err := vfs.Copy(context.Background(), dst, src, vfs.CopyOptions{Verify: true, Mode: 0o644})
-	if err == nil {
-		var got string
-		if got, err = vfs.ChecksumFile(dst.FS, dst.Path, vfs.AlgoSHA256); err == nil && got != want {
-			err = vfs.ChecksumMismatch(dst.Path, vfs.AlgoSHA256, want, got)
-		}
-	}
-	if err != nil {
-		dst.FS.Unlink(dst.Path)
-	}
-	return err
 }
 
 // StoredBytes returns the total bytes of all indexed replicas — the

@@ -49,34 +49,41 @@ func chirpServers(t *testing.T, n int, reg *obs.Registry) []*chirp.Client {
 	nw := netsim.NewNetwork()
 	var clis []*chirp.Client
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("s%d.sim", i)
-		srv, err := chirp.NewServer(t.TempDir(), chirp.ServerConfig{
-			Name:      name,
-			Owner:     "hostname:client.sim",
-			Verifiers: []auth.Verifier{&auth.HostnameVerifier{}},
-			Metrics:   reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := nw.Listen(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(l)
-		t.Cleanup(func() { l.Close() })
-		cli, err := chirp.Dial(chirp.ClientConfig{
-			Dial:        func() (net.Conn, error) { return nw.DialFrom("client.sim", name, netsim.Loopback) },
-			Credentials: []auth.Credential{auth.HostnameCredential{}},
-			Timeout:     5 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cli := startSimServer(t, nw, fmt.Sprintf("s%d.sim", i), reg)
 		t.Cleanup(func() { cli.Close() })
 		clis = append(clis, cli)
 	}
 	return clis
+}
+
+// startSimServer starts a Chirp server called name on nw and returns an
+// authenticated client of it, which the caller closes.
+func startSimServer(t *testing.T, nw *netsim.Network, name string, reg *obs.Registry) *chirp.Client {
+	t.Helper()
+	srv, err := chirp.NewServer(t.TempDir(), chirp.ServerConfig{
+		Name:      name,
+		Owner:     "hostname:client.sim",
+		Verifiers: []auth.Verifier{&auth.HostnameVerifier{}},
+		Metrics:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := nw.Listen(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	t.Cleanup(func() { l.Close() })
+	cli, err := chirp.Dial(chirp.ClientConfig{
+		Dial:        func() (net.Conn, error) { return nw.DialFrom("client.sim", name, netsim.Loopback) },
+		Credentials: []auth.Credential{auth.HostnameCredential{}},
+		Timeout:     5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cli
 }
 
 func TestMemIndexCRUD(t *testing.T) {
@@ -499,6 +506,57 @@ func TestAddReplicaAllocationBound(t *testing.T) {
 	t.Logf("AddReplica of a 16 MiB record allocated %d KiB", alloc>>10)
 	if alloc >= 1<<20 {
 		t.Errorf("AddReplica of a 16 MiB record allocated %d KiB, want < 1024", alloc>>10)
+	}
+}
+
+// Two data servers that are two directories behind one client share
+// its one connection, as gems -data n0=h:p/a -data n1=h:p/b builds
+// them: replication must not have a read wait on a write that waits for
+// the read's connection.
+func TestAddReplicaSharedConnection(t *testing.T) {
+	cli := startSimServer(t, netsim.NewNetwork(), "s0.sim", nil)
+	// Closed only once replication returned: a hung copy holds the
+	// connection Close waits for, and the test must fail, not hang.
+	hung := true
+	defer func() {
+		if !hung {
+			cli.Close()
+		}
+	}()
+	d, err := NewDSDB(NewMemIndex(), []abstraction.DataServer{
+		{Name: "n0", FS: cli, Dir: "/a"},
+		{Name: "n1", FS: cli, Dir: "/b"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("shared "), 100_000)
+	rec, err := d.Put("r", nil, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		rec, err = d.AddReplica(rec)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		hung = false
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("AddReplica between two directories of one client did not return")
+	}
+	if len(rec.Replicas) != 2 {
+		t.Fatalf("replicas = %+v, want 2", rec.Replicas)
+	}
+	for _, rep := range rec.Replicas {
+		if got, err := vfs.ReadFile(cli, rep.Path); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("replica %s:%s differs from the record (%v)", rep.Server, rep.Path, err)
+		}
 	}
 }
 

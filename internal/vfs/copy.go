@@ -15,8 +15,9 @@ import (
 // loops — into one call that probes Capabilities on both sides and
 // picks the best strategy itself:
 //
-//   - small files move in a single shot over the whole-file fast paths
-//     (or a positional copy loop when neither side has one);
+//   - small files move in a single shot over the whole-file fast path
+//     of one side (or a positional copy loop when neither side has one,
+//     or both do; see the rule below);
 //   - files at or above CopyOptions.Cutover, with Concurrency > 1,
 //     move as parallel multipart transfers: the file is split into
 //     ChunkSize pieces and chunk reads/writes are dispatched
@@ -29,6 +30,18 @@ import (
 // whole-file digest (CombineCRC32C), so a torn or corrupted multipart
 // transfer is detected end to end and its partial destination state is
 // removed — zero wrong bytes survive at rest.
+//
+// One rule holds on both paths: a read verb (getfile, getpart) never
+// streams into a write verb (putfile, putpart). Each holds its
+// connection until its body is through, and the two ends of a copy may
+// share connections (two paths of one server, two views of one client,
+// fewer connections than workers), so a read blocked on a write that
+// waits for the read's connection never ends. When both ends are such
+// RPCs the copy moves one window at a time instead: a single stream
+// through positional reads and writes, a multipart chunk fetched whole
+// into its window and then sent. (A read verb still streams into
+// positional writes, which wait the same way when they share its
+// transport; tss cp gives each side its own.)
 
 // DefaultChunkSize is the multipart chunk size when CopyOptions leaves
 // it zero. It matches the protocol's single-I/O bound so one chunk is
@@ -134,6 +147,28 @@ func PutBytes(ctx context.Context, dst Loc, mode uint32, data []byte, opts CopyO
 		}
 		return nil
 	})
+}
+
+// Replicate copies src over dst and requires dst's digest in algo,
+// taken where dst lives, to equal want: the digest of the copy the
+// caller meant to replicate, so a source that changed or rotted since
+// it was judged is caught even when the transfer itself was perfect.
+// The copy is verified end to end and adopts the source's mode. On any
+// failure dst is removed, so no replica is left that would pass for a
+// good one. It is the one repair primitive: the mirror's scrub and the
+// GEMS replicator both call it.
+func Replicate(ctx context.Context, dst, src Loc, algo, want string) error {
+	_, err := Copy(ctx, dst, src, CopyOptions{Verify: true})
+	if err == nil {
+		var got string
+		if got, err = ChecksumFile(dst.FS, dst.Path, algo); err == nil && got != want {
+			err = ChecksumMismatch(dst.Path, algo, want, got)
+		}
+	}
+	if err != nil {
+		dst.FS.Unlink(dst.Path)
+	}
+	return err
 }
 
 // BulkCopier is the transfer engine behind Copy: one value per
@@ -286,19 +321,19 @@ func (bc *BulkCopier) Run(ctx context.Context) (int64, error) {
 	return bc.copied.Load(), err
 }
 
-// runSingle moves the file in one stream, picking the best pairing of
-// whole-file fast paths the two sides offer.
+// runSingle moves the file in one stream, through the whole-file fast
+// path of at most one side: when the source has a getter and the
+// destination a putter, both ends are RPCs, and the copy moves a
+// window at a time (see the rule above).
 func (bc *BulkCopier) runSingle() error {
-	srcCaps := Capabilities(bc.src.FS)
-	dstCaps := Capabilities(bc.dst.FS)
+	srcGet := Capabilities(bc.src.FS).FileGetter
+	dstPut := Capabilities(bc.dst.FS).FilePutter
 	var err error
 	switch {
-	case srcCaps.FileGetter != nil && dstCaps.FilePutter != nil:
-		err = bc.singlePipe(srcCaps.FileGetter, dstCaps.FilePutter)
-	case srcCaps.FileGetter != nil:
-		err = bc.singleFromGetter(srcCaps.FileGetter)
-	case dstCaps.FilePutter != nil:
-		err = bc.singleToPutter(dstCaps.FilePutter)
+	case srcGet != nil && dstPut == nil:
+		err = bc.singleFromGetter(srcGet)
+	case dstPut != nil && srcGet == nil:
+		err = bc.singleToPutter(dstPut)
 	default:
 		err = bc.singlePositional()
 	}
@@ -329,24 +364,6 @@ func (bc *BulkCopier) verifyDst(want string) error {
 	return nil
 }
 
-// singlePipe streams getter→putter through a pipe: both fast paths, no
-// intermediate file, one buffer in flight.
-func (bc *BulkCopier) singlePipe(g FileGetter, p FilePutter) error {
-	pr, pw := io.Pipe()
-	getErr := make(chan error, 1)
-	go func() {
-		_, err := g.GetFile(bc.src.Path, pw)
-		pw.CloseWithError(err)
-		getErr <- err
-	}()
-	putErr := p.PutFile(bc.dst.Path, bc.mode, bc.size, bc.meterReader(pr))
-	pr.CloseWithError(putErr)
-	if gerr := <-getErr; gerr != nil {
-		return gerr
-	}
-	return putErr
-}
-
 // singleFromGetter streams the source fast path into a positional
 // destination file.
 func (bc *BulkCopier) singleFromGetter(g FileGetter) error {
@@ -373,7 +390,8 @@ func (bc *BulkCopier) singleToPutter(p FilePutter) error {
 	return p.PutFile(bc.dst.Path, bc.mode, bc.size, bc.meterReader(NewSeqFile(f)))
 }
 
-// singlePositional is the no-fast-path fallback: a pread/pwrite loop.
+// singlePositional is a pread/pwrite loop, one window at a time: the
+// copy of two ends with no fast path, or with one on each.
 func (bc *BulkCopier) singlePositional() error {
 	in, err := bc.src.FS.Open(bc.src.Path, O_RDONLY, 0)
 	if err != nil {
@@ -526,8 +544,8 @@ func (w *chunkWorker) move(off, n int64) (crc uint32, err error) {
 	}
 	switch {
 	case w.srcPart != nil && w.dstPart != nil:
-		// Fetched whole into the window, then sent: see runMultipart on
-		// why such a chunk is no larger than that.
+		// Fetched whole into the window, then sent (the rule above); such
+		// a chunk is no larger than the window.
 		bp := GetWindow(n)
 		defer PutBuf(bp)
 		held := bytes.NewBuffer((*bp)[:0])
@@ -627,13 +645,9 @@ func (bc *BulkCopier) runMultipart(ctx context.Context) error {
 
 	chunk := bc.opts.ChunkSize
 	if srcPart != nil && dstPart != nil {
-		// Two part verbs cannot stream into each other. Each holds its
-		// connection until its body is through, and the two ends may
-		// share connections (two paths of one server; fewer connections
-		// than workers): a getpart blocked on a putpart that waits for
-		// the getpart's connection never ends. So such a chunk is
-		// fetched whole and then sent, and is no larger than the window
-		// that holds it in between.
+		// Both ends are RPCs: a chunk is fetched whole and then sent (see
+		// the rule above), so it is no larger than the window that holds
+		// it in between.
 		chunk = min(chunk, Window)
 	}
 	nchunks := (bc.size + chunk - 1) / chunk

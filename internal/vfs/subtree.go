@@ -144,21 +144,13 @@ func (s *SubtreeFS) OpenStat(path string, flags int, mode uint32) (File, FileInf
 }
 
 // GetFile forwards the whole-file fast path when the inner filesystem
-// provides one; otherwise it falls back to open/pread/close.
+// provides one; otherwise it streams through an open descriptor.
 func (s *SubtreeFS) GetFile(path string, w io.Writer) (int64, error) {
 	p, err := s.translate(path)
 	if err != nil {
 		return 0, err
 	}
-	if g := Capabilities(s.inner).FileGetter; g != nil {
-		return g.GetFile(p, w)
-	}
-	data, err := ReadFile(s.inner, p)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(data)
-	return int64(n), err
+	return ReadFileTo(s.inner, p, w)
 }
 
 // PutFile forwards the whole-file store fast path when the inner

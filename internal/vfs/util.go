@@ -36,6 +36,38 @@ func ReadFile(fs FileSystem, path string) ([]byte, error) {
 	}
 }
 
+// ReadFileTo streams the whole named file to w, through the getfile
+// fast path when fs has one and one window at a time through an open
+// descriptor otherwise, and returns the bytes written.
+func ReadFileTo(fs FileSystem, path string, w io.Writer) (int64, error) {
+	if g := Capabilities(fs).FileGetter; g != nil {
+		return g.GetFile(path, w)
+	}
+	f, err := fs.Open(path, O_RDONLY, 0)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	bp := GetBuf(Window)
+	defer PutBuf(bp)
+	var off int64
+	for {
+		n, err := f.Pread(*bp, off)
+		if n > 0 {
+			if _, werr := w.Write((*bp)[:n]); werr != nil {
+				return off, werr
+			}
+			off += int64(n)
+		}
+		if err == io.EOF || (err == nil && n == 0) {
+			return off, nil
+		}
+		if err != nil {
+			return off, err
+		}
+	}
+}
+
 // OpenStat opens the named file and reports its attributes, in one
 // round trip when fs has the OpenStater fast path and as open + fstat
 // otherwise.
@@ -72,48 +104,6 @@ func WriteFile(fs FileSystem, path string, data []byte, mode uint32) error {
 		off += int64(n)
 	}
 	return f.Close()
-}
-
-// CopyFile streams the file at srcPath on src to dstPath on dst using
-// blockSize transfers, returning the number of bytes copied.
-func CopyFile(dst FileSystem, dstPath string, src FileSystem, srcPath string, blockSize int) (int64, error) {
-	if blockSize <= 0 {
-		blockSize = 64 << 10
-	}
-	in, err := src.Open(srcPath, O_RDONLY, 0)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	out, err := dst.Open(dstPath, O_WRONLY|O_CREAT|O_TRUNC, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	buf := make([]byte, blockSize)
-	var off int64
-	for {
-		n, err := in.Pread(buf, off)
-		if err != nil {
-			out.Close()
-			return off, err
-		}
-		if n == 0 {
-			break
-		}
-		w := buf[:n]
-		woff := off
-		for len(w) > 0 {
-			m, err := out.Pwrite(w, woff)
-			if err != nil {
-				out.Close()
-				return woff, err
-			}
-			w = w[m:]
-			woff += int64(m)
-		}
-		off += int64(n)
-	}
-	return off, out.Close()
 }
 
 // Exists reports whether the named path exists on fs.

@@ -174,25 +174,6 @@ func TestRenameAndTruncate(t *testing.T) {
 	}
 }
 
-func TestCopyFile(t *testing.T) {
-	l := newLocal(t)
-	payload := bytes.Repeat([]byte("zyxw"), 50000)
-	if err := WriteFile(l, "/src", payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n, err := CopyFile(l, "/dst", l, "/src", 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(payload)) {
-		t.Errorf("copied %d, want %d", n, len(payload))
-	}
-	got, _ := ReadFile(l, "/dst")
-	if !bytes.Equal(got, payload) {
-		t.Error("copy corrupted data")
-	}
-}
-
 func TestWriteAllReadFull(t *testing.T) {
 	l := newLocal(t)
 	f, err := l.Open("/f", O_RDWR|O_CREAT, 0o644)

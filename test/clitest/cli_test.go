@@ -5,6 +5,7 @@
 package clitest
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -82,22 +83,41 @@ func waitTCP(t *testing.T, addr string) {
 	t.Fatalf("%s never came up", addr)
 }
 
+// commandTimeout bounds every command a test runs: one that hangs is
+// killed and fails its test with errHung instead of stalling the suite.
+const commandTimeout = 30 * time.Second
+
+var errHung = fmt.Errorf("killed after %v", commandTimeout)
+
+// runCmd runs a binary with stdin and returns its combined output.
+func runCmd(stdin, name string, args ...string) (string, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), commandTimeout)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin(name), args...)
+	cmd.Stdin = strings.NewReader(stdin)
+	out, err := cmd.CombinedOutput()
+	if ctx.Err() != nil {
+		err = errHung
+	}
+	return string(out), err
+}
+
 func run(t *testing.T, name string, args ...string) string {
 	t.Helper()
-	out, err := exec.Command(bin(name), args...).CombinedOutput()
+	out, err := runCmd("", name, args...)
 	if err != nil {
 		t.Fatalf("%s %v: %v\n%s", name, args, err, out)
 	}
-	return string(out)
+	return out
 }
 
 func runExpectFail(t *testing.T, name string, args ...string) string {
 	t.Helper()
-	out, err := exec.Command(bin(name), args...).CombinedOutput()
-	if err == nil {
-		t.Fatalf("%s %v unexpectedly succeeded:\n%s", name, args, out)
+	out, err := runCmd("", name, args...)
+	if err == nil || err == errHung {
+		t.Fatalf("%s %v did not fail on its own (%v):\n%s", name, args, err, out)
 	}
-	return string(out)
+	return out
 }
 
 func TestFileServerAndClientTool(t *testing.T) {
@@ -207,22 +227,27 @@ func TestCatalogReporting(t *testing.T) {
 	}
 }
 
-// startServers launches n file servers that admit the local user.
-func startServers(t *testing.T, n int) []string {
+// startServer launches a file server exporting root that admits the
+// local user, and returns its address once it accepts connections.
+func startServer(t *testing.T, root string) string {
 	t.Helper()
 	user := os.Getenv("USER")
 	if user == "" {
 		user = "root"
 	}
+	addr := freePort(t)
+	startDaemon(t, "chirpd", "-root", root, "-addr", addr,
+		"-acl", "hostname:localhost=rwlda", "-acl", "unix:"+user+"=rwlda")
+	waitTCP(t, addr)
+	return addr
+}
+
+// startServers launches n file servers that admit the local user.
+func startServers(t *testing.T, n int) []string {
+	t.Helper()
 	var addrs []string
 	for i := 0; i < n; i++ {
-		addr := freePort(t)
-		startDaemon(t, "chirpd", "-root", t.TempDir(), "-addr", addr,
-			"-acl", "hostname:localhost=rwlda", "-acl", "unix:"+user+"=rwlda")
-		addrs = append(addrs, addr)
-	}
-	for _, a := range addrs {
-		waitTCP(t, a)
+		addrs = append(addrs, startServer(t, t.TempDir()))
 	}
 	return addrs
 }
@@ -324,6 +349,60 @@ func TestTssScrubRepairsMirror(t *testing.T) {
 	}
 }
 
+// A mirror of two directories on one server: both replicas are views
+// of one client and its one connection. One copy is overwritten and
+// backdated, so the newer agreed copy wins; -repair rewrites the odd
+// copy through that connection, and a second scrub is clean.
+func TestTssScrubRepairsOverOneServer(t *testing.T) {
+	root := t.TempDir()
+	addr := startServer(t, root)
+	mirror := "mirror:(" + addr + "/a," + addr + "/b)"
+	run(t, "tss", "mkdir", addr, "/a")
+	run(t, "tss", "mkdir", addr, "/b")
+	local := filepath.Join(t.TempDir(), "f")
+	os.WriteFile(local, []byte(strings.Repeat("the agreed copy ", 40000)), 0o644)
+	run(t, "tss", "put", mirror, "/f", local)
+	odd := filepath.Join(root, "b", "f")
+	if err := os.WriteFile(odd, []byte("a diverged copy"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(odd, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	if out := run(t, "tss", "scrub", "-repair", mirror); !strings.Contains(out, "1 divergent, 1 replica copies repaired") {
+		t.Errorf("scrub -repair = %q", out)
+	}
+	if out := run(t, "tss", "scrub", mirror); !strings.Contains(out, "0 divergent") {
+		t.Errorf("second scrub = %q", out)
+	}
+	if got, err := os.ReadFile(odd); err != nil || len(got) != 16*40000 {
+		t.Errorf("repaired copy = %d bytes, %v", len(got), err)
+	}
+}
+
+// GEMS over two directories of one server: the replicator copies
+// between two views of one client, and audit finds both replicas.
+func TestGemsReplicatesOverOneServer(t *testing.T) {
+	addr := startServers(t, 1)[0]
+	base := []string{"-index", t.TempDir(), "-data", "d0=" + addr + "/a", "-data", "d1=" + addr + "/b"}
+	gemsRun := func(stdin string, args ...string) string {
+		out, err := runCmd(stdin, "gems", append(append([]string{}, base...), args...)...)
+		if err != nil {
+			t.Fatalf("gems %v: %v\n%s", args, err, out)
+		}
+		return out
+	}
+	gemsRun(strings.Repeat("trajectory bits ", 40000), "put", "sim042", "protein=villin")
+	if r := gemsRun("", "replicate", "100000000"); !strings.Contains(r, "made 1 copies") {
+		t.Errorf("replicate = %q", r)
+	}
+	if a := gemsRun("", "audit"); !strings.Contains(a, "1 records, 2 replicas: 0 missing, 0 corrupt") {
+		t.Errorf("audit = %q", a)
+	}
+}
+
 // The identity and ACL verbs reach the server behind a chirp spec
 // rooted at a subdirectory, in tss and in a tssh mount.
 func TestACLVerbsThroughSubtree(t *testing.T) {
@@ -407,15 +486,11 @@ func TestGemsCLI(t *testing.T) {
 		"-data", "d1=" + addrs[1] + "/gems",
 	}
 	gemsRun := func(stdin string, args ...string) string {
-		cmd := exec.Command(bin("gems"), append(append([]string{}, base...), args...)...)
-		if stdin != "" {
-			cmd.Stdin = strings.NewReader(stdin)
-		}
-		out, err := cmd.CombinedOutput()
+		out, err := runCmd(stdin, "gems", append(append([]string{}, base...), args...)...)
 		if err != nil {
 			t.Fatalf("gems %v: %v\n%s", args, err, out)
 		}
-		return string(out)
+		return out
 	}
 
 	gemsRun("trajectory bits", "put", "sim042", "protein=villin", "temp=300")

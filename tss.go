@@ -91,12 +91,11 @@ func AsErrno(err error) Errno { return vfs.AsErrno(err) }
 // interface, confined beneath root.
 func NewLocalFS(root string) (FileSystem, error) { return vfs.NewLocalFS(root) }
 
-// ReadFile, WriteFile and CopyFile are convenience helpers over any
+// ReadFile, WriteFile and MkdirAll are convenience helpers over any
 // FileSystem.
 var (
 	ReadFile  = vfs.ReadFile
 	WriteFile = vfs.WriteFile
-	CopyFile  = vfs.CopyFile
 	MkdirAll  = vfs.MkdirAll
 )
 
@@ -299,8 +298,13 @@ func NewMirror(replicas ...FileSystem) (FileSystem, error) {
 type MirrorOptions = abstraction.MirrorOptions
 
 // MirrorFS is the replicating filesystem returned by NewMirrorOptions;
-// beyond FileSystem it exposes Health() and resilience counters.
+// beyond FileSystem it exposes Health(), resilience counters and
+// Scrub, which with ScrubOptions.Repair is the repair path for a
+// replica that was down during writes or whose copies diverged.
 type MirrorFS = abstraction.MirrorFS
+
+// ScrubOptions configures one MirrorFS.Scrub pass.
+type ScrubOptions = abstraction.ScrubOptions
 
 // NewMirrorOptions builds a mirror with explicit resilience options:
 // per-replica circuit breakers stop reads from paying a dead replica's
@@ -319,12 +323,6 @@ func NewStriped(meta FileSystem, servers []DataServer, stripeSize int64, clientI
 		StripeSize: stripeSize,
 		ClientID:   clientID,
 	})
-}
-
-// SyncReplica copies everything under root from src to dst — the
-// manual repair path for a mirror replica that was down during writes.
-func SyncReplica(dst, src FileSystem, root string) error {
-	return abstraction.Sync(dst, src, root)
 }
 
 // FsckReport summarizes a distributed-filesystem check.

@@ -1,6 +1,7 @@
 package tss_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -264,12 +265,17 @@ func TestFacadeMirrorAndSync(t *testing.T) {
 			t.Errorf("replica %d: %q, %v", i, data, err)
 		}
 	}
+	// A new, empty third replica is filled by a repairing scrub.
 	c, _ := tss.NewLocalFS(tempDir(t))
-	if err := tss.SyncReplica(c, a, "/"); err != nil {
+	m3, err := tss.NewMirrorOptions(tss.MirrorOptions{}, a, b, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m3.Scrub(context.Background(), tss.ScrubOptions{Repair: true}); err != nil {
 		t.Fatal(err)
 	}
 	if data, _ := tss.ReadFile(c, "/f"); string(data) != "mirrored" {
-		t.Error("SyncReplica did not copy")
+		t.Error("repairing scrub did not copy")
 	}
 }
 
