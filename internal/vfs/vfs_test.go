@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io/fs"
 	"math"
@@ -171,6 +172,29 @@ func TestRenameAndTruncate(t *testing.T) {
 	data, _ := ReadFile(l, "/b")
 	if string(data) != "0123" {
 		t.Errorf("after truncate: %q", data)
+	}
+}
+
+// TestCopyFile copies a file to another path of the same filesystem
+// through the single-stream positional loop: the payload spans several
+// windows, so the loop's offsets must advance window by window.
+func TestCopyFile(t *testing.T) {
+	l := newLocal(t)
+	payload := bytes.Repeat([]byte("zyxw"), (3*Window+5)/4)
+	if err := WriteFile(l, "/src", payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := Copy(context.Background(), Loc{FS: l, Path: "/dst"}, Loc{FS: l, Path: "/src"},
+		CopyOptions{ChunkSize: 1 << 20, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(len(payload)) {
+		t.Errorf("copied %d, want %d", n, len(payload))
+	}
+	got, _ := ReadFile(l, "/dst")
+	if !bytes.Equal(got, payload) {
+		t.Error("copy corrupted data")
 	}
 }
 
