@@ -13,6 +13,10 @@
 //	tss scrub  -repair 'mirror:(hostA:9094,hostB:9094,hostC:9094)'
 //	tss fsck   -remove-dangling 'dsfs://meta:9094/tree?data=n0=dataA:9094/vol'
 //
+// Only put and mkdir (and the destination of cp) may start a DSFS
+// tree; every other verb needs the stack to exist, so a misspelt spec
+// fails with ENOENT instead of leaving an empty tree behind.
+//
 // All transfer verbs (get, put, cp) share one flag set: -P <n> fans a
 // large transfer out as n parallel multipart streams over a connection
 // pool, -chunk <size> sets the multipart chunk size, -verify checks
@@ -149,7 +153,7 @@ func main() {
 		// their connections, and one the source's part stream holds
 		// would wait on itself.
 		dstB := &stackspec.Builder{Dial: b.Dial}
-		src, dst := endpoint(b, flags.Arg(1)), endpoint(dstB, flags.Arg(2))
+		src, dst := endpoint(b.Open, flags.Arg(1)), endpoint(dstB.Build, flags.Arg(2))
 		if _, err := vfs.Copy(context.Background(), dst, src, copyOpts); err != nil {
 			fatal(err)
 		}
@@ -171,7 +175,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	st, err := b.Build(sp)
+	build := b.Open
+	if cli.Creates(flags.Arg(0)) {
+		build = b.Build
+	}
+	st, err := build(sp)
 	if err != nil {
 		fatal(err)
 	}
@@ -203,11 +211,11 @@ func main() {
 	}
 }
 
-// endpoint resolves a cp argument: SPEC:/PATH names a file on a stack,
-// anything else a local path.
-func endpoint(b *stackspec.Builder, arg string) vfs.Loc {
+// endpoint resolves a cp argument: SPEC:/PATH names a file on the
+// stack build makes of SPEC, anything else a local path.
+func endpoint(build func(stackspec.Spec) (*stackspec.Stack, error), arg string) vfs.Loc {
 	if sp, path, ok := stackspec.Cut(arg); ok {
-		st, err := b.Build(sp)
+		st, err := build(sp)
 		if err != nil {
 			fatal(err)
 		}

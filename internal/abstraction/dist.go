@@ -47,6 +47,20 @@ type Options struct {
 // directory as needed (the "create new storage directories on each
 // server" step of §5).
 func New(meta vfs.FileSystem, servers []DataServer, opts Options) (*Dist, error) {
+	d, err := assemble(meta, servers, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range d.servers {
+		if err := vfs.MkdirAll(s.FS, s.Dir, 0o755); err != nil {
+			return nil, fmt.Errorf("abstraction: preparing %s:%s: %w", s.Name, s.Dir, err)
+		}
+	}
+	return d, nil
+}
+
+// assemble is New without touching the servers.
+func assemble(meta vfs.FileSystem, servers []DataServer, opts Options) (*Dist, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("abstraction: need at least one data server")
 	}
@@ -73,9 +87,6 @@ func New(meta vfs.FileSystem, servers []DataServer, opts Options) (*Dist, error)
 			return nil, fmt.Errorf("abstraction: duplicate server name %q", s.Name)
 		}
 		d.byName[s.Name] = s
-		if err := vfs.MkdirAll(s.FS, s.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("abstraction: preparing %s:%s: %w", s.Name, s.Dir, err)
-		}
 	}
 	return d, nil
 }
@@ -391,4 +402,23 @@ func NewDSFS(metaServer vfs.FileSystem, metaDir string, servers []DataServer, op
 		return nil, err
 	}
 	return New(meta, servers, opts)
+}
+
+// OpenDSFS is NewDSFS over a tree that already exists: it creates
+// nothing on any server, and a tree that is not there is ENOENT. A
+// check or a read opens; only a write may start a tree, so a misspelt
+// spec does not leave an empty one behind.
+func OpenDSFS(metaServer vfs.FileSystem, metaDir string, servers []DataServer, opts Options) (*Dist, error) {
+	fi, err := metaServer.Stat(metaDir)
+	if err == nil && !fi.IsDir {
+		err = vfs.ENOTDIR
+	}
+	if err != nil {
+		return nil, fmt.Errorf("abstraction: dsfs tree %s: %w", metaDir, err)
+	}
+	meta, err := vfs.Subtree(metaServer, metaDir)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(meta, servers, opts)
 }

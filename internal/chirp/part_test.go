@@ -538,15 +538,7 @@ func TestMultipartManyChunksPooled(t *testing.T) {
 // wrap when there is one.
 func tcpPool(t *testing.T, size int, reg *obs.Registry, wrap func(net.Conn) net.Conn) (*Server, *Client) {
 	t.Helper()
-	srv, err := NewServer(t.TempDir(), ServerConfig{
-		Name:      "localhost",
-		Owner:     "hostname:localhost",
-		Verifiers: []auth.Verifier{&auth.HostnameVerifier{}},
-		Metrics:   reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := localhostServer(t, reg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -565,10 +557,49 @@ func tcpPool(t *testing.T, size int, reg *obs.Registry, wrap func(net.Conn) net.
 			}
 		}()
 	}
+	return srv, localhostPool(t, size, reg, func() (net.Conn, error) {
+		return net.DialTimeout("tcp", l.Addr().String(), 5*time.Second)
+	})
+}
+
+// simPool is tcpPool over a netsim Loopback link: the same server and
+// pool, on the simulator's transport.
+func simPool(t *testing.T, size int, reg *obs.Registry) *Client {
+	t.Helper()
+	srv := localhostServer(t, reg)
+	nw := netsim.NewNetwork()
+	l, err := nw.Listen("fs.sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go srv.Serve(l)
+	return localhostPool(t, size, reg, func() (net.Conn, error) {
+		return nw.DialFrom("localhost", "fs.sim", netsim.Loopback)
+	})
+}
+
+// localhostServer is a server owned by hostname:localhost, counting
+// into reg when there is one.
+func localhostServer(t *testing.T, reg *obs.Registry) *Server {
+	t.Helper()
+	srv, err := NewServer(t.TempDir(), ServerConfig{
+		Name:      "localhost",
+		Owner:     "hostname:localhost",
+		Verifiers: []auth.Verifier{&auth.HostnameVerifier{}},
+		Metrics:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// localhostPool dials a pool of the given size as hostname:localhost.
+func localhostPool(t *testing.T, size int, reg *obs.Registry, dial func() (net.Conn, error)) *Client {
+	t.Helper()
 	p, err := Dial(ClientConfig{
-		Dial: func() (net.Conn, error) {
-			return net.DialTimeout("tcp", l.Addr().String(), 5*time.Second)
-		},
+		Dial:        dial,
 		Credentials: []auth.Credential{auth.HostnameCredential{}},
 		Timeout:     10 * time.Second,
 		PoolSize:    size,
@@ -578,7 +609,7 @@ func tcpPool(t *testing.T, size int, reg *obs.Registry, wrap func(net.Conn) net.
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	return srv, p
+	return p
 }
 
 // TestMultipartBoundedMemory pins what a multipart transfer holds: one

@@ -27,40 +27,54 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// guardLinks are the transports the allocation guards run over:
+// loopback TCP, and a netsim Loopback link, which must add nothing to
+// the TCP counts — the simulator's queue and timer reuse their storage,
+// so a netsim workload's allocations are the stack's.
+var guardLinks = []struct {
+	name string
+	pool func(t *testing.T, reg *obs.Registry) *Client
+}{
+	{"tcp", func(t *testing.T, reg *obs.Registry) *Client { _, c := tcpPool(t, 2, reg, nil); return c }},
+	{"netsim", func(t *testing.T, reg *obs.Registry) *Client { return simPool(t, 2, reg) }},
+}
+
 // TestWireAllocationGuards pins the per-RPC cost of the descriptor path
-// on both ends of a real socket: an 8 KiB pread and an 8 KiB pwrite,
-// each behind the deadline prefix, with metrics on at both ends. The
-// only allocations left in the client and the server together are the
-// four status lines' buffers in respondCode, which escape through
-// bw.Write: one for each prefix and one for each reply.
+// on both ends of the link: an 8 KiB pread and an 8 KiB pwrite, each
+// behind the deadline prefix, with metrics on at both ends. The only
+// allocations left in the client and the server together are the four
+// status lines' buffers in respondCode, which escape through bw.Write:
+// one for each prefix and one for each reply.
 func TestWireAllocationGuards(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the bound leans on a warm sync.Pool, which the race detector empties at random")
 	}
-	_, c := tcpPool(t, 2, obs.NewRegistry(), nil)
-	buf := make([]byte, 8<<10)
-	if err := vfs.WriteFile(c, "/blob", make([]byte, 64<<10), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := c.Open("/blob", vfs.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if n := testing.AllocsPerRun(200, func() {
-		if _, err := f.Pread(buf, 8<<10); err != nil {
+	for _, link := range guardLinks {
+		c := link.pool(t, obs.NewRegistry())
+		buf := make([]byte, 8<<10)
+		if err := vfs.WriteFile(c, "/blob", make([]byte, 64<<10), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Pwrite(buf, 16<<10); err != nil {
+		f, err := c.Open("/blob", vfs.O_RDWR, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); n != 4 {
-		t.Errorf("pread + pwrite round trips allocate %.1f/op, want 4 (one per status line)", n)
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := f.Pread(buf, 8<<10); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Pwrite(buf, 16<<10); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 4 {
+			t.Errorf("%s: pread + pwrite round trips allocate %.1f/op, want 4 (one per status line)", link.name, n)
+		}
+		f.Close()
 	}
 }
 
 // TestPathVerbAllocationGuards pins the per-RPC cost of the path verbs
-// on both ends of a real socket, with metrics on at both ends and every
+// on both ends of the link, with metrics on at both ends and every
 // request behind the deadline prefix. Each RPC pays two respondCode
 // buffers (the prefix's status line and the reply's) and, for a path
 // verb, the server's copy of the path. What else each allocates:
@@ -75,56 +89,58 @@ func TestPathVerbAllocationGuards(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the bound leans on a warm sync.Pool, which the race detector empties at random")
 	}
-	_, c := tcpPool(t, 2, obs.NewRegistry(), nil)
-	if err := c.Mkdir("/d", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		if err := vfs.WriteFile(c, fmt.Sprintf("/d/file%02d", i), []byte("x"), 0o644); err != nil {
+	for _, link := range guardLinks {
+		c := link.pool(t, obs.NewRegistry())
+		if err := c.Mkdir("/d", 0o755); err != nil {
 			t.Fatal(err)
 		}
-	}
-	settleACLs()
-	for _, g := range []struct {
-		name string
-		want float64
-		op   func() error
-	}{
-		{"stat hit", 4, func() error {
-			_, err := c.Stat("/d/file00")
-			return err
-		}},
-		{"stat miss", 3, func() error {
-			if _, err := c.Stat("/d/missing"); vfs.AsErrno(err) != vfs.ENOENT {
-				return fmt.Errorf("stat of a missing file = %v, want ENOENT", err)
+		for i := 0; i < 16; i++ {
+			if err := vfs.WriteFile(c, fmt.Sprintf("/d/file%02d", i), []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}},
-		{"open + close", 11, func() error {
-			f, err := c.Open("/d/file00", vfs.O_RDONLY, 0)
-			if err != nil {
-				return err
-			}
-			return f.Close()
-		}},
-		{"getdir", 7, func() error {
-			ents, err := c.ReadDir("/d")
-			if err == nil && len(ents) != 16 {
-				err = fmt.Errorf("getdir listed %d entries, want 16", len(ents))
-			}
-			return err
-		}},
-	} {
-		if err := g.op(); err != nil { // warm the ACL cache and the pools
-			t.Fatalf("%s: %v", g.name, err)
 		}
-		n := testing.AllocsPerRun(200, func() {
-			if err := g.op(); err != nil {
-				t.Fatalf("%s: %v", g.name, err)
+		settleACLs()
+		for _, g := range []struct {
+			name string
+			want float64
+			op   func() error
+		}{
+			{"stat hit", 4, func() error {
+				_, err := c.Stat("/d/file00")
+				return err
+			}},
+			{"stat miss", 3, func() error {
+				if _, err := c.Stat("/d/missing"); vfs.AsErrno(err) != vfs.ENOENT {
+					return fmt.Errorf("stat of a missing file = %v, want ENOENT", err)
+				}
+				return nil
+			}},
+			{"open + close", 11, func() error {
+				f, err := c.Open("/d/file00", vfs.O_RDONLY, 0)
+				if err != nil {
+					return err
+				}
+				return f.Close()
+			}},
+			{"getdir", 7, func() error {
+				ents, err := c.ReadDir("/d")
+				if err == nil && len(ents) != 16 {
+					err = fmt.Errorf("getdir listed %d entries, want 16", len(ents))
+				}
+				return err
+			}},
+		} {
+			if err := g.op(); err != nil { // warm the ACL cache and the pools
+				t.Fatalf("%s %s: %v", link.name, g.name, err)
 			}
-		})
-		if n != g.want {
-			t.Errorf("%s allocates %.1f/op on both ends, want %.0f", g.name, n, g.want)
+			n := testing.AllocsPerRun(200, func() {
+				if err := g.op(); err != nil {
+					t.Fatalf("%s %s: %v", link.name, g.name, err)
+				}
+			})
+			if n != g.want {
+				t.Errorf("%s: %s allocates %.1f/op on both ends, want %.0f", link.name, g.name, n, g.want)
+			}
 		}
 	}
 }

@@ -73,6 +73,15 @@ var verbs = map[string]verb{
 	"fsck":   {"[-remove-dangling] [-remove-orphans] ", "", 0, 0, fsck},
 }
 
+// creators are the verbs that may start a stack: for them a missing
+// DSFS tree is created. Every other verb runs on a stack that must
+// already exist (stackspec.Builder.Open), so a check or a read of a
+// misspelt spec fails instead of leaving an empty tree behind.
+var creators = map[string]bool{"put": true, "mkdir": true}
+
+// Creates reports whether verb name may create the stack it runs on.
+func Creates(name string) bool { return creators[name] }
+
 // Lookup finds the verb name and parses its flags from the front of
 // args. It returns the verb and the arguments after its flags.
 func Lookup(name string, args []string) (Run, []string, error) {

@@ -62,30 +62,71 @@ func (Addr) Network() string { return "sim" }
 // String returns the symbolic address.
 func (a Addr) String() string { return string(a) }
 
+// chunk is the record of one write: n of its bytes are still queued,
+// and none of them is visible before ready.
 type chunk struct {
-	data  []byte
+	n     int
 	ready time.Time
 }
 
-// shapedQueue is one direction of a link: a byte queue whose chunks
+// shapedQueue is one direction of a link: a byte queue whose writes
 // become visible to the reader only after latency plus serialization
-// delay has elapsed.
+// delay has elapsed. The queued bytes are buf[off:], one write after
+// another, and chunks[head:] are their records. Both slices are reused
+// for the link's whole life (queueAppend), so a write and its read
+// allocate nothing, and the storage stays within twice the bytes ever
+// in flight at once.
 type shapedQueue struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	prof     LinkProfile
+	buf      []byte
+	off      int
 	chunks   []chunk
-	pos      int // read offset within chunks[0]
+	head     int
 	nextFree time.Time
 	closed   bool
 	failErr  error // non-nil after reset: reads and writes fail with it
 	deadline time.Time
+	// timer is the direction's one wake source, armed to fire at wake
+	// (zero when it is not armed).
+	timer *time.Timer
+	wake  time.Time
 }
+
+// Past these capacities a drained queue gives its storage back, so an
+// idle link holds no more than one bulk window's worth of buffer.
+const (
+	idleBufCap    = 256 << 10
+	idleChunksCap = 1024
+)
 
 func newShapedQueue(prof LinkProfile) *shapedQueue {
 	q := &shapedQueue{prof: prof}
 	q.cond = sync.NewCond(&q.mu)
 	return q
+}
+
+// queueAppend appends v to the live part s[off:] of a queue's storage
+// and returns the storage and the new offset of its live part. When s
+// is full it moves the live part to the front if that frees at least
+// half of s, and otherwise moves it to new storage twice the size of
+// the live part after the append. So the capacity never exceeds twice
+// the most ever live at once, and each element is moved a constant
+// number of times on average.
+func queueAppend[T any](s []T, off int, v ...T) ([]T, int) {
+	if len(s)+len(v) <= cap(s) {
+		return append(s, v...), off
+	}
+	live := len(s) - off
+	if need := live + len(v); need <= cap(s)/2 {
+		s = s[:copy(s, s[off:])]
+	} else {
+		grown := make([]T, live, 2*need)
+		copy(grown, s[off:])
+		s = grown
+	}
+	return append(s, v...), 0
 }
 
 func (q *shapedQueue) write(p []byte) (int, error) {
@@ -108,9 +149,8 @@ func (q *shapedQueue) write(p []byte) (int, error) {
 	}
 	q.nextFree = start.Add(tx)
 	ready := q.nextFree.Add(q.prof.Latency)
-	buf := make([]byte, len(p))
-	copy(buf, p)
-	q.chunks = append(q.chunks, chunk{data: buf, ready: ready})
+	q.buf, q.off = queueAppend(q.buf, q.off, p...)
+	q.chunks, q.head = queueAppend(q.chunks, q.head, chunk{n: len(p), ready: ready})
 	q.cond.Broadcast()
 	return len(p), nil
 }
@@ -133,15 +173,17 @@ func (q *shapedQueue) read(p []byte) (int, error) {
 			return 0, q.failErr
 		}
 		var nearest time.Time
-		if len(q.chunks) > 0 {
-			head := q.chunks[0]
-			now := time.Now()
-			if !head.ready.After(now) {
-				n := copy(p, head.data[q.pos:])
-				q.pos += n
-				if q.pos == len(head.data) {
-					q.chunks = q.chunks[1:]
-					q.pos = 0
+		if q.head < len(q.chunks) {
+			head := &q.chunks[q.head]
+			if !head.ready.After(time.Now()) {
+				n := copy(p, q.buf[q.off:q.off+head.n])
+				q.off += n
+				head.n -= n
+				if head.n == 0 {
+					q.head++
+					if q.head == len(q.chunks) {
+						q.drained()
+					}
 				}
 				return n, nil
 			}
@@ -172,26 +214,61 @@ func (q *shapedQueue) read(p []byte) (int, error) {
 	}
 }
 
-// wakeAt arranges a broadcast at time t. Caller holds q.mu. The timer
-// callback re-acquires the mutex before broadcasting: a bare Broadcast
-// could fire in the window between the caller computing the wake time
-// and parking in cond.Wait, and a wakeup lost there would strand the
-// reader past the chunk's ready time with nothing left to wake it.
-func (q *shapedQueue) wakeAt(t time.Time) {
-	d := time.Until(t)
-	if d < 0 {
-		d = 0
+// drained empties the queue for reuse once its last byte is read, and
+// gives oversized storage back. Caller holds q.mu.
+func (q *shapedQueue) drained() {
+	q.buf, q.off = q.buf[:0], 0
+	q.chunks, q.head = q.chunks[:0], 0
+	if cap(q.buf) > idleBufCap {
+		q.buf = nil
 	}
-	time.AfterFunc(d, func() {
-		q.mu.Lock()
-		q.cond.Broadcast()
-		q.mu.Unlock()
-	})
+	if cap(q.chunks) > idleChunksCap {
+		q.chunks = nil
+	}
+}
+
+// wakeAt makes sure the timer fires no later than t. Caller holds q.mu.
+// The timer is re-armed only for an earlier time: a reader woken early
+// finds nothing due, re-arms for what it still waits on and parks
+// again, so a later wake never needs a second timer.
+func (q *shapedQueue) wakeAt(t time.Time) {
+	if !q.wake.IsZero() && !t.Before(q.wake) {
+		return
+	}
+	q.wake = t
+	if q.timer == nil {
+		q.timer = time.AfterFunc(time.Until(t), q.ring)
+	} else {
+		q.timer.Reset(time.Until(t))
+	}
+}
+
+// ring is the timer's callback. It re-acquires the mutex before
+// broadcasting: a bare Broadcast could fire in the window between a
+// reader computing the wake time and parking in cond.Wait, and a
+// wakeup lost there would strand the reader past the chunk's ready
+// time with nothing left to wake it.
+func (q *shapedQueue) ring() {
+	q.mu.Lock()
+	q.wake = time.Time{}
+	q.cond.Broadcast()
+	q.mu.Unlock()
+}
+
+// disarm stops the timer, so a closed link is not kept alive until
+// its last deadline. Caller holds q.mu and broadcasts: a reader still
+// waiting re-arms for what it waits on.
+func (q *shapedQueue) disarm() {
+	if q.timer != nil {
+		q.timer.Stop()
+	}
+	q.wake = time.Time{}
 }
 
 func (q *shapedQueue) close() {
 	q.mu.Lock()
 	q.closed = true
+	q.disarm()
 	q.cond.Broadcast()
 	q.mu.Unlock()
 }
@@ -203,8 +280,9 @@ func (q *shapedQueue) reset(err error) {
 	q.mu.Lock()
 	if q.failErr == nil {
 		q.failErr = err
-		q.chunks = nil
-		q.pos = 0
+		q.buf, q.off = nil, 0
+		q.chunks, q.head = nil, 0
+		q.disarm()
 	}
 	q.cond.Broadcast()
 	q.mu.Unlock()

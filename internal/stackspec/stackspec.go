@@ -230,8 +230,15 @@ func (b *Builder) client(addr string) (*chirp.Client, error) {
 	return c, nil
 }
 
-// Build assembles sp through the abstractions' constructors.
-func (b *Builder) Build(sp Spec) (*Stack, error) {
+// Build assembles sp through the abstractions' constructors; a dsfs
+// spec's tree and data directories are created if they are missing.
+func (b *Builder) Build(sp Spec) (*Stack, error) { return b.build(sp, true) }
+
+// Open is Build over a stack that already exists: it creates nothing,
+// and a dsfs spec whose tree is not there fails with ENOENT.
+func (b *Builder) Open(sp Spec) (*Stack, error) { return b.build(sp, false) }
+
+func (b *Builder) build(sp Spec, create bool) (*Stack, error) {
 	switch sp.Scheme {
 	case "chirp":
 		c, err := b.client(sp.Addr)
@@ -255,7 +262,11 @@ func (b *Builder) Build(sp Spec) (*Stack, error) {
 			return nil, err
 		}
 		host, _ := os.Hostname() // "" falls back to a fixed client id
-		d, err := abstraction.NewDSFS(meta, sp.Dir, servers, abstraction.Options{ClientID: host})
+		dsfs := abstraction.OpenDSFS
+		if create {
+			dsfs = abstraction.NewDSFS
+		}
+		d, err := dsfs(meta, sp.Dir, servers, abstraction.Options{ClientID: host})
 		if err != nil {
 			return nil, err
 		}
@@ -263,7 +274,7 @@ func (b *Builder) Build(sp Spec) (*Stack, error) {
 	case "mirror":
 		replicas := make([]vfs.FileSystem, len(sp.Replicas))
 		for i, r := range sp.Replicas {
-			st, err := b.Build(r)
+			st, err := b.build(r, create)
 			if err != nil {
 				return nil, err
 			}

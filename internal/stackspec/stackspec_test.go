@@ -134,6 +134,29 @@ func TestBuild(t *testing.T) {
 		t.Errorf("stub = %+v, %v; want a server named in the spec", stub, err)
 	}
 
+	// Open finds the tree Build started, and creates nothing where a
+	// misspelt spec names none.
+	open := func(spec string) error {
+		t.Helper()
+		sp, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = b.Open(sp)
+		return err
+	}
+	if err := open("dsfs://s0:1/tree?data=n0=s0:1/vol,n1=s1:1/vol"); err != nil {
+		t.Errorf("open of an existing tree: %v", err)
+	}
+	if err := open("dsfs://s0:1/typo?data=n0=s1:1/typo"); vfs.AsErrno(err) != vfs.ENOENT {
+		t.Errorf("open of a missing tree = %v, want ENOENT", err)
+	}
+	for _, srv := range d.Dist.Servers() {
+		if _, err := srv.FS.Stat("/typo"); vfs.AsErrno(err) != vfs.ENOENT {
+			t.Errorf("%s: stat /typo after a failed open = %v, want ENOENT", srv.Name, err)
+		}
+	}
+
 	m := build("mirror:(s0:1/vol,chirp://s1:1/vol)")
 	if m.Mirror == nil || m.Servers != 2 {
 		t.Fatalf("mirror stack = %+v", m)

@@ -307,6 +307,30 @@ func TestTssAssemblesDSFS(t *testing.T) {
 	}
 }
 
+// A check or a read of a misspelt DSFS spec fails with ENOENT and
+// leaves no empty tree or data directory behind; only a write starts a
+// tree.
+func TestTssFsckMisspeltSpec(t *testing.T) {
+	metaRoot, dataRoot := t.TempDir(), t.TempDir()
+	meta, data := startServer(t, metaRoot), startServer(t, dataRoot)
+	typo := "dsfs://" + meta + "/typo?data=n0=" + data + "/vol"
+	for _, verb := range [][]string{{"fsck"}, {"ls"}, {"stat", "/f"}} {
+		out := runExpectFail(t, "tss", append([]string{verb[0], typo}, verb[1:]...)...)
+		if !strings.Contains(out, "no such file or directory") {
+			t.Errorf("tss %s on a misspelt spec = %q, want ENOENT", verb[0], out)
+		}
+	}
+	for _, dir := range []string{filepath.Join(metaRoot, "typo"), filepath.Join(dataRoot, "vol")} {
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s exists after a check of a misspelt spec (%v)", dir, err)
+		}
+	}
+	run(t, "tss", "mkdir", typo, "/new")
+	if fsck := run(t, "tss", "fsck", typo); !strings.Contains(fsck, "dangling=0 orphaned=0") {
+		t.Errorf("fsck of the tree mkdir started = %q", fsck)
+	}
+}
+
 // A mirror over three servers with one replica overwritten behind its
 // back: scrub finds the divergence, -repair rewrites the odd copy from
 // the majority, and a second scrub is clean.
