@@ -4,6 +4,8 @@
 // involvement. A stack is named by a spec (internal/stackspec), and
 // every command but the shell's own runs through the verb table tss
 // uses (internal/cli), with paths taken against the working directory.
+// A mount creates nothing: a DSFS tree must already exist, and tss
+// mkdir or put starts one.
 //
 //	$ tssh
 //	tss> mount /data chirp://localhost:9094
@@ -21,6 +23,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -113,7 +116,12 @@ func (sh *shell) exec(fields []string) error {
 		if err != nil {
 			return fmt.Errorf("mount: %w", err)
 		}
-		st, err := sh.b.Build(sp)
+		// A mount creates nothing, so a misspelt spec fails here
+		// instead of mounting an empty tree.
+		st, err := sh.b.Open(sp)
+		if errors.Is(err, vfs.ENOENT) && sp.Scheme == "dsfs" {
+			return fmt.Errorf("mount: %w (no DSFS tree there; tss mkdir SPEC DIR starts one)", err)
+		}
 		if err != nil {
 			return fmt.Errorf("mount: %w", err)
 		}

@@ -30,17 +30,7 @@ func TestLinkAllocationGuards(t *testing.T) {
 	// An echo peer answers each request. AllocsPerRun runs on one
 	// processor, so the requester parks in its read (empty queue, a 30 s
 	// deadline ahead) before the peer runs and feeds it.
-	go func() {
-		req := make([]byte, len(msg))
-		for {
-			if _, err := io.ReadFull(b, req); err != nil {
-				return
-			}
-			if _, err := b.Write(req); err != nil {
-				return
-			}
-		}
-	}()
+	go echo(b, len(msg))
 	if n := testing.AllocsPerRun(1000, func() {
 		a.SetReadDeadline(time.Now().Add(30 * time.Second))
 		if _, err := a.Write(msg); err != nil {
@@ -51,6 +41,36 @@ func TestLinkAllocationGuards(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("a round trip whose reply wait parks under a deadline allocates %.1f/op, want 0", n)
+	}
+
+	// Over Fast100 each read waits about 100 µs for its bytes, so both
+	// ends take the precise sleep.
+	c, d := Pipe(Fast100)
+	defer c.Close()
+	defer d.Close()
+	go echo(d, len(msg))
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := c.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a Fast100 round trip, which sleeps until its bytes are due, allocates %.1f/op, want 0", n)
+	}
+}
+
+// echo writes back each size-byte request read from c until c fails.
+func echo(c *Conn, size int) {
+	req := make([]byte, size)
+	for {
+		if _, err := io.ReadFull(c, req); err != nil {
+			return
+		}
+		if _, err := c.Write(req); err != nil {
+			return
+		}
 	}
 }
 

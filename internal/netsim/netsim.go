@@ -17,7 +17,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -155,10 +154,12 @@ func (q *shapedQueue) write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// spinThreshold is the horizon below which the reader busy-yields
-// instead of arming a timer: OS timer granularity (about a millisecond
-// on many hosts and containers) would otherwise quantize simulated
-// sub-millisecond latencies and corrupt every latency figure.
+// spinThreshold is the horizon below which a reader waiting on data
+// sleeps precisely (sleepUntil) instead of parking on the timer. A Go
+// timer can fire a millisecond late, which would quantize simulated
+// sub-millisecond latencies and corrupt every latency figure, so a
+// longer wait arms the timer for spinThreshold before the data is due
+// and ends in the precise sleep too.
 const spinThreshold = 2 * time.Millisecond
 
 func (q *shapedQueue) read(p []byte) (int, error) {
@@ -172,10 +173,16 @@ func (q *shapedQueue) read(p []byte) (int, error) {
 			// on bytes that will never become ready.
 			return 0, q.failErr
 		}
-		var nearest time.Time
+		now := time.Now()
+		// As on a TCP or net.Pipe connection, a passed deadline fails
+		// the read even when data is ready.
+		if !q.deadline.IsZero() && !now.Before(q.deadline) {
+			return 0, os.ErrDeadlineExceeded
+		}
+		wake := q.deadline
 		if q.head < len(q.chunks) {
 			head := &q.chunks[q.head]
-			if !head.ready.After(time.Now()) {
+			if !head.ready.After(now) {
 				n := copy(p, q.buf[q.off:q.off+head.n])
 				q.off += n
 				head.n -= n
@@ -187,28 +194,26 @@ func (q *shapedQueue) read(p []byte) (int, error) {
 				}
 				return n, nil
 			}
-			nearest = head.ready
+			due := head.ready
+			if wake.IsZero() || due.Before(wake) {
+				if due.Sub(now) < spinThreshold {
+					// Nothing can be read before due, so the sleep cannot
+					// miss a write. A reset, close or new deadline is seen
+					// when it ends.
+					q.mu.Unlock()
+					sleepUntil(due)
+					q.mu.Lock()
+					continue
+				}
+				wake = due.Add(-spinThreshold)
+			}
 		} else if q.closed {
 			return 0, io.EOF
 		}
-		if !q.deadline.IsZero() {
-			if !time.Now().Before(q.deadline) {
-				return 0, os.ErrDeadlineExceeded
-			}
-			if nearest.IsZero() || q.deadline.Before(nearest) {
-				nearest = q.deadline
-			}
-		}
-		if !nearest.IsZero() && time.Until(nearest) < spinThreshold {
-			// Busy-yield until the due time: precise where timers are
-			// not. New writes are observed on the next loop iteration.
-			q.mu.Unlock()
-			runtime.Gosched()
-			q.mu.Lock()
-			continue
-		}
-		if !nearest.IsZero() {
-			q.wakeAt(nearest)
+		// A deadline is waited for on the timer, not in the precise
+		// sleep: a write may come first and must wake the reader.
+		if !wake.IsZero() {
+			q.wakeAt(wake)
 		}
 		q.cond.Wait()
 	}

@@ -331,6 +331,31 @@ func TestTssFsckMisspeltSpec(t *testing.T) {
 	}
 }
 
+// Mounting a misspelt DSFS spec in tssh fails with ENOENT, says how to
+// start a tree, and leaves no empty tree or data directory behind; the
+// tree tss mkdir starts then mounts.
+func TestTsshMountMisspeltSpec(t *testing.T) {
+	metaRoot, dataRoot := t.TempDir(), t.TempDir()
+	meta, data := startServer(t, metaRoot), startServer(t, dataRoot)
+	typo := "dsfs://" + meta + "/typo?data=n0=" + data + "/vol"
+	out, err := runCmd("mount /d "+typo+"\nls /d\n", "tssh")
+	if err == nil || err == errHung {
+		t.Fatalf("tssh mount of a misspelt spec did not fail on its own (%v):\n%s", err, out)
+	}
+	if !strings.Contains(out, "no such file or directory") || !strings.Contains(out, "tss mkdir SPEC DIR") {
+		t.Errorf("tssh mount of a misspelt spec = %q, want ENOENT and how to start a tree", out)
+	}
+	for _, dir := range []string{filepath.Join(metaRoot, "typo"), filepath.Join(dataRoot, "vol")} {
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s exists after a mount of a misspelt spec (%v)", dir, err)
+		}
+	}
+	run(t, "tss", "mkdir", typo, "/first")
+	if out, err := runCmd("mount /d "+typo+"\nls /d\n", "tssh"); err != nil || !strings.Contains(out, "first") {
+		t.Errorf("tssh mount and ls of the tree tss mkdir started = %v:\n%s", err, out)
+	}
+}
+
 // A mirror over three servers with one replica overwritten behind its
 // back: scrub finds the divergence, -repair rewrites the odd copy from
 // the majority, and a second scrub is clean.
