@@ -27,6 +27,13 @@ const defaultTimerSlack = 50 * time.Microsecond
 // sleep, because the slack is per thread; nanosleep is a blocking
 // system call, so the thread's processor runs other goroutines
 // meanwhile.
+//
+// The 1 ns slack is not restored: it stays on the thread after
+// UnlockOSThread, so the runtime's later timed futex and epoll waits on
+// that thread, for any goroutine, end precisely too rather than being
+// coalesced by up to 50 µs. That is why setting it again on every call,
+// on whichever thread the goroutine lands, is harmless: it is one cheap
+// system call and never changes what another caller relies on.
 func sleepUntil(t time.Time) {
 	runtime.LockOSThread()
 	guard := sleepGuard
